@@ -34,6 +34,7 @@ from .haar import (
     axis_factor,
     counting_sums,
     haar_eval,
+    level_counting_sums,
     level_value_counts,
     low_level_sign,
     mu_all_at_level,

@@ -19,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .dyadic import DyadicRational, dyadic
-from .pointsets import PointMultiset
+from .pointsets import PointMultiset, _pow2_log
 
 __all__ = [
     "CellGrid",
@@ -29,12 +29,6 @@ __all__ = [
     "lp_estimate",
     "star_discrepancy",
 ]
-
-
-def _pow2_log(n: int) -> int:
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"cardinality must be a positive power of two, got {n}")
-    return n.bit_length() - 1
 
 
 def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
@@ -282,13 +276,15 @@ def star_discrepancy(points: PointMultiset) -> DyadicRational:
     n = grid.cardinality
     nu = _pow2_log(n)
     res = grid.resolution
-    xs = np.asarray(grid.x_scaled, dtype=np.int64)
-    ys = np.asarray(grid.y_scaled, dtype=np.int64)
+    # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|,
+    # bounded by N 2^(2 res): the dtype the level scans use for that bound
+    dtype = points.coord_arrays()[0].dtype
+    xs = np.asarray(grid.x_scaled, dtype=dtype)
+    ys = np.asarray(grid.y_scaled, dtype=dtype)
     scale = 1 << (2 * res)
     best = 0
-    # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|
     for a in range(len(xs) - 1):
-        row = grid.counts[a, :-1] * scale
+        row = grid.counts[a, :-1].astype(dtype, copy=False) * scale
         low = n * int(xs[a]) * ys[:-1]
         high = n * int(xs[a + 1]) * ys[1:]
         cand = np.maximum(np.abs(row - low), np.abs(row - high)).max()

@@ -7,9 +7,8 @@ suites; nonzero exit on any failure), qmc (cubature error tables).
 
 Identical configurations produce byte-identical output: orderings are
 fixed, sums are compensated, and nothing time- or host-dependent is
-emitted. DYADISC_THREADS is accepted as a parallelism cap; execution is
-single-threaded, which trivially honors any cap, and exact arithmetic
-makes results independent of evaluation order anyway.
+emitted. DYADISC_THREADS, if set, must be a positive integer; execution
+is single-threaded, so the value has no further effect.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class RunConfig:
     out: Optional[str] = None
     fmt: str = "csv"
     integrand: str = "corner:1,1"
-    threads: int = 1
 
 
 def _parse_extended(text: str) -> float:
@@ -314,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_threads() -> int:
+def _check_threads() -> None:
     raw = os.environ.get("DYADISC_THREADS", "1")
     try:
         threads = int(raw)
@@ -322,7 +320,6 @@ def _read_threads() -> int:
         raise SystemExit(f"DYADISC_THREADS must be an integer, got {raw!r}") from exc
     if threads < 1:
         raise SystemExit("DYADISC_THREADS must be >= 1")
-    return threads
 
 
 def run(config: RunConfig) -> int:
@@ -341,7 +338,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     namespace = parser.parse_args(argv)
     values = vars(namespace)
     values.setdefault("integrand", "corner:1,1")
-    config = RunConfig(threads=_read_threads(), **values)
+    _check_threads()
+    config = RunConfig(**values)
     return run(config)
 
 

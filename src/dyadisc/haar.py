@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .dyadic import DyadicRational, ONE, ZERO, dyadic
-from .pointsets import PointMultiset, SignPattern
+from .pointsets import PointMultiset, SignPattern, _as_dyadic, _pow2_log
 
 __all__ = [
     "HaarIndex",
@@ -44,6 +44,7 @@ __all__ = [
     "predict_davenport",
     "low_level_sign",
     "counting_sums",
+    "level_counting_sums",
 ]
 
 
@@ -69,12 +70,6 @@ class HaarIndex:
         return (self.j1, self.j2)
 
 
-def _pow2_log(n: int, what: str = "cardinality") -> int:
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"{what} must be a positive power of two, got {n}")
-    return n.bit_length() - 1
-
-
 # -- pointwise evaluation ----------------------------------------------------
 
 
@@ -82,9 +77,7 @@ def _axis_eval(j: int, m: int, t) -> int:
     if j == -1:
         return 1
     # sign on the two halves of [m 2^-j, (m+1) 2^-j)
-    scaled = t.scale_pow2(j + 1) if isinstance(t, DyadicRational) else None
-    if scaled is None:
-        scaled = DyadicRational.from_float(float(t)).scale_pow2(j + 1)
+    scaled = t.scale_pow2(j + 1)
     if scaled < 2 * m or scaled >= 2 * m + 2:
         return 0
     return 1 if scaled < 2 * m + 1 else -1
@@ -129,7 +122,7 @@ def axis_factor(j: int, m: int, z) -> DyadicRational:
     position and exactly zero outside (including both endpoints); for the
     level -1 indicator it is 1 - z for every z in [0, 1].
     """
-    z = z if isinstance(z, DyadicRational) else _coerce_coord(z)
+    z = _as_dyadic(z)
     if j == -1:
         return ONE - z
     limit = 1 if j == -1 else 1 << j
@@ -141,14 +134,6 @@ def axis_factor(j: int, m: int, z) -> DyadicRational:
         return ZERO
     tent = ONE - abs(dyadic(2 * m + 1) - u)
     return tent.scale_pow2(-(j + 1)) * -1
-
-
-def _coerce_coord(z) -> DyadicRational:
-    if isinstance(z, int):
-        return dyadic(z)
-    if isinstance(z, float):
-        return DyadicRational.from_float(z)
-    raise TypeError(f"cannot interpret {z!r} as a coordinate")
 
 
 def mu_point(idx: HaarIndex, z) -> DyadicRational:
@@ -218,80 +203,54 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, factor) -> DyadicRat
 #
 # On a fixed level every factor is num / 2^res with an integer num, so the
 # per-position sums are plain integer accumulations:
-#   j >= 0: num = -(half - |k mod 2^(res-j) - half|), half = 2^(res-j-1) < 0
-#   j = -1: num = 2^res - k                                            >= 0
+#   j >= 0: num = -(half - |k mod 2^(res-j) - half|) <= 0, half = 2^(res-j-1)
+#   j = -1: num = 2^res - k                                >= 0
 # A position therefore receives contributions of one sign only, which makes
 # "occupied" equivalent to "coefficient differs from the empty-box value".
+# The coordinate arrays come from PointMultiset.coord_arrays(), whose dtype
+# (int64 or exact Python ints) bounds every product sum below.
 
 
-def _axis_scan_np(k: np.ndarray, j: int, res: int) -> Tuple[np.ndarray, np.ndarray]:
-    if j == -1:
-        num = (1 << res) - k
-        return num, np.zeros_like(k)
-    if j >= res:
-        return np.zeros_like(k), np.zeros_like(k)
+def _tents(k: np.ndarray, j: int, res: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unnormalized tents half - |k mod 2^(res-j) - half| and positions.
+
+    For 0 <= j <= res; the tent is 0 on interval endpoints (and everywhere
+    at j = res), and the position of k is k >> (res - j).
+    """
     per = 1 << (res - j)
     half = per >> 1
-    rem = k & (per - 1)
-    num = np.where(rem == 0, 0, -(half - np.abs(rem - half)))
-    return num, k >> (res - j)
+    return half - np.abs((k & (per - 1)) - half), k >> (res - j)
 
 
-def _axis_scan_py(k_list, j: int, res: int) -> Tuple[List[int], List[int]]:
-    if j == -1:
-        full = 1 << res
-        return [full - k for k in k_list], [0] * len(k_list)
-    if j >= res:
-        return [0] * len(k_list), [0] * len(k_list)
-    per = 1 << (res - j)
-    half = per >> 1
-    nums, ms = [], []
-    for k in k_list:
-        rem = k & (per - 1)
-        nums.append(0 if rem == 0 else -(half - abs(rem - half)))
-        ms.append(k >> (res - j))
-    return nums, ms
+def _box_sums(m1, m2, width2: int, vals, mask) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums of vals[mask] per box key m1 * width2 + m2, keys ascending."""
+    keys = m1[mask] * width2 + m2[mask]
+    vals = vals[mask]
+    if not keys.size:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[cuts], np.add.reduceat(vals, cuts)
 
 
-def _scan_level(points: PointMultiset, j1: int, j2: int) -> Dict[Tuple[int, int], int]:
+def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-position sums of the signed scaled factor products.
 
-    Returned integers are Sum_z f1 * f2 scaled by 2^(2 res); only positions
-    with at least one nonzero contribution appear.
+    Returns ascending keys m1 * width2 + m2 and the sums Sum_z f1 * f2
+    scaled by 2^(2 res); only positions with at least one nonzero
+    contribution appear.
     """
     res = points.n_resolution
+    kx, ky = points.coord_arrays()
     if j1 >= res or j2 >= res:
-        return {}  # interval interiors at or beyond the resolution are empty
-    arrays = points.coord_arrays()
-    # int64 stays exact while |sum| <= N * 2^(2 res) < 2^62
-    if arrays is not None and 2 * res + max(1, len(points)).bit_length() <= 62:
-        kx, ky = arrays
-        n1, m1 = _axis_scan_np(kx, j1, res)
-        n2, m2 = _axis_scan_np(ky, j2, res)
-        mask = (n1 != 0) & (n2 != 0)
-        if not mask.any():
-            return {}
-        vals = n1[mask] * n2[mask]
-        width2 = 1 if j2 == -1 else 1 << j2
-        keys = m1[mask] * width2 + m2[mask]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = vals[order]
-        boundaries = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sums = np.add.reduceat(vals, boundaries)
-        out = {}
-        for key, acc in zip(keys[boundaries].tolist(), sums.tolist()):
-            out[(key // width2, key % width2)] = acc
-        return out
-    kx, ky = points.scaled_coords()
-    n1, m1 = _axis_scan_py(kx, j1, res)
-    n2, m2 = _axis_scan_py(ky, j2, res)
-    out: Dict[Tuple[int, int], int] = {}
-    for a, b, p, q in zip(n1, n2, m1, m2):
-        if a and b:
-            key = (p, q)
-            out[key] = out.get(key, 0) + a * b
-    return dict(sorted(out.items()))
+        return kx[:0], kx[:0]  # interval interiors at or beyond the resolution are empty
+    n1, m1 = ((1 << res) - kx, np.zeros_like(kx)) if j1 == -1 else _tents(kx, j1, res)
+    n2, m2 = ((1 << res) - ky, np.zeros_like(ky)) if j2 == -1 else _tents(ky, j2, res)
+    width2 = 1 if j2 == -1 else 1 << j2
+    keys, sums = _box_sums(m1, m2, width2, n1 * n2, (n1 != 0) & (n2 != 0))
+    # each tent level carries a minus sign
+    return keys, (-sums if (j1 == -1) != (j2 == -1) else sums)
 
 
 @dataclass(frozen=True)
@@ -338,9 +297,11 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
     """
     nu, boxes, vol = _level_geometry(points, j1, j2)
     scale = 2 * points.n_resolution + nu
+    width2 = 1 if j2 == -1 else 1 << j2
+    keys, sums = _scan_level(points, j1, j2)
     occupied = {
-        key: dyadic(acc, scale) - vol
-        for key, acc in _scan_level(points, j1, j2).items()
+        divmod(key, width2): dyadic(acc, scale) - vol
+        for key, acc in zip(keys.tolist(), sums.tolist())
     }
     return LevelCoefficients(j1, j2, occupied, -vol, boxes)
 
@@ -352,11 +313,10 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
         return cached
     nu, boxes, vol = _level_geometry(points, j1, j2)
     scale = 2 * points.n_resolution + nu
-    groups: Dict[int, int] = {}
-    for acc in _scan_level(points, j1, j2).values():
-        groups[acc] = groups.get(acc, 0) + 1
+    accs, counts = np.unique(_scan_level(points, j1, j2)[1], return_counts=True)
     values = tuple(
-        (dyadic(acc, scale) - vol, count) for acc, count in sorted(groups.items())
+        (dyadic(acc, scale) - vol, count)
+        for acc, count in zip(accs.tolist(), counts.tolist())
     )
     occupied = sum(count for _, count in values)
     summary = LevelSummary(j1, j2, values, occupied, boxes - occupied, -vol, boxes)
@@ -374,7 +334,7 @@ def _axis_pairs(j_max: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _factor_matrix(points: PointMultiset, j_max: int, axis: int, factor) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+def _factor_matrix(points: PointMultiset, j_max: int, axis: int) -> Tuple[List[Tuple[int, int]], np.ndarray]:
     res = points.n_resolution
     ks = points.scaled_coords()[axis]
     pairs = _axis_pairs(j_max)
@@ -385,7 +345,7 @@ def _factor_matrix(points: PointMultiset, j_max: int, axis: int, factor) -> Tupl
             key = (j, m, k)
             val = memo.get(key)
             if val is None:
-                f = factor(j, m, dyadic(k, res))
+                f = _oracle_axis_factor(j, m, dyadic(k, res))
                 shift = res - f.exponent
                 assert shift >= 0
                 val = memo[key] = f.mantissa << shift
@@ -393,14 +353,32 @@ def _factor_matrix(points: PointMultiset, j_max: int, axis: int, factor) -> Tupl
     return pairs, rows
 
 
-def _grid_from_factors(points: PointMultiset, j_max: int, factor) -> Dict[HaarIndex, DyadicRational]:
+def mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
+    """mu_discrepancy for every index with levels in [-1, j_max], batched."""
+    out = {}
+    for j1 in range(-1, j_max + 1):
+        for j2 in range(-1, j_max + 1):
+            level = mu_all_at_level(points, j1, j2)
+            for m1 in range(1 if j1 == -1 else 1 << j1):
+                for m2 in range(1 if j2 == -1 else 1 << j2):
+                    value = level.occupied.get((m1, m2), level.empty_value)
+                    out[HaarIndex(j1, j2, m1, m2)] = value
+    return out
+
+
+def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
+    """oracle_mu for every index with levels in [-1, j_max], batched.
+
+    Uses the antiderivative factors in an int64 matrix product, independent
+    of the level scans behind :func:`mu_grid`.
+    """
     n = len(points)
     nu = _pow2_log(n)
     res = points.n_resolution
     if 2 * res + n.bit_length() > 62:
         raise ValueError("grid path needs 2*resolution + log2(N) <= 62")
-    pairs1, f1 = _factor_matrix(points, j_max, 0, factor)
-    pairs2, f2 = _factor_matrix(points, j_max, 1, factor)
+    pairs1, f1 = _factor_matrix(points, j_max, 0)
+    pairs2, f2 = _factor_matrix(points, j_max, 1)
     sums = f1 @ f2.T
     scale = 2 * res + nu
     out = {}
@@ -409,16 +387,6 @@ def _grid_from_factors(points: PointMultiset, j_max: int, factor) -> Dict[HaarIn
             idx = HaarIndex(j1, j2, m1, m2)
             out[idx] = dyadic(int(sums[r, c]), scale) - mu_volume(idx)
     return out
-
-
-def mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
-    """mu_discrepancy for every index with levels in [-1, j_max], batched."""
-    return _grid_from_factors(points, j_max, axis_factor)
-
-
-def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
-    """oracle_mu for every index with levels in [-1, j_max], batched."""
-    return _grid_from_factors(points, j_max, _oracle_axis_factor)
 
 
 # -- predicted coefficients -----------------------------------------------------
@@ -517,6 +485,30 @@ def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> Coefficient
 # -- counting-sum identities ------------------------------------------------
 
 
+def level_counting_sums(points: PointMultiset, j1: int, j2: int):
+    """Integer tent sums for every box of one level, batched.
+
+    Returns three (keys, sums) array pairs with ascending keys
+    m1 * 2^j2 + m2: the x-sums scaled by 2^(res-j1-1), the y-sums scaled
+    by 2^(res-j2-1), and the product sums scaled by the product of the two.
+    Membership is per axis: a single-axis sum gates its own coordinate
+    strictly and the other by the half-open box; the product needs both
+    strict. Levels must lie in [0, resolution].
+    """
+    res = points.n_resolution
+    if not (0 <= j1 <= res and 0 <= j2 <= res):
+        raise ValueError(f"box levels must lie in [0, {res}]")
+    kx, ky = points.coord_arrays()
+    nx, m1 = _tents(kx, j1, res)
+    ny, m2 = _tents(ky, j2, res)
+    width2 = 1 << j2
+    return (
+        _box_sums(m1, m2, width2, nx, (nx != 0) & (m2 < width2)),
+        _box_sums(m1, m2, width2, ny, (ny != 0) & (m1 < (1 << j1))),
+        _box_sums(m1, m2, width2, nx * ny, (nx != 0) & (ny != 0)),
+    )
+
+
 def counting_sums(
     points: PointMultiset, j1: int, j2: int, m1: int, m2: int
 ) -> Tuple[DyadicRational, DyadicRational, DyadicRational]:
@@ -531,31 +523,17 @@ def counting_sums(
     if j1 < 0 or j2 < 0:
         raise ValueError("box levels must be nonnegative")
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
-    sum_x = sum_y = sum_xy = ZERO
-    for x, y in zip(kx, ky):
-        mx = _open_interval_tent(x, j1, m1, res)
-        my = _open_interval_tent(y, j2, m2, res)
-        if mx is not None and _in_half_open(y, j2, m2, res):
-            sum_x = sum_x + mx
-        if my is not None and _in_half_open(x, j1, m1, res):
-            sum_y = sum_y + my
-        if mx is not None and my is not None:
-            sum_xy = sum_xy + mx * my
-    return sum_x, sum_y, sum_xy
-
-
-def _open_interval_tent(k: int, j: int, m: int, res: int) -> Optional[DyadicRational]:
-    if j >= res:
-        return None  # interval interiors miss the 2^-res grid entirely
-    per = 1 << (res - j)
-    if k >> (res - j) != m or k & (per - 1) == 0:
-        return None
-    half = per >> 1
-    return dyadic(half - abs((k & (per - 1)) - half), res - j - 1)
-
-
-def _in_half_open(k: int, j: int, m: int, res: int) -> bool:
-    if res >= j:
-        return (k >> (res - j)) == m
-    return (k << (j - res)) == m
+    # beyond the resolution no tent is interior, and box m holds the grid
+    # points of box m >> (j - res) at level res when 2^(j - res) divides m
+    l1, l2 = min(j1, res), min(j2, res)
+    s1, s2 = j1 - l1, j2 - l2
+    if not (0 <= m1 < 1 << j1 and 0 <= m2 < 1 << j2) or m1 % (1 << s1) or m2 % (1 << s2):
+        return ZERO, ZERO, ZERO
+    key = ((m1 >> s1) << l2) + (m2 >> s2)
+    exponents = (res - l1 - 1, res - l2 - 1, 2 * res - l1 - l2 - 2)
+    out = []
+    for (keys, sums), exponent in zip(level_counting_sums(points, l1, l2), exponents):
+        i = int(np.searchsorted(keys, key))
+        hit = i < len(keys) and keys[i] == key
+        out.append(dyadic(int(sums[i]), exponent) if hit else ZERO)
+    return tuple(out)

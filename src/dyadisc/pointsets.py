@@ -90,6 +90,12 @@ class Point(NamedTuple):
     y: DyadicRational
 
 
+def _pow2_log(n: int) -> int:
+    if n <= 0 or n & (n - 1):
+        raise ValueError(f"cardinality must be a positive power of two, got {n}")
+    return n.bit_length() - 1
+
+
 def _as_dyadic(value) -> DyadicRational:
     if isinstance(value, DyadicRational):
         return value
@@ -168,16 +174,17 @@ class PointMultiset:
         """Integer coordinates at denominator 2**n_resolution."""
         return self._kx, self._ky
 
-    def coord_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """int64 coordinate arrays, or None when 2**n_resolution overflows."""
-        if self.n_resolution > 62:
-            return None
+    def coord_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Coordinate arrays for exact integer sums over the points.
+
+        int64 while N * 2^(2 n_resolution) < 2^62, which bounds every sum of
+        coordinate products; past that, object arrays of Python ints.
+        """
         cached = self._cache.get("coords")
         if cached is None:
-            cached = (
-                np.asarray(self._kx, dtype=np.int64),
-                np.asarray(self._ky, dtype=np.int64),
-            )
+            exact = 2 * self.n_resolution + len(self).bit_length() > 62
+            dtype = object if exact else np.int64
+            cached = (np.array(self._kx, dtype=dtype), np.array(self._ky, dtype=dtype))
             self._cache["coords"] = cached
         return cached
 
@@ -202,18 +209,11 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
         raise ValueError("n must be positive")
     if sigma.n != n:
         raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
-    flips = sigma.flips
-    kx = list(range(1 << n))
-    ky = []
-    for v in kx:
-        acc = 0
-        for i in range(n):
-            bit = (v >> i) & 1
-            if flips[i]:
-                bit ^= 1
-            acc |= bit << (n - 1 - i)
-        ky.append(acc)
-    return PointMultiset._from_scaled(kx, ky, n)
+    v = np.arange(1 << n, dtype=np.int64)
+    ky = np.zeros_like(v)
+    for i, flip in enumerate(sigma.flips):
+        ky |= (((v >> i) & 1) ^ int(flip)) << (n - 1 - i)
+    return PointMultiset._from_scaled(range(1 << n), ky.tolist(), n)
 
 
 def reflect(points: PointMultiset, axis: str) -> PointMultiset:

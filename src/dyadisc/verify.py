@@ -13,19 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import numpy as np
-
 from .haar import (
     ABS_UPPER_BOUND,
     EXACT_ABS,
     HaarIndex,
+    level_counting_sums,
     level_value_counts,
     low_level_sign,
     predict_davenport,
     predict_symmetrized,
 )
 from .pointsets import (
-    PointMultiset,
     SignPattern,
     hammersley_type,
     is_net,
@@ -152,51 +150,6 @@ def check_davenport_rows(n: int, sigma: SignPattern, label: str = "") -> CheckRe
     return report
 
 
-def _level_counting_sums(points: PointMultiset, j1: int, j2: int):
-    """Integer tent sums for every box of one level, batched.
-
-    Returns three dicts keyed by (m1, m2): the x-sums scaled by
-    2^(res-j1-1), the y-sums scaled by 2^(res-j2-1), and the product sums
-    scaled by the product of the two. Membership is per-axis: a single-axis
-    sum gates its own coordinate strictly and the other by the half-open
-    box; the product needs both strict.
-    """
-    res = points.n_resolution
-    kx, ky = points.coord_arrays()
-
-    def tent(k, j):
-        per = 1 << (res - j)
-        half = per >> 1
-        rem = k & (per - 1)
-        num = np.where(rem == 0, 0, half - np.abs(rem - half))
-        return num, k >> (res - j)
-
-    nx, m1 = tent(kx, j1)
-    ny, m2 = tent(ky, j2)
-    width2 = 1 << j2
-
-    def gather(mask, values):
-        keys = m1[mask] * width2 + m2[mask]
-        if keys.size == 0:
-            return {}
-        vals = values[mask]
-        order = np.argsort(keys, kind="stable")
-        keys, vals = keys[order], vals[order]
-        cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sums = np.add.reduceat(vals, cuts)
-        return {
-            (int(k) // width2, int(k) % width2): int(v)
-            for k, v in zip(keys[cuts], sums)
-        }
-
-    in_box_x = m1 < (1 << j1)
-    in_box_y = m2 < width2
-    sums_x = gather((nx != 0) & in_box_y, nx)
-    sums_y = gather((ny != 0) & in_box_x, ny)
-    sums_xy = gather((nx != 0) & (ny != 0), nx * ny)
-    return sums_x, sums_y, sums_xy
-
-
 def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckReport:
     """Tent-sum identities over the base set, every box, exhaustively.
 
@@ -208,19 +161,19 @@ def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckRep
     points = hammersley_type(n, sigma)
     for j1 in range(n):
         for j2 in range(n - j1):
-            sums_x, sums_y, sums_xy = _level_counting_sums(points, j1, j2)
+            (_, sums_x), (_, sums_y), (_, sums_xy) = level_counting_sums(points, j1, j2)
             boxes = 1 << (j1 + j2)
             # integer targets at the scan's fixed scales
             single_x = 1 << (2 * n - 2 * j1 - j2 - 2)
             single_y = 1 << (2 * n - j1 - 2 * j2 - 2)
             note = f"level ({j1},{j2})"
             report.record(
-                len(sums_x) == boxes and all(v == single_x for v in sums_x.values()),
+                len(sums_x) == boxes and bool((sums_x == single_x).all()),
                 f"{note}: x-sums differ from 2^(n-j1-j2-1)",
                 boxes,
             )
             report.record(
-                len(sums_y) == boxes and all(v == single_y for v in sums_y.values()),
+                len(sums_y) == boxes and bool((sums_y == single_y).all()),
                 f"{note}: y-sums differ from 2^(n-j1-j2-1)",
                 boxes,
             )
@@ -228,8 +181,7 @@ def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckRep
                 eps = low_level_sign(sigma, j1, j2)
                 product = (1 << (3 * n - 2 * (j1 + j2) - 4)) + eps * (1 << (n - 2))
                 report.record(
-                    len(sums_xy) == boxes
-                    and all(v == product for v in sums_xy.values()),
+                    len(sums_xy) == boxes and bool((sums_xy == product).all()),
                     f"{note}: product sums differ from 2^(n-j1-j2-2) + eps 2^(j1+j2-n)",
                     boxes,
                 )

@@ -1,6 +1,7 @@
 """Classical discrepancy norms against brute-force oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from dyadisc import (
     PointMultiset,
     SignPattern,
     build_family,
+    dyadic,
     hammersley_type,
     l2_warnock,
     local_discrepancy,
@@ -154,6 +156,43 @@ def test_star_against_dense_scan():
                 best = max(best, abs(brute_local(points, t1 + eps, t2 + eps)))
     assert best <= exact
     assert exact - best <= Fraction(1, 8)
+
+
+def brute_star(points):
+    """Largest |c/N - t1 t2| over the closed cells of the break grid.
+
+    On the open cell right of breaks (a, b) the count is c, and on the
+    closed cell |c/N - t1 t2| peaks at a corner; every anchor on a cell
+    boundary takes the count of the cell below and left of it.
+    """
+    pts = fractions_of(points)
+    n = len(pts)
+    xs = sorted({x for x, _ in pts} | {Fraction(0), Fraction(1)})
+    ys = sorted({y for _, y in pts} | {Fraction(0), Fraction(1)})
+    best = Fraction(0)
+    for a in range(len(xs) - 1):
+        for b in range(len(ys) - 1):
+            c = Fraction(sum(1 for x, y in pts if x <= xs[a] and y <= ys[b]), n)
+            for t1 in xs[a : a + 2]:
+                for t2 in ys[b : b + 2]:
+                    best = max(best, abs(c - t1 * t2))
+    return best
+
+
+@pytest.mark.parametrize("res", range(29, 35))
+def test_star_against_brute_fine_resolution(res):
+    # N 2^(2 res) crosses 2^62 inside this range, for every N in {2, 4, 8}
+    rng = random.Random(res)
+    for _ in range(12):
+        size = rng.choice((2, 4, 8))
+        points = PointMultiset(
+            [
+                (dyadic(rng.randint(0, 1 << res), res), dyadic(rng.randint(0, 1 << res), res))
+                for _ in range(size)
+            ],
+            resolution=res,
+        )
+        assert star_discrepancy(points).as_fraction() == brute_star(points)
 
 
 def test_monotone_norm_chain():

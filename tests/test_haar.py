@@ -1,5 +1,6 @@
 """Haar coefficient engine: factors, coefficients, predictions, sums."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from dyadisc import (
     dyadic,
     haar_eval,
     hammersley_type,
+    level_counting_sums,
     level_value_counts,
     low_level_sign,
     mu_all_at_level,
@@ -41,6 +43,24 @@ def sigma(preset, n):
 
 def fr(value):
     return value.as_fraction()
+
+
+def random_multiset(rng, res, size):
+    """Random grid points; a third of the coordinates sit on coarse box edges."""
+
+    def coord():
+        k = rng.randint(0, 1 << res)
+        return k if rng.random() < 2 / 3 else k >> (res - 2) << (res - 2)
+
+    return PointMultiset(
+        [(dyadic(coord(), res), dyadic(coord(), res)) for _ in range(size)],
+        resolution=res,
+    )
+
+
+def box_of(k, j, res):
+    """Half-open box of grid coordinate k on level j (the last box for z = 1)."""
+    return min(k >> (res - j) if j <= res else k << (j - res), (1 << j) - 1)
 
 
 # -- index and evaluation ------------------------------------------------------
@@ -179,6 +199,36 @@ def test_level_map_matches_per_index():
                     for m2 in range(1 if j2 == -1 else 1 << j2):
                         expected = level.occupied.get((m1, m2), level.empty_value)
                         assert mu_discrepancy(points, HaarIndex(j1, j2, m1, m2)) == expected
+
+
+@pytest.mark.parametrize("res", [20, 31, 40, 64])
+def test_level_map_matches_oracle_across_guard(res):
+    # 2 res + log2(N) + 1 passes 62 between res = 20 and res = 31: int64
+    # scans below, exact Python-int scans above
+    rng = random.Random(res)
+    levels = (-1, 0, 1, 2, res - 2, res - 1)
+    for size in (1, 2, 4, 8):
+        points = random_multiset(rng, res, size)
+        kx, ky = points.scaled_coords()
+        for j1 in levels:
+            for j2 in levels:
+                level = mu_all_at_level(points, j1, j2)
+                positions = set(level.occupied)
+                if j1 <= 2 and j2 <= 2:
+                    positions.update(
+                        (m1, m2)
+                        for m1 in range(1 if j1 == -1 else 1 << j1)
+                        for m2 in range(1 if j2 == -1 else 1 << j2)
+                    )
+                else:
+                    positions.add((0, 0))
+                    positions.update(
+                        (0 if j1 == -1 else box_of(x, j1, res), 0 if j2 == -1 else box_of(y, j2, res))
+                        for x, y in zip(kx, ky)
+                    )
+                for m1, m2 in positions:
+                    expected = oracle_mu(points, HaarIndex(j1, j2, m1, m2))
+                    assert level.occupied.get((m1, m2), level.empty_value) == expected
 
 
 def test_level_map_single_point_example():
@@ -330,3 +380,55 @@ def test_counting_sum_identities(preset):
                         if j1 + j2 < n - 1:
                             eps = low_level_sign(sg, j1, j2)
                             assert sxy == dyadic(1, j1 + j2 + 2 - n) + dyadic(eps, n - j1 - j2)
+
+
+def brute_counting_sums(points, j1, j2, m1, m2):
+    """Tent sums of one box straight from the definition, in Fractions."""
+
+    def tent(z, j, m):
+        if Fraction(m, 2**j) < z < Fraction(m + 1, 2**j):
+            return 1 - abs(2 * m + 1 - 2 ** (j + 1) * z)
+        return None
+
+    def inside(z, j, m):
+        return Fraction(m, 2**j) <= z < Fraction(m + 1, 2**j)
+
+    sx = sy = sxy = Fraction(0)
+    for p in points:
+        x, y = p.x.as_fraction(), p.y.as_fraction()
+        tx, ty = tent(x, j1, m1), tent(y, j2, m2)
+        if tx is not None and inside(y, j2, m2):
+            sx += tx
+        if ty is not None and inside(x, j1, m1):
+            sy += ty
+        if tx is not None and ty is not None:
+            sxy += tx * ty
+    return sx, sy, sxy
+
+
+@pytest.mark.parametrize("res", range(29, 41))
+def test_counting_sums_against_brute_fine_resolution(res):
+    # the int64 guard 2 res + N.bit_length() <= 62 flips at res = 30 for these sizes
+    rng = random.Random(res)
+    levels = (0, 1, res // 2, res - 1, res, res + 1)
+    for size in (2, 3, 5, 8):
+        points = random_multiset(rng, res, size)
+        kx, ky = points.scaled_coords()
+        for j1 in levels:
+            for j2 in levels:
+                boxes = {(0, 0), ((1 << j1) - 1, (1 << j2) - 1)}
+                boxes.update((box_of(x, j1, res), box_of(y, j2, res)) for x, y in zip(kx, ky))
+                brute = {box: brute_counting_sums(points, j1, j2, *box) for box in boxes}
+                for box, sums in brute.items():
+                    assert tuple(map(fr, counting_sums(points, j1, j2, *box))) == sums
+                if j1 > res or j2 > res:
+                    continue
+                scales = (Fraction(2) ** (res - j1 - 1), Fraction(2) ** (res - j2 - 1))
+                scales += (scales[0] * scales[1],)
+                for axis, (keys, sums) in enumerate(level_counting_sums(points, j1, j2)):
+                    keys = keys.tolist()
+                    assert keys == sorted(set(keys))
+                    found = {divmod(k, 1 << j2): v for k, v in zip(keys, sums.tolist())}
+                    assert set(found) <= set(brute)
+                    for box, expected in brute.items():
+                        assert found.get(box, 0) / scales[axis] == expected[axis]
