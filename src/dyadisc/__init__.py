@@ -18,7 +18,6 @@ from .besov import (
     validate,
 )
 from .classical import (
-    CellGrid,
     l2_warnock,
     local_discrepancy,
     lp_estimate,

@@ -12,17 +12,15 @@ the supremum and pointwise values stay dyadic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from .dyadic import DyadicRational, dyadic
-from .pointsets import PointMultiset, _pow2_log
+from .pointsets import PointMultiset, _as_dyadic, _pow2_log
 
 __all__ = [
-    "CellGrid",
     "local_discrepancy",
     "l2_warnock",
     "lp_exact_even",
@@ -37,9 +35,7 @@ def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
     if n == 0:
         raise ValueError("empty point multiset")
     nu = _pow2_log(n)
-    t1, t2 = t
-    t1 = t1 if isinstance(t1, DyadicRational) else DyadicRational.from_float(float(t1))
-    t2 = t2 if isinstance(t2, DyadicRational) else DyadicRational.from_float(float(t2))
+    t1, t2 = (_as_dyadic(c) for c in t)
     for c in (t1, t2):
         if c < 0 or c > 1:
             raise ValueError(f"anchor coordinate {c} outside [0, 1]")
@@ -60,54 +56,39 @@ def _strict_bound(t: DyadicRational, res: int) -> int:
     return (scaled.mantissa >> scaled.exponent) + 1
 
 
-# -- cell grid ----------------------------------------------------------------
+# -- count rows -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellGrid:
-    """Break grid spanned by the point coordinates (plus 0 and 1).
+def _count_rows(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """Break grid spanned by the point coordinates (plus 0 and 1), swept in x.
 
-    counts[a, b] is the number of points z with z <= (x_a, y_b) per
-    coordinate; on the open cell (x_a, x_{a+1}) x (y_b, y_{b+1}) the
-    counting part of the local discrepancy equals counts[a, b] / N.
+    Returns the x and y breaks, scaled by 2^res in the dtype of
+    `PointMultiset.coord_arrays`, and an iterator that yields, for each x
+    break a in ascending order, the cumulative count row
+    row[b] = #{z : x_z <= xs[a], y_z <= ys[b]}. On the open cell right of
+    breaks (a, b) the counting part of the local discrepancy equals
+    row[b] / N. Only one row is held at a time.
     """
+    if len(points) == 0:
+        raise ValueError("empty point multiset")
+    kx, ky = points.coord_arrays()
+    ends = np.array([0, 1 << points.n_resolution], dtype=kx.dtype)
+    xs = np.unique(np.concatenate([kx, ends]))
+    ys = np.unique(np.concatenate([ky, ends]))
+    xi = np.searchsorted(xs, kx)
+    # y break index of each point, in x order; the points of x break a end at stops[a]
+    cols = np.searchsorted(ys, ky)[np.argsort(xi, kind="stable")]
+    stops = np.bincount(xi, minlength=len(xs)).cumsum()
 
-    x_scaled: Tuple[int, ...]
-    y_scaled: Tuple[int, ...]
-    counts: np.ndarray
-    cardinality: int
-    resolution: int
+    def rows():
+        row = np.zeros(len(ys), dtype=np.int64)
+        start = 0
+        for stop in stops.tolist():
+            row = row + np.bincount(cols[start:stop], minlength=len(ys)).cumsum()
+            start = stop
+            yield row
 
-    @classmethod
-    def from_pointset(cls, points: PointMultiset) -> "CellGrid":
-        n = len(points)
-        if n == 0:
-            raise ValueError("empty point multiset")
-        res = points.n_resolution
-        full = 1 << res
-        kx, ky = points.scaled_coords()
-        xs = sorted(set(kx) | {0, full})
-        ys = sorted(set(ky) | {0, full})
-        xi = {v: i for i, v in enumerate(xs)}
-        yi = {v: i for i, v in enumerate(ys)}
-        hist = np.zeros((len(xs), len(ys)), dtype=np.int64)
-        for x, y in zip(kx, ky):
-            hist[xi[x], yi[y]] += 1
-        counts = hist.cumsum(axis=0).cumsum(axis=1)
-        return cls(tuple(xs), tuple(ys), counts, n, res)
-
-    @property
-    def x_breaks(self) -> Tuple[DyadicRational, ...]:
-        return tuple(dyadic(v, self.resolution) for v in self.x_scaled)
-
-    @property
-    def y_breaks(self) -> Tuple[DyadicRational, ...]:
-        return tuple(dyadic(v, self.resolution) for v in self.y_scaled)
-
-    def cell_count(self, a: int, b: int) -> DyadicRational:
-        """Counting value A(t)/N on the open cell right of break (a, b)."""
-        nu = _pow2_log(self.cardinality)
-        return dyadic(int(self.counts[a, b]), nu)
+    return xs, ys, rows()
 
 
 # -- L2 via the pair-sum identity ---------------------------------------------
@@ -193,18 +174,26 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
         raise ValueError(
             f"p = {p} is not supported exactly; use lp_estimate for odd powers"
         )
-    grid = CellGrid.from_pointset(points)
-    n = grid.cardinality
-    res = grid.resolution
-    xs = list(grid.x_scaled)
-    ys = list(grid.y_scaled)
-    cells = grid.counts[:-1, :-1]
+    n = len(points)
+    res = points.n_resolution
+    xs, ys, rows = _count_rows(points)
+    xs, ys = xs.tolist(), ys.tolist()
+    terms = []
+    for k in range(p + 1):
+        dy = _power_differences(ys, k + 1)
+        # every count is at most N, so N^e sum(dy) bounds each row sum
+        dtype = np.int64 if n ** (p - k) * sum(dy) < (1 << 62) else object
+        terms.append((_power_differences(xs, k + 1), np.asarray(dy, dtype=dtype)))
+
+    # s_k = sum over cells of count^(p-k) * dx[a] * dy[b], exact
+    sums = [0] * (p + 1)
+    for a, row in zip(range(len(xs) - 1), rows):
+        cells = row[:-1]
+        for k, (dx, dy) in enumerate(terms):
+            sums[k] += dx[a] * int((cells.astype(dy.dtype) ** (p - k)) @ dy)
 
     total = Fraction(0)
-    for k in range(p + 1):
-        dx = _power_differences(xs, k + 1)
-        dy = _power_differences(ys, k + 1)
-        s_k = _bilinear_count_sum(cells, p - k, dx, dy)
+    for k, s_k in enumerate(sums):
         denom = n ** (p - k) * (k + 1) ** 2 * (1 << (2 * res * (k + 1)))
         total += Fraction((-1) ** k * math.comb(p, k) * s_k, denom)
     return total
@@ -213,24 +202,6 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
 def _power_differences(breaks: List[int], e: int) -> List[int]:
     powers = [b**e for b in breaks]
     return [powers[i + 1] - powers[i] for i in range(len(powers) - 1)]
-
-
-def _bilinear_count_sum(cells: np.ndarray, e: int, dx: List[int], dy: List[int]) -> int:
-    """Sum over cells of count^e * dx[a] * dy[b], exact.
-
-    Row reductions stay inside int64 when count^e * sum(dy) fits; otherwise
-    everything runs on Python integers.
-    """
-    max_count = int(cells.max()) if cells.size else 0
-    dy_total = sum(dy)
-    if max_count**e * dy_total < (1 << 62):
-        row_sums = (cells.astype(np.int64) ** e) @ np.asarray(dy, dtype=np.int64)
-        return sum(a * int(b) for a, b in zip(dx, row_sums))
-    total = 0
-    for a, row in enumerate(cells.tolist()):
-        row_total = sum((c**e) * d for c, d in zip(row, dy))
-        total += dx[a] * row_total
-    return total
 
 
 def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[float, int]:
@@ -242,23 +213,26 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    grid = CellGrid.from_pointset(points)
-    n = grid.cardinality
-    depth = grid.resolution + extra_depth
-    side = 1 << depth
+    n = len(points)
+    res = points.n_resolution
+    xs, ys, rows = _count_rows(points)
+    side = 1 << (res + extra_depth)
     step = 1.0 / side
     mids = (np.arange(side, dtype=np.float64) + 0.5) * step
     # midpoints never sit on a break, so each lies in a unique open cell
-    xb = np.asarray(grid.x_scaled, dtype=np.float64) / (1 << grid.resolution)
-    yb = np.asarray(grid.y_scaled, dtype=np.float64) / (1 << grid.resolution)
+    xb = np.asarray(xs, dtype=np.float64) / (1 << res)
+    yb = np.asarray(ys, dtype=np.float64) / (1 << res)
     ai = np.searchsorted(xb, mids, side="right") - 1
     bi = np.searchsorted(yb, mids, side="right") - 1
-    counts = grid.counts
     total = 0.0
     inv_n = 1.0 / n
-    for row in range(side):
-        c_row = counts[ai[row], bi] * inv_n
-        total += float(np.sum(np.abs(c_row - mids[row] * mids) ** p))
+    r = 0
+    for a, row in enumerate(rows):
+        c_row = row[bi] * inv_n
+        # ai is nondecreasing: the midpoint rows in x cell a come next
+        while r < side and ai[r] == a:
+            total += float(np.sum(np.abs(c_row - mids[r] * mids) ** p))
+            r += 1
     return total * step * step, side
 
 
@@ -272,22 +246,19 @@ def star_discrepancy(points: PointMultiset) -> DyadicRational:
     diagonal corners, so both one-sided limits at every grid corner are
     candidates; the maximum over all cells is the global supremum.
     """
-    grid = CellGrid.from_pointset(points)
-    n = grid.cardinality
+    n = len(points)
+    res = points.n_resolution
+    xs, ys, rows = _count_rows(points)
     nu = _pow2_log(n)
-    res = grid.resolution
     # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|,
-    # bounded by N 2^(2 res): the dtype the level scans use for that bound
-    dtype = points.coord_arrays()[0].dtype
-    xs = np.asarray(grid.x_scaled, dtype=dtype)
-    ys = np.asarray(grid.y_scaled, dtype=dtype)
+    # bounded by N 2^(2 res): the breaks carry the dtype for that bound
     scale = 1 << (2 * res)
     best = 0
-    for a in range(len(xs) - 1):
-        row = grid.counts[a, :-1].astype(dtype, copy=False) * scale
-        low = n * int(xs[a]) * ys[:-1]
-        high = n * int(xs[a + 1]) * ys[1:]
-        cand = np.maximum(np.abs(row - low), np.abs(row - high)).max()
+    for x_low, x_high, row in zip(xs[:-1].tolist(), xs[1:].tolist(), rows):
+        counts = row[:-1].astype(xs.dtype, copy=False) * scale
+        low = n * x_low * ys[:-1]
+        high = n * x_high * ys[1:]
+        cand = np.maximum(np.abs(counts - low), np.abs(counts - high)).max()
         if cand > best:
             best = int(cand)
     return dyadic(best, 2 * res + nu)

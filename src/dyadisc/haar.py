@@ -85,15 +85,14 @@ def _axis_eval(j: int, m: int, t) -> int:
 
 def haar_eval(idx: HaarIndex, t) -> int:
     """Tensor-product Haar function value in {-1, 0, +1} at t in [0,1)^2."""
-    t1, t2 = t
+    t1, t2 = (_as_dyadic(c) for c in t)
     for c in (t1, t2):
-        value = float(c) if not isinstance(c, DyadicRational) else c
-        if not (0 <= value < 1):
+        if not (0 <= c < 1):
             raise ValueError(f"coordinate {c} outside [0, 1)")
-    a = _axis_eval(idx.j1, idx.m1, t1 if isinstance(t1, DyadicRational) else DyadicRational.from_float(float(t1)))
+    a = _axis_eval(idx.j1, idx.m1, t1)
     if a == 0:
         return 0
-    b = _axis_eval(idx.j2, idx.m2, t2 if isinstance(t2, DyadicRational) else DyadicRational.from_float(float(t2)))
+    b = _axis_eval(idx.j2, idx.m2, t2)
     return a * b
 
 

@@ -2,16 +2,18 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from dyadisc import (
-    CellGrid,
+    HaarIndex,
     PointMultiset,
     SignPattern,
     build_family,
     dyadic,
+    haar_eval,
     hammersley_type,
     l2_warnock,
     local_discrepancy,
@@ -20,6 +22,7 @@ from dyadisc import (
     star_discrepancy,
     symmetrize_full,
 )
+from dyadisc.classical import _count_rows
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -193,6 +196,8 @@ def test_star_against_brute_fine_resolution(res):
             resolution=res,
         )
         assert star_discrepancy(points).as_fraction() == brute_star(points)
+        assert lp_exact_even(points, 2) == l2_warnock(points)
+        assert lp_exact_even(points, 4) == brute_lp_even(points, 4)
 
 
 def test_monotone_norm_chain():
@@ -213,9 +218,49 @@ def test_star_dominates_l2():
 
 def test_cell_grid_structure():
     points = hammersley_type(2, SignPattern.identity(2))
-    grid = CellGrid.from_pointset(points)
-    assert [b.as_fraction() for b in grid.x_breaks] == [
+    xs, ys, rows = _count_rows(points)
+    assert [Fraction(int(x), 4) for x in xs] == [
         Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
     ]
     # counting value on the open cell just right of (1/2, 1/2)
-    assert grid.cell_count(2, 2).as_fraction() == Fraction(3, 4)
+    row = list(rows)[2]
+    assert Fraction(int(row[2]), len(points)) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        star_discrepancy,
+        lambda points: lp_exact_even(points, 4),
+        lambda points: lp_estimate(points, 3, extra_depth=0),
+    ],
+    ids=["star", "l4", "l3-estimate"],
+)
+def test_count_sweep_stays_below_one_dense_table(run):
+    points = symmetrize_full(hammersley_type(10, SignPattern.identity(10)))
+    points.coord_arrays()  # cached on the point set; measure the sweep only
+    full = 1 << points.n_resolution
+    kx, ky = points.scaled_coords()
+    # one dense int64 table over the break grid; the sweep holds single rows
+    table_bytes = len(set(kx) | {0, full}) * len(set(ky) | {0, full}) * 8
+    tracemalloc.start()
+    try:
+        run(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes
+
+
+def test_anchor_coordinates_must_be_dyadic():
+    points = PointMultiset([(0.0, 0.0), (0.5, 0.5)])
+    idx = HaarIndex(0, 1, 0, 1)
+    with pytest.raises(TypeError):
+        local_discrepancy(points, (Fraction(1, 3), 1))
+    with pytest.raises(TypeError):
+        haar_eval(idx, (Fraction(1, 3), 0.5))
+    half, three_quarters = dyadic(1, 1), dyadic(3, 2)
+    for anchor in ((0.5, 0.75), (half, three_quarters), (half, 0.75)):
+        assert local_discrepancy(points, anchor).as_fraction() == Fraction(1, 8)
+        assert haar_eval(idx, anchor) == 1
+    assert local_discrepancy(points, (1, 1)).as_fraction() == 0
