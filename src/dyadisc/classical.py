@@ -98,9 +98,9 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     """Exact integral of the squared local discrepancy.
 
     1/9 - (2/N) sum_z prod (1 - z_i^2)/2 + (1/N^2) sum_{z,z'} prod
-    (1 - max(z_i, z_i')); the double sum is reorganized as a dominance sum
-    over min(1-x, 1-x') min(1-y, 1-y') and accumulated with a Fenwick tree,
-    so the whole computation is O(N log N) exact integer work.
+    (1 - max(z_i, z_i')); the double sum runs over
+    min(1-x, 1-x') min(1-y, 1-y') and is evaluated as a dominance sum in
+    O(N log N) exact integer array passes.
     """
     n = len(points)
     if n == 0:
@@ -111,9 +111,8 @@ def l2_warnock(points: PointMultiset) -> Fraction:
 
     single = sum((full * full - x * x) * (full * full - y * y) for x, y in zip(kx, ky))
 
-    us = [full - x for x in kx]
-    vs = [full - y for y in ky]
-    pair = _min_product_pair_sum(us, vs)
+    ax, ay = points.coord_arrays()
+    pair = _min_product_pair_sum(full - ax, full - ay)
 
     r4 = full**4
     return (
@@ -123,41 +122,46 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     )
 
 
-def _min_product_pair_sum(us: List[int], vs: List[int]) -> int:
-    """Sum of min(u_i, u_j) * min(v_i, v_j) over all ordered pairs (i, j)."""
-    order = sorted(range(len(us)), key=lambda i: us[i])
-    ranks = {v: i + 1 for i, v in enumerate(sorted(set(vs)))}
-    size = len(ranks)
-    tree_uv = [0] * (size + 1)  # sum of u*v over processed, by v-rank
-    tree_u = [0] * (size + 1)  # sum of u over processed, by v-rank
-    total_u = 0
+def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:
+    """Sum of min(u_i, u_j) * min(v_i, v_j) over all ordered pairs (i, j).
 
-    def update(tree, pos, value):
-        while pos <= size:
-            tree[pos] += value
-            pos += pos & -pos
+    In ascending u order each point i meets every earlier j as
+    u_j min(v_i, v_j) = u_j v_i - u_j (v_i - v_j) [v_j < v_i]. The
+    corrections form a dominance sum over the dense v-ranks: a pair with
+    r_j < r_i is split at the highest bit b where the ranks differ, among
+    the points that share the prefix r >> (b + 1), kept in u order; j has
+    bit b clear and i has it set. Each bit costs one stable sort and a few
+    grouped cumulative sums.
 
-    def query(tree, pos):
-        acc = 0
-        while pos > 0:
-            acc += tree[pos]
-            pos -= pos & -pos
-        return acc
+    The inputs are nonnegative arrays in the dtype of
+    `PointMultiset.coord_arrays`. For int64 every per-point sum stays below
+    2 N max(u) max(v) < 2^63; only the total over all points can exceed
+    it, so the last reduction is exact.
+    """
+    order = np.argsort(us, kind="stable")
+    u, v = us[order], vs[order]
+    del order
+    rank = np.unique(v, return_inverse=True)[1]
+    uv = u * v
+    # per point i: the pair (i, i) plus twice u_j v_i over every earlier j
+    acc = 2 * v * (np.cumsum(u) - u) + uv
+    for b in range(int(rank.max()).bit_length()):
+        group = np.argsort(rank >> (b + 1), kind="stable")
+        grouped = rank[group]
+        starts = np.flatnonzero(np.diff(grouped >> (b + 1))) + 1
+        high = ((grouped >> b) & 1).astype(bool)
+        # sums over the earlier points of the group below the split
+        low_u = _group_cumsum(np.where(high, 0, u[group]), starts)[high]
+        low_uv = _group_cumsum(np.where(high, 0, uv[group]), starts)[high]
+        group = group[high]
+        acc[group] -= 2 * (v[group] * low_u - low_uv)
+    return int(acc.sum(dtype=object))
 
-    cross = 0
-    diag = 0
-    for i in order:
-        u, v = us[i], vs[i]
-        rank = ranks[v]
-        # earlier points j have u_j <= u: min(u) = u_j
-        low_uv = query(tree_uv, rank)
-        low_u = query(tree_u, rank)
-        cross += low_uv + v * (total_u - low_u)
-        update(tree_uv, rank, u * v)
-        update(tree_u, rank, u)
-        total_u += u
-        diag += u * v
-    return 2 * cross + diag
+
+def _group_cumsum(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sums of w, in place, restarting at every index in starts."""
+    w[starts] -= np.add.reduceat(w, np.r_[0, starts])[:-1]
+    return np.cumsum(w, out=w)
 
 
 # -- even-power norms via cell integration --------------------------------------
@@ -204,17 +208,28 @@ def _power_differences(breaks: List[int], e: int) -> List[int]:
     return [powers[i + 1] - powers[i] for i in range(len(powers) - 1)]
 
 
+# resolution + extra_depth above this would evaluate more than 2^32 midpoints
+_MAX_ESTIMATE_DEPTH = 16
+
+
 def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[float, int]:
     """Midpoint estimate of the L_p integral for odd or fractional p.
 
-    Subdivides to step 2^-(resolution + extra_depth); returns the estimate
-    of the integral of |D|^p and the midpoint count per axis. Approximate
-    by construction, unlike the even-p route.
+    Subdivides to step 2^-(resolution + extra_depth), no finer than 2^-16
+    (ValueError past that); returns the estimate of the integral of |D|^p
+    and the midpoint count per axis. Approximate by construction, unlike
+    the even-p route.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     n = len(points)
     res = points.n_resolution
+    if res + extra_depth > _MAX_ESTIMATE_DEPTH:
+        raise ValueError(
+            f"midpoint grid of 2^{res + extra_depth} points per axis exceeds the "
+            f"limit of 2^{_MAX_ESTIMATE_DEPTH} (resolution {res} + extra depth "
+            f"{extra_depth} > {_MAX_ESTIMATE_DEPTH}); even p gives exact values"
+        )
     xs, ys, rows = _count_rows(points)
     side = 1 << (res + extra_depth)
     step = 1.0 / side

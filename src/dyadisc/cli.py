@@ -207,7 +207,10 @@ def _cmd_classic(config: RunConfig) -> int:
                 num, den, flt, "integral of |D|^p",
             )
         else:
-            estimate, side = classical.lp_estimate(points, p_value)
+            try:
+                estimate, side = classical.lp_estimate(points, p_value)
+            except ValueError as exc:
+                raise SystemExit(f"classic --p {p_text}: {exc}") from exc
             emitter.row(
                 config.family, config.n, len(points), f"l{p_text}^p", "", "",
                 _fmt_float(estimate), f"midpoint estimate on {side}x{side} grid",

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadisc import (
@@ -103,6 +104,50 @@ def test_l2_matches_cell_quadrature():
         assert l2_warnock(points) == brute_lp_even(points, 2)
 
 
+def random_multiset(rng, size, res):
+    """size random points on the 2^-res grid, coordinates 0 and 1 included."""
+    return PointMultiset(
+        [
+            (dyadic(rng.randint(0, 1 << res), res), dyadic(rng.randint(0, 1 << res), res))
+            for _ in range(size)
+        ],
+        resolution=res,
+    )
+
+
+def test_l2_warnock_with_ties():
+    # coarse grids force repeated points and shared x and y values
+    rng = random.Random(2)
+    for size in range(1, 65):
+        points = random_multiset(rng, size, rng.choice((2, 3)))
+        value = l2_warnock(points)
+        assert value == lp_exact_even(points, 2)
+        if size <= 8:
+            assert value == brute_lp_even(points, 2)
+
+
+@pytest.mark.parametrize("res", [26, 27, 28])
+def test_l2_warnock_fine_resolution(res):
+    # 2 res + 9 = 61 keeps int64 arrays at res 26, where the pair sum over
+    # 256 points is about 2^68; res 27 and 28 take the object arrays
+    points = random_multiset(random.Random(res), 256, res)
+    assert points.coord_arrays()[0].dtype == (np.int64 if res == 26 else object)
+    assert l2_warnock(points) == lp_exact_even(points, 2)
+
+
+def test_l2_warnock_memory():
+    points = symmetrize_full(hammersley_type(12, SignPattern.identity(12)))
+    points.coord_arrays()  # cached on the point set; measure the pair sum only
+    tracemalloc.start()
+    try:
+        l2_warnock(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # sixteen int64 arrays of length N
+    assert peak < 16 * 8 * len(points)
+
+
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])
 def test_warnock_equals_even_route(family):
     for n in (1, 2, 3, 4, 5, 6):
@@ -136,6 +181,13 @@ def test_lp_estimate_tracks_exact():
     estimate, side = lp_estimate(points, 2, extra_depth=5)
     assert side == 2 ** (3 + 5)
     assert estimate == pytest.approx(exact, rel=0.02)
+
+
+def test_lp_estimate_grid_limit():
+    with pytest.raises(ValueError, match=r"2\^16.*even p"):
+        lp_estimate(hammersley_type(13, SignPattern.identity(13)), 3)
+    with pytest.raises(ValueError, match=r"2\^16"):
+        lp_estimate(PointMultiset([(0.5, 0.5)]), 3, extra_depth=16)
 
 
 def test_star_examples():
@@ -187,14 +239,7 @@ def test_star_against_brute_fine_resolution(res):
     # N 2^(2 res) crosses 2^62 inside this range, for every N in {2, 4, 8}
     rng = random.Random(res)
     for _ in range(12):
-        size = rng.choice((2, 4, 8))
-        points = PointMultiset(
-            [
-                (dyadic(rng.randint(0, 1 << res), res), dyadic(rng.randint(0, 1 << res), res))
-                for _ in range(size)
-            ],
-            resolution=res,
-        )
+        points = random_multiset(rng, rng.choice((2, 4, 8)), res)
         assert star_discrepancy(points).as_fraction() == brute_star(points)
         assert lp_exact_even(points, 2) == l2_warnock(points)
         assert lp_exact_even(points, 4) == brute_lp_even(points, 4)

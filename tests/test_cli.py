@@ -122,6 +122,13 @@ def test_classic_odd_p_estimate(capsys):
     assert "midpoint estimate" in rows[0][7]
 
 
+def test_classic_estimate_grid_limit():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["classic", "--family", "hammersley", "--n", "13", "--p", "3"])
+    message = str(excinfo.value.code)
+    assert "2^16" in message and "even p" in message
+
+
 def test_verify_exit_code_and_rows(capsys):
     code = main(["verify", "--n", "1", "--n-max", "3", "--sigma", "all"])
     captured = capsys.readouterr()
