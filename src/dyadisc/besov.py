@@ -3,7 +3,8 @@
 The norm aggregates exact Haar coefficient magnitudes: positions of a level
 combine in l_p, levels combine in l_q with weights 2^((j1+j2)(r - 1/p + 1)),
 with suprema replacing sums for infinite indices. Coefficients enter as
-exact dyadic rationals and become floats only inside |mu|^p.
+exact integer numerators at a power-of-two scale and become floats only
+as the log2 of their odd parts.
 
 For a point set on the 2^-n coordinate grid every level with an axis at
 resolution n or finer carries only the volume coefficient, so the infinite
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .dyadic import DyadicRational
 from .haar import level_value_counts
 from .pointsets import PointMultiset
 
@@ -84,34 +84,54 @@ def _require_admissible(params: BesovParams):
         raise ValueError("; ".join(report.violations))
 
 
-def _log2_abs(value: DyadicRational) -> float:
-    # exact within float precision for arbitrary-size mantissas
-    return math.log2(abs(value.mantissa)) - value.exponent
+def _log2_abs(num: int, exponent: int) -> float:
+    """log2 |num 2^-exponent| for nonzero num, from the odd part of num.
+
+    Stripping the trailing zero bits first makes equal values give equal
+    floats, whatever scale they were computed at; exact within float
+    precision for mantissas of any size.
+    """
+    low = (num & -num).bit_length() - 1
+    return math.log2(abs(num >> low)) - (exponent - low)
+
+
+def _level_log2s(summary):
+    """(log2 |value|, multiplicity) for every nonzero coefficient value.
+
+    Each occupied value is acc / 2^scale - volume; it is taken as the exact
+    integer numerator over the larger of the two scales.
+    """
+    vol = summary.volume
+    top = max(summary.scale, vol.exponent)
+    shift = top - summary.scale
+    offset = vol.mantissa << (top - vol.exponent)
+    for acc, count in zip(summary.accs.tolist(), summary.counts.tolist()):
+        num = (acc << shift) - offset
+        if num:
+            yield _log2_abs(num, top), count
+    if summary.empty_boxes:
+        yield _log2_abs(vol.mantissa, vol.exponent), summary.empty_boxes
 
 
 def _level_operand(summary, params: BesovParams) -> float:
-    """2^(weight) times the l_p position aggregate of one level, in floats.
+    """2^(weight) times the l_p position aggregate of one level, in floats."""
+    return _operand(summary.j1 + summary.j2, _level_log2s(summary), params)
 
-    Assembled in log2 space so deep levels cannot underflow prematurely;
-    contributions are combined largest-first for reproducibility.
+
+def _operand(level: int, log2s, params: BesovParams) -> float:
+    """Weight 2^(level (r - 1/p + 1)) times the l_p norm of the values.
+
+    log2s holds (log2 |value|, multiplicity) pairs. Assembled in log2 space
+    so deep levels cannot underflow prematurely; contributions are combined
+    largest-first for reproducibility.
     """
     p = params.p
-    logs: List[float] = []
-    for value, count in summary.occupied_values:
-        if value.mantissa == 0:
-            continue
-        logs.append(
-            _log2_abs(value) if p == INF else p * _log2_abs(value) + math.log2(count)
-        )
-    if summary.empty_boxes:
-        logs.append(
-            _log2_abs(summary.empty_value)
-            if p == INF
-            else p * _log2_abs(summary.empty_value) + math.log2(summary.empty_boxes)
-        )
+    logs = [
+        log2 if p == INF else p * log2 + math.log2(count) for log2, count in log2s
+    ]
     if not logs:
         return 0.0
-    weight = (summary.j1 + summary.j2) * (params.r - params.inv_p + 1.0)
+    weight = level * (params.r - params.inv_p + 1.0)
     if p == INF:
         return 2.0 ** (weight + max(logs))
     top = max(logs)

@@ -145,8 +145,11 @@ def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:
     uv = u * v
     # per point i: the pair (i, i) plus twice u_j v_i over every earlier j
     acc = 2 * v * (np.cumsum(u) - u) + uv
-    for b in range(int(rank.max()).bit_length()):
-        group = np.argsort(rank >> (b + 1), kind="stable")
+    top = int(rank.max())
+    for b in range(top.bit_length()):
+        # keys in the narrowest unsigned dtype take numpy's radix sort
+        prefix = (rank >> (b + 1)).astype(np.min_scalar_type(top >> (b + 1)))
+        group = np.argsort(prefix, kind="stable")
         grouped = rank[group]
         starts = np.flatnonzero(np.diff(grouped >> (b + 1))) + 1
         high = ((grouped >> b) & 1).astype(bool)

@@ -7,8 +7,7 @@ suites; nonzero exit on any failure), qmc (cubature error tables).
 
 Identical configurations produce byte-identical output: orderings are
 fixed, sums are compensated, and nothing time- or host-dependent is
-emitted. DYADISC_THREADS, if set, must be a positive integer; execution
-is single-threaded, so the value has no further effect.
+emitted.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -315,16 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads() -> None:
-    raw = os.environ.get("DYADISC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"DYADISC_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise SystemExit("DYADISC_THREADS must be >= 1")
-
-
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     if config.subcommand not in _COMMANDS:
@@ -341,7 +329,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     namespace = parser.parse_args(argv)
     values = vars(namespace)
     values.setdefault("integrand", "corner:1,1")
-    _check_threads()
     config = RunConfig(**values)
     return run(config)
 

@@ -13,11 +13,19 @@ Two structurally different factor computations coexist on purpose. The
 closed tent form drives the fast paths; an independent evaluation via the
 piecewise-linear antiderivative of the Haar function cross-checks it.
 All values are exact dyadic rationals.
+
+Level scans work on integer numerators at the fixed scale 2^(2 res). Each
+coefficient depends only on the points inside its box, so the points of a
+j1 row are sorted once by (m1, y) and every j2 of that row groups them
+without sorting again. Level summaries keep the distinct numerators and
+their counts; DyadicRational values are built only when a caller reads
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -221,16 +229,40 @@ def _tents(k: np.ndarray, j: int, res: int) -> Tuple[np.ndarray, np.ndarray]:
     return half - np.abs((k & (per - 1)) - half), k >> (res - j)
 
 
+def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums of vals per run of equal keys; keys must be non-decreasing."""
+    if not keys.size:
+        return keys, vals
+    cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[cuts], np.add.reduceat(vals, cuts)
+
+
 def _box_sums(m1, m2, width2: int, vals, mask) -> Tuple[np.ndarray, np.ndarray]:
     """Sums of vals[mask] per box key m1 * width2 + m2, keys ascending."""
     keys = m1[mask] * width2 + m2[mask]
-    vals = vals[mask]
-    if not keys.size:
-        return keys, vals
     order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[cuts], np.add.reduceat(vals, cuts)
+    return _group_sums(keys[order], vals[mask][order])
+
+
+def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
+
+    Keeps only the points whose x-factor (2^res - kx on the -1 row, else
+    the tent) is nonzero, ordered by (m1, ky). Every j2 of the row then
+    finds its box keys m1 * 2^j2 + (ky >> (res - j2)) already
+    non-decreasing. Only the latest row is cached, so memory stays O(N).
+    """
+    cached = points._cache.get("row")
+    if cached is not None and cached[0] == j1:
+        return cached[1]
+    res = points.n_resolution
+    kx, ky = points.coord_arrays()
+    n1, m1 = ((1 << res) - kx, np.zeros_like(kx)) if j1 == -1 else _tents(kx, j1, res)
+    keep = np.flatnonzero(n1 != 0)
+    order = keep[np.lexsort((ky[keep], m1[keep]))]
+    row = (m1[order], ky[order], n1[order])
+    points._cache["row"] = (j1, row)
+    return row
 
 
 def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -241,13 +273,17 @@ def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np
     contribution appear.
     """
     res = points.n_resolution
-    kx, ky = points.coord_arrays()
     if j1 >= res or j2 >= res:
-        return kx[:0], kx[:0]  # interval interiors at or beyond the resolution are empty
-    n1, m1 = ((1 << res) - kx, np.zeros_like(kx)) if j1 == -1 else _tents(kx, j1, res)
-    n2, m2 = ((1 << res) - ky, np.zeros_like(ky)) if j2 == -1 else _tents(ky, j2, res)
-    width2 = 1 if j2 == -1 else 1 << j2
-    keys, sums = _box_sums(m1, m2, width2, n1 * n2, (n1 != 0) & (n2 != 0))
+        empty = points.coord_arrays()[0][:0]
+        return empty, empty  # interval interiors at or beyond the resolution are empty
+    m1, ky, n1 = _level_row(points, j1)
+    if j2 == -1:
+        keys, n2 = m1, (1 << res) - ky
+    else:
+        n2, m2 = _tents(ky, j2, res)
+        keys = (m1 << j2) + m2
+    hit = n2 != 0
+    keys, sums = _group_sums(keys[hit], n1[hit] * n2[hit])
     # each tent level carries a minus sign
     return keys, (-sums if (j1 == -1) != (j2 == -1) else sums)
 
@@ -263,17 +299,37 @@ class LevelCoefficients:
     box_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSummary:
-    """Value multiplicities on one level, for norm assembly and checks."""
+    """Value multiplicities on one level, for norm assembly and checks.
+
+    The occupied boxes hold the exact values acc / 2^scale - volume, one
+    for each integer numerator in the ascending array accs, each shared by
+    the matching entry of counts; every other box holds -volume. Exact
+    values are built as DyadicRational only when occupied_values is read.
+    """
 
     j1: int
     j2: int
-    occupied_values: Tuple[Tuple[DyadicRational, int], ...]
+    accs: np.ndarray
+    counts: np.ndarray
+    scale: int
+    volume: DyadicRational
     occupied_boxes: int
     empty_boxes: int
-    empty_value: DyadicRational
     box_count: int
+
+    @property
+    def empty_value(self) -> DyadicRational:
+        return -self.volume
+
+    @cached_property
+    def occupied_values(self) -> Tuple[Tuple[DyadicRational, int], ...]:
+        """(value, multiplicity) per distinct occupied value, ascending."""
+        return tuple(
+            (dyadic(acc, self.scale) - self.volume, count)
+            for acc, count in zip(self.accs.tolist(), self.counts.tolist())
+        )
 
 
 def _level_geometry(points: PointMultiset, j1: int, j2: int):
@@ -311,14 +367,12 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     if cached is not None:
         return cached
     nu, boxes, vol = _level_geometry(points, j1, j2)
-    scale = 2 * points.n_resolution + nu
     accs, counts = np.unique(_scan_level(points, j1, j2)[1], return_counts=True)
-    values = tuple(
-        (dyadic(acc, scale) - vol, count)
-        for acc, count in zip(accs.tolist(), counts.tolist())
+    occupied = int(counts.sum())
+    summary = LevelSummary(
+        j1, j2, accs, counts, 2 * points.n_resolution + nu, vol,
+        occupied, boxes - occupied, boxes,
     )
-    occupied = sum(count for _, count in values)
-    summary = LevelSummary(j1, j2, values, occupied, boxes - occupied, -vol, boxes)
     points._cache[("level", j1, j2)] = summary
     return summary
 

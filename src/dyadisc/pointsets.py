@@ -111,7 +111,8 @@ class PointMultiset:
 
     The entry order is the generation order, which makes every floating
     accumulation downstream deterministic. Instances are immutable; a small
-    cache dict is attached for memoized per-level coefficient summaries.
+    cache dict holds the coordinate arrays, the latest sorted level row and
+    memoized per-level coefficient summaries.
     """
 
     __slots__ = ("n_resolution", "_kx", "_ky", "_cache")

@@ -173,15 +173,6 @@ def test_out_file(tmp_path, capsys):
     assert len(rows) == 2
 
 
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("DYADISC_THREADS", "4")
-    assert main(["gen", "--n", "1"]) == 0
-    monkeypatch.setenv("DYADISC_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["gen", "--n", "1"])
-    monkeypatch.delenv("DYADISC_THREADS")
-
-
 def test_run_config_direct():
     config = RunConfig(subcommand="gen", family="hammersley", n=0)
     with pytest.raises(SystemExit):

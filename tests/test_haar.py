@@ -1,12 +1,15 @@
 """Haar coefficient engine: factors, coefficients, predictions, sums."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dyadisc import (
+    BesovParams,
     HaarIndex,
     PointMultiset,
     SignPattern,
@@ -32,6 +35,7 @@ from dyadisc import (
     symmetrize_davenport,
     symmetrize_full,
 )
+from dyadisc import besov
 from dyadisc.haar import _oracle_axis_factor
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
@@ -229,6 +233,39 @@ def test_level_map_matches_oracle_across_guard(res):
                 for m1, m2 in positions:
                     expected = oracle_mu(points, HaarIndex(j1, j2, m1, m2))
                     assert level.occupied.get((m1, m2), level.empty_value) == expected
+
+
+@pytest.mark.parametrize("res", [20, 31, 40, 64])
+def test_level_operand_matches_dyadic_route_across_guard(res):
+    # the integer numerators of level_value_counts must give the operand
+    # float for float equal to the one taken from the DyadicRational values
+    # of mu_all_at_level, on int64 scans (res = 20) and exact ones above
+    rng = random.Random(res)
+    levels = (-1, 0, 1, 2, res // 2, res - 1)
+    params = (
+        BesovParams(2, 2, -0.3),
+        BesovParams(1.5, math.inf, 0.2),
+        BesovParams(math.inf, 2, -0.5),
+    )
+    for size in (1, 4, 8, 64):
+        points = random_multiset(rng, res, size)
+        for j1 in levels:
+            for j2 in levels:
+                summary = level_value_counts(points, j1, j2)
+                level = mu_all_at_level(points, j1, j2)
+                occupied = Counter(level.occupied.values())
+                empty = level.box_count - len(level.occupied)
+                assert Counter(dict(summary.occupied_values)) == occupied
+                assert summary.empty_boxes == empty
+                values = occupied + Counter({level.empty_value: empty})
+                log2s = [
+                    (besov._log2_abs(value.mantissa, value.exponent), count)
+                    for value, count in values.items()
+                    if value
+                ]
+                for p in params:
+                    expected = besov._operand(j1 + j2, log2s, p)
+                    assert besov._level_operand(summary, p) == expected
 
 
 def test_level_map_single_point_example():
