@@ -12,7 +12,6 @@ Regenerate the files only when an output is meant to change:
 
 import io
 import os
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -77,4 +76,3 @@ if __name__ == "__main__":
         for fmt in FORMATS:
             with open(golden_path(name, fmt), "w", encoding="utf-8", newline="") as handle:
                 handle.write(render(name, fmt))
-    sys.exit(0)
