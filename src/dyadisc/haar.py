@@ -12,7 +12,9 @@ one position per level; positions never hit carry only the volume term.
 Two structurally different factor computations coexist on purpose. The
 closed tent form drives the fast paths; an independent evaluation via the
 piecewise-linear antiderivative of the Haar function cross-checks it.
-All values are exact dyadic rationals.
+Both give integer numerators at the scale 2^res of the point grid, so the
+per-index routes and the coefficient grids sum plain integers and build
+exact DyadicRational values only when they return.
 
 Level scans work on integer numerators at the fixed scale 2^(2 res). Each
 coefficient depends only on the points inside its box, so the points of a
@@ -25,12 +27,12 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicRational, ONE, ZERO, dyadic
+from .dyadic import DyadicRational, ZERO, dyadic
 from .pointsets import PointMultiset, SignPattern, _as_dyadic, _pow2_log
 
 __all__ = [
@@ -107,19 +109,76 @@ def haar_eval(idx: HaarIndex, t) -> int:
 # -- coefficient of the volume term t1*t2 ------------------------------------
 
 
-def _volume_axis(j: int) -> DyadicRational:
-    # integral of t * h_{j,m}(t); independent of m
-    if j == -1:
-        return dyadic(1, 1)
-    return dyadic(-1, 2 * j + 2)
+def _volume(j1: int, j2: int) -> Tuple[int, int]:
+    """Volume coefficient of the level pair as sign / 2^exponent.
+
+    Per axis the integral of t * h_{j,m}(t) is 1/2 on level -1 and
+    -2^-(2j+2) on every level j >= 0, independent of m.
+    """
+    sign, exponent = 1, 0
+    for j in (j1, j2):
+        if j == -1:
+            exponent += 1
+        else:
+            sign, exponent = -sign, exponent + 2 * j + 2
+    return sign, exponent
 
 
 def mu_volume(idx: HaarIndex) -> DyadicRational:
     """Haar coefficient of f(t) = t1 * t2."""
-    return _volume_axis(idx.j1) * _volume_axis(idx.j2)
+    return dyadic(*_volume(idx.j1, idx.j2))
+
+
+def _coefficients(accs: List[int], scale: int, j1: int, j2: int) -> List[DyadicRational]:
+    """acc / 2^scale minus the volume coefficient, for each acc of one level.
+
+    The volume term is scaled once for the level, and one DyadicRational
+    is built per distinct acc.
+    """
+    sign, exponent = _volume(j1, j2)
+    top = max(scale, exponent)
+    shift, vol = top - scale, sign << (top - exponent)
+    values = {acc: dyadic((acc << shift) - vol, top) for acc in set(accs)}
+    return [values[acc] for acc in accs]
 
 
 # -- per-point counting factors ----------------------------------------------
+#
+# The factor of a point z = k / 2^res is the integral of h_{j,m} over
+# [z, 1]. Both forms below return it times 2^res, an integer: 2^res - k on
+# level -1, and 0 on every level j >= res, whose open intervals hold no
+# grid point. They differ on the levels 0 <= j < res.
+
+
+def _tent_numerator(j: int, m: int, k: int, res: int) -> int:
+    """Closed tent form: -(half - |k mod 2 half - half|) at position m."""
+    if j == -1:
+        return (1 << res) - k
+    if j >= res or k >> (res - j) != m:
+        return 0
+    half = 1 << (res - j - 1)
+    return abs((k & (2 * half - 1)) - half) - half
+
+
+def _antiderivative_numerator(j: int, m: int, k: int, res: int) -> int:
+    """H(1) - H(z) for H(u) = int_0^u h_{j,m}: minus the height of H at z.
+
+    H rises from 0 at the left end of the interval to its midpoint, falls
+    back to 0 at the right end and is 0 elsewhere, so the height is
+    max(0, min(k - left, right - k)) at scale 2^res.
+    """
+    if j == -1:
+        return (1 << res) - k
+    if j >= res:
+        return 0
+    left = m << (res - j)
+    return -max(0, min(k - left, left + (1 << (res - j)) - k))
+
+
+def _factor_at(numerator, j: int, m: int, z: DyadicRational) -> DyadicRational:
+    """A factor form at any dyadic z, on the grid of z's own exponent."""
+    res = max(z.exponent, 0)
+    return dyadic(numerator(j, m, z.mantissa << (res - z.exponent), res), res)
 
 
 def axis_factor(j: int, m: int, z) -> DyadicRational:
@@ -129,18 +188,9 @@ def axis_factor(j: int, m: int, z) -> DyadicRational:
     position and exactly zero outside (including both endpoints); for the
     level -1 indicator it is 1 - z for every z in [0, 1].
     """
-    z = _as_dyadic(z)
-    if j == -1:
-        return ONE - z
-    limit = 1 if j == -1 else 1 << j
-    if not 0 <= m < limit:
+    if j != -1 and not 0 <= m < 1 << j:
         raise ValueError(f"position {m} out of range for level {j}")
-    u = z.scale_pow2(j + 1)  # z in units of half-intervals
-    lo, hi = 2 * m, 2 * m + 2
-    if u <= lo or u >= hi:
-        return ZERO
-    tent = ONE - abs(dyadic(2 * m + 1) - u)
-    return tent.scale_pow2(-(j + 1)) * -1
+    return _factor_at(_tent_numerator, j, m, _as_dyadic(z))
 
 
 def mu_point(idx: HaarIndex, z) -> DyadicRational:
@@ -153,19 +203,8 @@ def mu_point(idx: HaarIndex, z) -> DyadicRational:
 
 
 def _oracle_axis_factor(j: int, m: int, z: DyadicRational) -> DyadicRational:
-    # Independent route: H(u) = int_0^u h_{j,m}; factor = H(1) - H(z).
-    if j == -1:
-        return ONE - z
-    left = dyadic(m, j)
-    mid = dyadic(2 * m + 1, j + 1)
-    right = dyadic(m + 1, j)
-    if z <= left or z >= right:
-        height = ZERO
-    elif z <= mid:
-        height = z - left
-    else:
-        height = right - z
-    return -height  # H(1) = 0 at every level j >= 0
+    # Independent route: the antiderivative form of the factor.
+    return _factor_at(_antiderivative_numerator, j, m, z)
 
 
 # -- coefficients of the local discrepancy ------------------------------------
@@ -173,37 +212,28 @@ def _oracle_axis_factor(j: int, m: int, z: DyadicRational) -> DyadicRational:
 
 def mu_discrepancy(points: PointMultiset, idx: HaarIndex) -> DyadicRational:
     """Exact coefficient: counting average minus volume coefficient."""
-    return _mu_from_factors(points, idx, axis_factor)
+    return _mu_from_factors(points, idx, _tent_numerator)
 
 
 def oracle_mu(points: PointMultiset, idx: HaarIndex) -> DyadicRational:
     """Same value as :func:`mu_discrepancy` via the antiderivative route."""
-    return _mu_from_factors(points, idx, _oracle_axis_factor)
+    return _mu_from_factors(points, idx, _antiderivative_numerator)
 
 
-def _mu_from_factors(points: PointMultiset, idx: HaarIndex, factor) -> DyadicRational:
+def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> DyadicRational:
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
     nu = _pow2_log(n)
     res = points.n_resolution
     kx, ky = points.scaled_coords()
-    # memoize per distinct integer coordinate; worth it for repeated levels
-    f1: Dict[int, DyadicRational] = {}
-    f2: Dict[int, DyadicRational] = {}
-    total = ZERO
+    j1, m1, j2, m2 = idx.j1, idx.m1, idx.j2, idx.m2
+    total = 0  # sum of factor products at scale 2^(2 res)
     for x, y in zip(kx, ky):
-        a = f1.get(x)
-        if a is None:
-            a = f1[x] = factor(idx.j1, idx.m1, dyadic(x, res))
-        if not a:
-            continue
-        b = f2.get(y)
-        if b is None:
-            b = f2[y] = factor(idx.j2, idx.m2, dyadic(y, res))
-        if b:
-            total = total + a * b
-    return total.scale_pow2(-nu) - mu_volume(idx)
+        a = numerator(j1, m1, x, res)
+        if a:
+            total += a * numerator(j2, m2, y, res)
+    return _coefficients([total], 2 * res + nu, j1, j2)[0]
 
 
 # -- level-wise scans ---------------------------------------------------------
@@ -378,68 +408,77 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
 
 
 # -- batch per-index tables ----------------------------------------------------
+#
+# Both grids list their values level pair by level pair, positions in
+# row-major order, and zip them with one shared table of keys.
 
 
-def _axis_pairs(j_max: int) -> List[Tuple[int, int]]:
-    pairs = [(-1, 0)]
+@lru_cache(maxsize=4)
+def _grid_indices(j_max: int) -> Tuple[HaarIndex, ...]:
+    """Every index with levels in [-1, j_max], in grid order."""
+    levels = range(-1, j_max + 1)
+    return tuple(
+        HaarIndex(j1, j2, m1, m2)
+        for j1 in levels
+        for j2 in levels
+        for m1 in range(1 if j1 == -1 else 1 << j1)
+        for m2 in range(1 if j2 == -1 else 1 << j2)
+    )
+
+
+def _level_rows(j: int) -> slice:
+    """Rows of level j in a factor matrix: one for level -1, then 2^j per level."""
+    return slice(0, 1) if j == -1 else slice(1 << j, 2 << j)
+
+
+def _factor_matrix(ks: np.ndarray, j_max: int, res: int) -> np.ndarray:
+    """Antiderivative factors times 2^res, one row per (j, m), one column per point.
+
+    Row (j, m) is -max(0, min(k - left, right - k)) over the interval
+    [left, right) of the position at scale 2^res; the level -1 row is
+    2^res - k and rows with j >= res are zero. The dtype is that of ks.
+    """
+    rows = [((1 << res) - ks)[None, :]]
     for j in range(j_max + 1):
-        pairs.extend((j, m) for m in range(1 << j))
-    return pairs
-
-
-def _factor_matrix(points: PointMultiset, j_max: int, axis: int) -> Tuple[List[Tuple[int, int]], np.ndarray]:
-    res = points.n_resolution
-    ks = points.scaled_coords()[axis]
-    pairs = _axis_pairs(j_max)
-    memo: Dict[Tuple[int, int, int], int] = {}
-    rows = np.empty((len(pairs), len(ks)), dtype=np.int64)
-    for r, (j, m) in enumerate(pairs):
-        for c, k in enumerate(ks):
-            key = (j, m, k)
-            val = memo.get(key)
-            if val is None:
-                f = _oracle_axis_factor(j, m, dyadic(k, res))
-                shift = res - f.exponent
-                assert shift >= 0
-                val = memo[key] = f.mantissa << shift
-            rows[r, c] = val
-    return pairs, rows
+        if j >= res:
+            rows.append(np.zeros((1 << j, len(ks)), dtype=ks.dtype))
+            continue
+        left = (np.arange(1 << j, dtype=ks.dtype) << (res - j))[:, None]
+        rows.append(-np.maximum(0, np.minimum(ks - left, left + (1 << (res - j)) - ks)))
+    return np.concatenate(rows)
 
 
 def mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
     """mu_discrepancy for every index with levels in [-1, j_max], batched."""
-    out = {}
+    values: List[DyadicRational] = []
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):
             level = mu_all_at_level(points, j1, j2)
-            for m1 in range(1 if j1 == -1 else 1 << j1):
-                for m2 in range(1 if j2 == -1 else 1 << j2):
-                    value = level.occupied.get((m1, m2), level.empty_value)
-                    out[HaarIndex(j1, j2, m1, m2)] = value
-    return out
+            width2 = 1 if j2 == -1 else 1 << j2
+            row = [level.empty_value] * level.box_count
+            for (m1, m2), value in level.occupied.items():
+                row[m1 * width2 + m2] = value
+            values += row
+    return dict(zip(_grid_indices(j_max), values))
 
 
 def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
     """oracle_mu for every index with levels in [-1, j_max], batched.
 
-    Uses the antiderivative factors in an int64 matrix product, independent
-    of the level scans behind :func:`mu_grid`.
+    Multiplies two antiderivative factor matrices, in the dtype that
+    PointMultiset.coord_arrays() picks, independent of the level scans
+    behind :func:`mu_grid`.
     """
-    n = len(points)
-    nu = _pow2_log(n)
+    nu = _pow2_log(len(points))
     res = points.n_resolution
-    if 2 * res + n.bit_length() > 62:
-        raise ValueError("grid path needs 2*resolution + log2(N) <= 62")
-    pairs1, f1 = _factor_matrix(points, j_max, 0)
-    pairs2, f2 = _factor_matrix(points, j_max, 1)
-    sums = f1 @ f2.T
-    scale = 2 * res + nu
-    out = {}
-    for r, (j1, m1) in enumerate(pairs1):
-        for c, (j2, m2) in enumerate(pairs2):
-            idx = HaarIndex(j1, j2, m1, m2)
-            out[idx] = dyadic(int(sums[r, c]), scale) - mu_volume(idx)
-    return out
+    kx, ky = points.coord_arrays()
+    sums = _factor_matrix(kx, j_max, res) @ _factor_matrix(ky, j_max, res).T
+    values: List[DyadicRational] = []
+    for j1 in range(-1, j_max + 1):
+        for j2 in range(-1, j_max + 1):
+            block = sums[_level_rows(j1), _level_rows(j2)].ravel().tolist()
+            values += _coefficients(block, 2 * res + nu, j1, j2)
+    return dict(zip(_grid_indices(j_max), values))
 
 
 # -- predicted coefficients -----------------------------------------------------

@@ -11,11 +11,13 @@ one comparison covers them all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Tuple, Union
 
+from .dyadic import dyadic
 from .haar import (
     ABS_UPPER_BOUND,
     EXACT_ABS,
+    CoefficientPrediction,
     HaarIndex,
     level_counting_sums,
     level_value_counts,
@@ -55,32 +57,55 @@ class CheckReport:
     failures: int = 0
     notes: List[str] = field(default_factory=list)
 
-    def record(self, ok: bool, note: str = "", count: int = 1):
+    def record(self, ok: bool, note: Union[str, Callable[[], str]] = "", count: int = 1):
+        """Count a check; note is a string, or a function called only on failure."""
         self.checked += count
         if not ok:
             self.failures += count
             if note and len(self.notes) < 8:
-                self.notes.append(note)
+                self.notes.append(note() if callable(note) else note)
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
 
+def _numerators(summary, bound):
+    """Occupied values, the empty value and bound as numerators over one 2^top.
+
+    Every occupied value of the level is acc / 2^scale - volume, so each
+    needs one shift and one subtraction of integers.
+    """
+    vol = summary.volume
+    top = max(summary.scale, vol.exponent, bound.exponent)
+    empty = -vol.mantissa << (top - vol.exponent)
+    shift = top - summary.scale
+    occupied = [(acc << shift) + empty for acc in summary.accs.tolist()]
+    return occupied, empty, bound.mantissa << (top - bound.exponent), top
+
+
 def _level_matches(report: CheckReport, summary, prediction, note: str):
-    """Compare every coefficient of a level against one prediction."""
-    for value, count in summary.occupied_values:
+    """Compare every coefficient of a level against one prediction.
+
+    check only compares by ==, abs and <=, so it reads the same on
+    numerators over a common power of two as on the values. Returns the
+    occupied and empty numerators.
+    """
+    occupied, empty, target, top = _numerators(summary, prediction.value)
+    scaled = CoefficientPrediction(prediction.kind, target)
+    for value, count in zip(occupied, summary.counts.tolist()):
         report.record(
-            prediction.check(value),
-            f"{note}: occupied value {value} vs {prediction}",
+            scaled.check(value),
+            lambda: f"{note}: occupied value {dyadic(value, top)} vs {prediction}",
             count,
         )
     if summary.empty_boxes:
         report.record(
-            prediction.check(summary.empty_value),
-            f"{note}: empty value {summary.empty_value} vs {prediction}",
+            scaled.check(empty),
+            lambda: f"{note}: empty value {summary.empty_value} vs {prediction}",
             summary.empty_boxes,
         )
+    return occupied, empty
 
 
 def check_symmetrized_coefficients(
@@ -104,32 +129,33 @@ def check_symmetrized_coefficients(
             note = f"level ({j1},{j2})"
             if prediction.kind == ABS_UPPER_BOUND:
                 # diagonal band: bound every value, cap the deviating count
+                occupied, empty, bound, top = _numerators(summary, prediction.value)
                 deviating = 0
-                for value, count in summary.occupied_values:
+                for value, count in zip(occupied, summary.counts.tolist()):
                     report.record(
-                        abs(value) <= prediction.value,
-                        f"{note}: |{value}| > {prediction.value}",
+                        abs(value) <= bound,
+                        lambda: f"{note}: |{dyadic(value, top)}| > {prediction.value}",
                         count,
                     )
-                    if value != summary.empty_value:
+                    if value != empty:
                         deviating += count
                 if summary.empty_boxes:
                     report.record(
-                        abs(summary.empty_value) <= prediction.value,
-                        f"{note}: empty value exceeds bound",
+                        abs(empty) <= bound,
+                        lambda: f"{note}: empty value exceeds bound",
                         summary.empty_boxes,
                     )
                 report.record(
                     deviating <= cap,
-                    f"{note}: {deviating} deviating positions exceed {cap}",
+                    lambda: f"{note}: {deviating} deviating positions exceed {cap}",
                 )
             else:
-                _level_matches(report, summary, prediction, note)
+                occupied, empty = _level_matches(report, summary, prediction, note)
                 if prediction.kind == EXACT_ABS and prediction.value:
-                    for value, _ in summary.occupied_values:
+                    for value in occupied:
                         sign_notes.add(("occupied", j1 >= n or j2 >= n, value > 0))
                     if summary.empty_boxes:
-                        sign_notes.add(("empty", j1 >= n or j2 >= n, summary.empty_value > 0))
+                        sign_notes.add(("empty", j1 >= n or j2 >= n, empty > 0))
     for kind, high, positive in sorted(sign_notes):
         report.notes.append(
             f"observed sign {'+' if positive else '-'} on {kind} boxes "
@@ -169,12 +195,12 @@ def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckRep
             note = f"level ({j1},{j2})"
             report.record(
                 len(sums_x) == boxes and bool((sums_x == single_x).all()),
-                f"{note}: x-sums differ from 2^(n-j1-j2-1)",
+                lambda: f"{note}: x-sums differ from 2^(n-j1-j2-1)",
                 boxes,
             )
             report.record(
                 len(sums_y) == boxes and bool((sums_y == single_y).all()),
-                f"{note}: y-sums differ from 2^(n-j1-j2-1)",
+                lambda: f"{note}: y-sums differ from 2^(n-j1-j2-1)",
                 boxes,
             )
             if j1 + j2 < n - 1:
@@ -182,7 +208,7 @@ def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckRep
                 product = (1 << (3 * n - 2 * (j1 + j2) - 4)) + eps * (1 << (n - 2))
                 report.record(
                     len(sums_xy) == boxes and bool((sums_xy == product).all()),
-                    f"{note}: product sums differ from 2^(n-j1-j2-2) + eps 2^(j1+j2-n)",
+                    lambda: f"{note}: product sums differ from 2^(n-j1-j2-2) + eps 2^(j1+j2-n)",
                     boxes,
                 )
     return report

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,7 +37,7 @@ from dyadisc import (
     symmetrize_full,
 )
 from dyadisc import besov
-from dyadisc.haar import _oracle_axis_factor
+from dyadisc.haar import _antiderivative_numerator, _oracle_axis_factor, _tent_numerator
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -148,6 +149,42 @@ def test_axis_factor_matches_antiderivative(j, m_raw, k):
     m = 0 if j == -1 else m_raw % (1 << j)
     z = dyadic(k, 10)
     assert axis_factor(j, m, z) == _oracle_axis_factor(j, m, z)
+
+
+def brute_factor(j, m, z):
+    """Integral of h_{j,m} over [z, 1] in Fractions, piece by piece."""
+    if j == -1:
+        pieces = [(Fraction(0), Fraction(1), 1)]
+    else:
+        left, mid, right = (Fraction(i, 2 ** (j + 1)) for i in (2 * m, 2 * m + 1, 2 * m + 2))
+        pieces = [(left, mid, 1), (mid, right, -1)]
+    return sum(sign * max(Fraction(0), min(b, 1) - max(a, z)) for a, b, sign in pieces)
+
+
+def test_factor_numerators_against_brute():
+    # both integer forms are the factor at z = k / 2^res times 2^res, on
+    # every level up to res + 2, every position and every grid point
+    for res in range(6):
+        for j in range(-1, res + 3):
+            for m in range(1 if j == -1 else 1 << j):
+                for k in range((1 << res) + 1):
+                    expected = brute_factor(j, m, Fraction(k, 1 << res)) * (1 << res)
+                    assert _tent_numerator(j, m, k, res) == expected, (j, m, k, res)
+                    assert _antiderivative_numerator(j, m, k, res) == expected, (j, m, k, res)
+
+
+def test_axis_factors_off_grid():
+    # z finer than the grid of res: the wrappers pick z's own scale
+    rng = random.Random(5)
+    for res in range(6):
+        for j in range(-1, res + 3):
+            for m in range(1 if j == -1 else 1 << j):
+                for _ in range(4):
+                    e = res + rng.randint(1, 4)
+                    z = dyadic(2 * rng.randrange(1 << (e - 1)) + 1, e)
+                    expected = brute_factor(j, m, z.as_fraction())
+                    assert fr(axis_factor(j, m, z)) == expected, (j, m, z)
+                    assert fr(_oracle_axis_factor(j, m, z)) == expected, (j, m, z)
 
 
 def test_mu_point_examples():
@@ -289,6 +326,16 @@ def test_grids_match_per_index_ops():
     assert grid == oracle_grid
     for idx, value in grid.items():
         assert value == mu_discrepancy(points, idx)
+
+
+@pytest.mark.parametrize("res", [20, 31, 40])
+def test_grids_match_across_guard(res):
+    # int64 factor matrices at res = 20, Python-int ones past the guard
+    rng = random.Random(res)
+    for size in (1, 4, 8):
+        points = random_multiset(rng, res, size)
+        assert points.coord_arrays()[0].dtype == (np.int64 if res == 20 else object)
+        assert mu_grid(points, 3) == oracle_mu_grid(points, 3)
 
 
 def test_reflection_symmetry_of_coefficients():
