@@ -39,9 +39,12 @@ CASES = {
                    "--p", "2"],
     "classic-l4": ["classic", "--n", "4", "--p", "4"],
     "classic-l3": ["classic", "--n", "3", "--p", "3"],
+    "gen": ["gen", "--family", "davenport", "--n", "3", "--sigma", "random", "--seed", "4"],
     "coeffs": ["coeffs", "--n", "2", "--jmax", "3", "--sigma", "alternating"],
     "coeffs-hammersley": ["coeffs", "--family", "hammersley", "--n", "3", "--jmax", "3",
                           "--sigma", "random", "--seed", "5"],
+    "coeffs-davenport": ["coeffs", "--family", "davenport", "--n", "4", "--jmax", "4",
+                         "--sigma", "random", "--seed", "2"],
     "verify": ["verify", "--n", "1", "--n-max", "4", "--sigma", "all", "--seed", "5"],
     "qmc-corner": ["qmc", "--family", "davenport", "--n", "2", "--n-max", "7",
                    "--integrand", "corner:2,3"],
