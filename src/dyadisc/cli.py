@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import besov, classical, qmc, verify
@@ -90,7 +91,7 @@ def _fmt_exact(value) -> Tuple[str, str, str]:
 class _Emitter:
     def __init__(self, header: List[str]):
         self.header = header
-        self.rows: List[List[str]] = []
+        self.rows: List[Sequence[str]] = []
 
     def row(self, *values):
         self.rows.append([str(v) for v in values])
@@ -121,10 +122,9 @@ def _emit(config: RunConfig, emitter: _Emitter) -> None:
 def _cmd_gen(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     emitter = _Emitter(["num_x", "num_y", "den"])
-    den = 1 << points.n_resolution
+    den = str(1 << points.n_resolution)
     kx, ky = points.scaled_coords()
-    for x, y in zip(kx, ky):
-        emitter.row(x, y, den)
+    emitter.rows.extend(zip(map(str, kx), map(str, ky), repeat(den)))
     _emit(config, emitter)
     return 0
 
@@ -133,16 +133,31 @@ def _cmd_coeffs(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     j_max = config.n if config.j_max is None else config.j_max
     emitter = _Emitter(["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"])
+    # Most positions of a level share its empty-box value, so every string is
+    # built once (per label, per distinct value) and the rows share them.
+    labels = [str(m) for m in range(1 << max(j_max, 0))]
+    rendered = {}
+
+    def render(mu: DyadicRational) -> Tuple[str, str, str]:
+        key = (mu.mantissa, mu.exponent)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = (
+                str(mu.mantissa), str(mu.exponent), _fmt_float(mu.to_float())
+            )
+        return text
+
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):
             level = mu_all_at_level(points, j1, j2)
-            for m1 in range(1 if j1 == -1 else 1 << j1):
-                for m2 in range(1 if j2 == -1 else 1 << j2):
-                    mu = level.occupied.get((m1, m2), level.empty_value)
-                    emitter.row(
-                        j1, j2, m1, m2, mu.mantissa, mu.exponent,
-                        _fmt_float(mu.to_float()),
-                    )
+            empty = render(level.empty_value)
+            occupied = {key: render(mu) for key, mu in level.occupied.items()}
+            prefix = (str(j1), str(j2))
+            emitter.rows.extend(
+                prefix + (labels[m1], labels[m2]) + occupied.get((m1, m2), empty)
+                for m1 in range(1 if j1 == -1 else 1 << j1)
+                for m2 in range(1 if j2 == -1 else 1 << j2)
+            )
     _emit(config, emitter)
     return 0
 

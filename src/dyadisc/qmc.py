@@ -3,7 +3,9 @@
 The built-in integrand family consists of the corner products
 (1-x)^a (1-y)^b and the monomials x^a y^b with small integer exponents.
 At dyadic nodes these evaluate to exact rationals, so cubature values and
-errors are exact; the corner product with a = b = 1 is the litmus test
+errors are exact: the sum runs over the integer coordinate arrays at scale
+2^resolution, in int64 while every term and the total fit and in Python
+integers past that. The corner product with a = b = 1 is the litmus test
 separating the full symmetrization (error exactly zero) from the
 single-axis one (error exactly 2^-(n+2)).
 """
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Union
+
+import numpy as np
 
 from .pointsets import PointMultiset, SignPattern, build_family
 
@@ -84,21 +88,27 @@ def monomial(a: int, b: int) -> Integrand:
 def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]:
     """Equal-weight average of f over the multiset.
 
-    Exact (a Fraction) for the built-in polynomial family at dyadic nodes;
-    a float average for custom integrands.
+    Exact (a Fraction) for the built-in polynomial family at dyadic nodes:
+    the numerator is one numpy sum over the integer coordinates at scale
+    2^res, in int64 while (a + b) * res + N.bit_length() <= 62 (every term
+    is at most 2^((a + b) res)) and in object arrays of Python ints past
+    that. Custom integrands give a float average.
     """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
     res = points.n_resolution
     full = 1 << res
+    if f.kind in (CORNER, MONOMIAL):
+        # max(..., 1): the coordinates themselves must fit as well
+        exact = max(f.a + f.b, 1) * res + n.bit_length() > 62
+        dtype = object if exact else np.int64
+        kx, ky = (arr.astype(dtype, copy=False) for arr in points.coord_arrays())
+        if f.kind == CORNER:
+            kx, ky = full - kx, full - ky
+        total = int((kx**f.a * ky**f.b).sum())
+        return Fraction(total, n * full ** (f.a + f.b))
     kx, ky = points.scaled_coords()
-    if f.kind == CORNER:
-        total = sum((full - x) ** f.a * (full - y) ** f.b for x, y in zip(kx, ky))
-        return Fraction(total, n * full ** (f.a + f.b))
-    if f.kind == MONOMIAL:
-        total = sum(x**f.a * y**f.b for x, y in zip(kx, ky))
-        return Fraction(total, n * full ** (f.a + f.b))
     scale = 1.0 / full
     return math.fsum(f.func(x * scale, y * scale) for x, y in zip(kx, ky)) / n
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,18 @@ def test_gen_json_mirrors_csv(capsys):
     objs = json.loads(text_json)
     assert [list(obj.values()) for obj in objs] == rows
     assert list(objs[0].keys()) == header
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadisc", "gen", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    _, expected = capture(capsys, ["gen", "--n", "2"])
+    assert proc.stdout == expected
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,6 +1,7 @@
 """Cubature identities and rate fitting."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from dyadisc import (
     PointMultiset,
     SignPattern,
     corner_product,
+    dyadic,
     error_table,
     fit_rate,
     hammersley_type,
@@ -65,6 +67,35 @@ def test_exactness_identity_davenport():
         for n in range(1, 9):
             points = symmetrize_davenport(hammersley_type(n, sigma(preset, n)))
             assert qmc_integrate(points, f) - Fraction(1, 4) == Fraction(1, 2 ** (n + 2))
+
+
+def grid_multiset(seed, res, size):
+    """size random points on the 2^-res grid; 0 and 1 are drawn more often."""
+    rng = random.Random(seed)
+
+    def coord():
+        return rng.choice((0, 1 << res, rng.randint(0, 1 << res), rng.randint(0, 1 << res)))
+
+    return PointMultiset(
+        [(dyadic(coord(), res), dyadic(coord(), res)) for _ in range(size)],
+        resolution=res,
+    )
+
+
+@pytest.mark.parametrize("size", (1, 4, 64))
+@pytest.mark.parametrize("res", (20, 31, 40, 64))
+def test_qmc_integrate_across_guard(res, size):
+    # (a + b) * res + N.bit_length() falls on both sides of 62 for every
+    # (res, size) as a + b runs over 0..16; at res 64 the coordinates
+    # themselves pass int64
+    points = grid_multiset(res * 100 + size, res, size)
+    coords = [(p.x.as_fraction(), p.y.as_fraction()) for p in points]
+    for make in (corner_product, monomial):
+        for a in range(9):
+            for b in range(9):
+                f = make(a, b)
+                brute = sum(f.evaluate(x, y) for x, y in coords) / size
+                assert qmc_integrate(points, f) == brute, (f.name, res, size)
 
 
 def test_single_point_monomial():
