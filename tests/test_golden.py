@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs of every analysis subcommand at small n.
+"""Byte-for-byte golden outputs of every subcommand at small n.
 
 Each case runs the CLI in-process and compares its stdout with
 tests/golden/<case>.<format>, in CSV and in JSON. The files pin the exact
