@@ -98,19 +98,14 @@ def _log2_abs(num: int, exponent: int) -> float:
 def _level_log2s(summary):
     """(log2 |value|, multiplicity) for every nonzero coefficient value.
 
-    Each occupied value is acc / 2^scale - volume; it is taken as the exact
-    integer numerator over the larger of the two scales.
+    Every value is taken as its exact integer numerator over 2^top.
     """
-    vol = summary.volume
-    top = max(summary.scale, vol.exponent)
-    shift = top - summary.scale
-    offset = vol.mantissa << (top - vol.exponent)
-    for acc, count in zip(summary.accs.tolist(), summary.counts.tolist()):
-        num = (acc << shift) - offset
+    occupied, empty, top = summary.numerators()
+    for num, count in zip(occupied, summary.counts.tolist()):
         if num:
             yield _log2_abs(num, top), count
     if summary.empty_boxes:
-        yield _log2_abs(vol.mantissa, vol.exponent), summary.empty_boxes
+        yield _log2_abs(empty, top), summary.empty_boxes
 
 
 def _level_operand(summary, params: BesovParams) -> float:

@@ -43,7 +43,7 @@ def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
     tx = _strict_bound(t1, res)
     ty = _strict_bound(t2, res)
     kx, ky = points.scaled_coords()
-    count = sum(1 for x, y in zip(kx, ky) if x < tx and y < ty)
+    count = int(np.count_nonzero((kx < tx) & (ky < ty)))
     return dyadic(count, nu) - t1 * t2
 
 
@@ -63,7 +63,7 @@ def _count_rows(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray, Iterator
     """Break grid spanned by the point coordinates (plus 0 and 1), swept in x.
 
     Returns the x and y breaks, scaled by 2^res in the dtype of
-    `PointMultiset.coord_arrays`, and an iterator that yields, for each x
+    `PointMultiset.scaled_coords`, and an iterator that yields, for each x
     break a in ascending order, the cumulative count row
     row[b] = #{z : x_z <= xs[a], y_z <= ys[b]}. On the open cell right of
     breaks (a, b) the counting part of the local discrepancy equals
@@ -71,7 +71,7 @@ def _count_rows(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray, Iterator
     """
     if len(points) == 0:
         raise ValueError("empty point multiset")
-    kx, ky = points.coord_arrays()
+    kx, ky = points.scaled_coords()
     ends = np.array([0, 1 << points.n_resolution], dtype=kx.dtype)
     xs = np.unique(np.concatenate([kx, ends]))
     ys = np.unique(np.concatenate([ky, ends]))
@@ -109,10 +109,10 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     full = 1 << res
     kx, ky = points.scaled_coords()
 
-    single = sum((full * full - x * x) * (full * full - y * y) for x, y in zip(kx, ky))
-
-    ax, ay = points.coord_arrays()
-    pair = _min_product_pair_sum(full - ax, full - ay)
+    # each factor is below 2^62 under the int64 guard; only products need Python ints
+    sq = full * full
+    single = int(np.dot((sq - kx * kx).astype(object), (sq - ky * ky).astype(object)))
+    pair = _min_product_pair_sum(full - kx, full - ky)
 
     r4 = full**4
     return (
@@ -134,7 +134,7 @@ def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:
     grouped cumulative sums.
 
     The inputs are nonnegative arrays in the dtype of
-    `PointMultiset.coord_arrays`. For int64 every per-point sum stays below
+    `PointMultiset.scaled_coords`. For int64 every per-point sum stays below
     2 N max(u) max(v) < 2^63; only the total over all points can exceed
     it, so the last reduction is exact.
     """

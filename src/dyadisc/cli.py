@@ -123,7 +123,7 @@ def _cmd_gen(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     emitter = _Emitter(["num_x", "num_y", "den"])
     den = str(1 << points.n_resolution)
-    kx, ky = points.scaled_coords()
+    kx, ky = (arr.tolist() for arr in points.scaled_coords())
     emitter.rows.extend(zip(map(str, kx), map(str, ky), repeat(den)))
     _emit(config, emitter)
     return 0

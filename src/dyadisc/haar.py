@@ -226,7 +226,7 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
         raise ValueError("empty point multiset")
     nu = _pow2_log(n)
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
+    kx, ky = (arr.tolist() for arr in points.scaled_coords())
     j1, m1, j2, m2 = idx.j1, idx.m1, idx.j2, idx.m2
     total = 0  # sum of factor products at scale 2^(2 res)
     for x, y in zip(kx, ky):
@@ -244,7 +244,7 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
 #   j = -1: num = 2^res - k                                >= 0
 # A position therefore receives contributions of one sign only, which makes
 # "occupied" equivalent to "coefficient differs from the empty-box value".
-# The coordinate arrays come from PointMultiset.coord_arrays(), whose dtype
+# The coordinate arrays come from PointMultiset.scaled_coords(), whose dtype
 # (int64 or exact Python ints) bounds every product sum below.
 
 
@@ -286,7 +286,7 @@ def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, 
     if cached is not None and cached[0] == j1:
         return cached[1]
     res = points.n_resolution
-    kx, ky = points.coord_arrays()
+    kx, ky = points.scaled_coords()
     n1, m1 = ((1 << res) - kx, np.zeros_like(kx)) if j1 == -1 else _tents(kx, j1, res)
     keep = np.flatnonzero(n1 != 0)
     order = keep[np.lexsort((ky[keep], m1[keep]))]
@@ -304,7 +304,7 @@ def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np
     """
     res = points.n_resolution
     if j1 >= res or j2 >= res:
-        empty = points.coord_arrays()[0][:0]
+        empty = points.scaled_coords()[0][:0]
         return empty, empty  # interval interiors at or beyond the resolution are empty
     m1, ky, n1 = _level_row(points, j1)
     if j2 == -1:
@@ -352,6 +352,19 @@ class LevelSummary:
     @property
     def empty_value(self) -> DyadicRational:
         return -self.volume
+
+    def numerators(self, exponent: int = 0) -> Tuple[List[int], int, int]:
+        """Occupied and empty values as integer numerators over one 2^top.
+
+        Returns (occupied, empty, top), the occupied numerators in the order
+        of accs; top is at least exponent, so a caller can bring one more
+        value to the common scale.
+        """
+        vol = self.volume
+        top = max(self.scale, vol.exponent, exponent)
+        empty = -vol.mantissa << (top - vol.exponent)
+        shift = top - self.scale
+        return [(acc << shift) + empty for acc in self.accs.tolist()], empty, top
 
     @cached_property
     def occupied_values(self) -> Tuple[Tuple[DyadicRational, int], ...]:
@@ -466,12 +479,12 @@ def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicR
     """oracle_mu for every index with levels in [-1, j_max], batched.
 
     Multiplies two antiderivative factor matrices, in the dtype that
-    PointMultiset.coord_arrays() picks, independent of the level scans
+    PointMultiset.scaled_coords() holds, independent of the level scans
     behind :func:`mu_grid`.
     """
     nu = _pow2_log(len(points))
     res = points.n_resolution
-    kx, ky = points.coord_arrays()
+    kx, ky = points.scaled_coords()
     sums = _factor_matrix(kx, j_max, res) @ _factor_matrix(ky, j_max, res).T
     values: List[DyadicRational] = []
     for j1 in range(-1, j_max + 1):
@@ -590,7 +603,7 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     res = points.n_resolution
     if not (0 <= j1 <= res and 0 <= j2 <= res):
         raise ValueError(f"box levels must lie in [0, {res}]")
-    kx, ky = points.coord_arrays()
+    kx, ky = points.scaled_coords()
     nx, m1 = _tents(kx, j1, res)
     ny, m2 = _tents(ky, j2, res)
     width2 = 1 << j2

@@ -7,8 +7,9 @@ chosen by a sign pattern. Reflections about the centre lines and the two
 symmetrizations (single-axis and full) are multiset unions, so cardinality
 always counts multiplicity and coordinates exactly equal to 1 can occur.
 
-Coordinates are stored as integers k with value k / 2**n_resolution, which
-keeps every downstream computation exact and deterministic.
+Coordinates are stored as integers k with value k / 2**n_resolution, in one
+read-only pair of numpy arrays, which keeps every downstream computation
+exact and deterministic.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class PointMultiset:
 
     The entry order is the generation order, which makes every floating
     accumulation downstream deterministic. Instances are immutable; a small
-    cache dict holds the coordinate arrays, the latest sorted level row and
-    memoized per-level coefficient summaries.
+    cache dict holds the latest sorted level row and memoized per-level
+    coefficient summaries.
     """
 
     __slots__ = ("n_resolution", "_kx", "_ky", "_cache")
@@ -140,22 +141,27 @@ class PointMultiset:
                 )
             kx.append(x.mantissa << (res - x.exponent))
             ky.append(y.mantissa << (res - y.exponent))
-        object.__setattr__(self, "n_resolution", res)
-        object.__setattr__(self, "_kx", kx)
-        object.__setattr__(self, "_ky", ky)
-        object.__setattr__(self, "_cache", {})
+        self._store(kx, ky, res)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointMultiset is immutable")
 
     @classmethod
-    def _from_scaled(cls, kx: Sequence[int], ky: Sequence[int], resolution: int) -> "PointMultiset":
+    def _from_scaled(cls, kx, ky, resolution: int) -> "PointMultiset":
         obj = cls.__new__(cls)
-        object.__setattr__(obj, "n_resolution", resolution)
-        object.__setattr__(obj, "_kx", list(kx))
-        object.__setattr__(obj, "_ky", list(ky))
-        object.__setattr__(obj, "_cache", {})
+        obj._store(kx, ky, resolution)
         return obj
+
+    def _store(self, kx, ky, resolution: int) -> None:
+        exact = 2 * resolution + len(kx).bit_length() > 62
+        dtype = object if exact else np.int64
+        kx = np.asarray(kx, dtype=dtype)
+        ky = np.asarray(ky, dtype=dtype)
+        kx.flags.writeable = ky.flags.writeable = False
+        object.__setattr__(self, "n_resolution", resolution)
+        object.__setattr__(self, "_kx", kx)
+        object.__setattr__(self, "_ky", ky)
+        object.__setattr__(self, "_cache", {})
 
     # -- views ------------------------------------------------------------
 
@@ -164,30 +170,20 @@ class PointMultiset:
 
     def __iter__(self) -> Iterator[Point]:
         res = self.n_resolution
-        for kx, ky in zip(self._kx, self._ky):
+        for kx, ky in zip(self._kx.tolist(), self._ky.tolist()):
             yield Point(dyadic(kx, res), dyadic(ky, res))
 
     @property
     def entries(self) -> Tuple[Point, ...]:
         return tuple(self)
 
-    def scaled_coords(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """Integer coordinates at denominator 2**n_resolution."""
-        return self._kx, self._ky
-
-    def coord_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinate arrays for exact integer sums over the points.
+    def scaled_coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
         int64 while N * 2^(2 n_resolution) < 2^62, which bounds every sum of
         coordinate products; past that, object arrays of Python ints.
         """
-        cached = self._cache.get("coords")
-        if cached is None:
-            exact = 2 * self.n_resolution + len(self).bit_length() > 62
-            dtype = object if exact else np.int64
-            cached = (np.array(self._kx, dtype=dtype), np.array(self._ky, dtype=dtype))
-            self._cache["coords"] = cached
-        return cached
+        return self._kx, self._ky
 
     def multiset(self) -> Counter:
         """Counter over Point values; order-free equality for tests."""
@@ -214,7 +210,7 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
     ky = np.zeros_like(v)
     for i, flip in enumerate(sigma.flips):
         ky |= (((v >> i) & 1) ^ int(flip)) << (n - 1 - i)
-    return PointMultiset._from_scaled(range(1 << n), ky.tolist(), n)
+    return PointMultiset._from_scaled(v, ky, n)
 
 
 def reflect(points: PointMultiset, axis: str) -> PointMultiset:
@@ -225,29 +221,27 @@ def reflect(points: PointMultiset, axis: str) -> PointMultiset:
     full = 1 << res
     kx, ky = points.scaled_coords()
     if "X" in axis:
-        kx = [full - k for k in kx]
+        kx = full - kx
     if "Y" in axis:
-        ky = [full - k for k in ky]
+        ky = full - ky
     return PointMultiset._from_scaled(kx, ky, res)
 
 
 def symmetrize_full(points: PointMultiset) -> PointMultiset:
     """Multiset union with all three reflections; cardinality 4 |P|."""
     parts = [points, reflect(points, "Y"), reflect(points, "X"), reflect(points, "XY")]
-    kx, ky = [], []
-    for part in parts:
-        pkx, pky = part.scaled_coords()
-        kx.extend(pkx)
-        ky.extend(pky)
-    return PointMultiset._from_scaled(kx, ky, points.n_resolution)
+    return _union(parts, points.n_resolution)
 
 
 def symmetrize_davenport(points: PointMultiset) -> PointMultiset:
     """Multiset union with the y-reflection only; cardinality 2 |P|."""
-    mirrored = reflect(points, "Y")
-    kx, ky = points.scaled_coords()
-    mkx, mky = mirrored.scaled_coords()
-    return PointMultiset._from_scaled(list(kx) + list(mkx), list(ky) + list(mky), points.n_resolution)
+    return _union([points, reflect(points, "Y")], points.n_resolution)
+
+
+def _union(parts: Sequence[PointMultiset], resolution: int) -> PointMultiset:
+    # the union has more points, so _from_scaled picks its dtype anew
+    kx, ky = zip(*(part.scaled_coords() for part in parts))
+    return PointMultiset._from_scaled(np.concatenate(kx), np.concatenate(ky), resolution)
 
 
 def is_net(points: PointMultiset, n: int) -> bool:
@@ -259,7 +253,7 @@ def is_net(points: PointMultiset, n: int) -> bool:
     if len(points) != 1 << n:
         raise ValueError(f"expected 2^{n} points, got {len(points)}")
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
+    kx, ky = (arr.tolist() for arr in points.scaled_coords())
     for j1 in range(n + 1):
         j2 = n - j1
         seen = set()

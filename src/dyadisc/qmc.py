@@ -103,12 +103,12 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
         # max(..., 1): the coordinates themselves must fit as well
         exact = max(f.a + f.b, 1) * res + n.bit_length() > 62
         dtype = object if exact else np.int64
-        kx, ky = (arr.astype(dtype, copy=False) for arr in points.coord_arrays())
+        kx, ky = (arr.astype(dtype, copy=False) for arr in points.scaled_coords())
         if f.kind == CORNER:
             kx, ky = full - kx, full - ky
         total = int((kx**f.a * ky**f.b).sum())
         return Fraction(total, n * full ** (f.a + f.b))
-    kx, ky = points.scaled_coords()
+    kx, ky = (arr.tolist() for arr in points.scaled_coords())
     scale = 1.0 / full
     return math.fsum(f.func(x * scale, y * scale) for x, y in zip(kx, ky)) / n
 

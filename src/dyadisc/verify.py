@@ -70,20 +70,6 @@ class CheckReport:
         return self.failures == 0
 
 
-def _numerators(summary, bound):
-    """Occupied values, the empty value and bound as numerators over one 2^top.
-
-    Every occupied value of the level is acc / 2^scale - volume, so each
-    needs one shift and one subtraction of integers.
-    """
-    vol = summary.volume
-    top = max(summary.scale, vol.exponent, bound.exponent)
-    empty = -vol.mantissa << (top - vol.exponent)
-    shift = top - summary.scale
-    occupied = [(acc << shift) + empty for acc in summary.accs.tolist()]
-    return occupied, empty, bound.mantissa << (top - bound.exponent), top
-
-
 def _level_matches(report: CheckReport, summary, prediction, note: str):
     """Compare every coefficient of a level against one prediction.
 
@@ -91,8 +77,9 @@ def _level_matches(report: CheckReport, summary, prediction, note: str):
     numerators over a common power of two as on the values. Returns the
     occupied and empty numerators.
     """
-    occupied, empty, target, top = _numerators(summary, prediction.value)
-    scaled = CoefficientPrediction(prediction.kind, target)
+    target = prediction.value
+    occupied, empty, top = summary.numerators(target.exponent)
+    scaled = CoefficientPrediction(prediction.kind, target.mantissa << (top - target.exponent))
     for value, count in zip(occupied, summary.counts.tolist()):
         report.record(
             scaled.check(value),
@@ -129,7 +116,9 @@ def check_symmetrized_coefficients(
             note = f"level ({j1},{j2})"
             if prediction.kind == ABS_UPPER_BOUND:
                 # diagonal band: bound every value, cap the deviating count
-                occupied, empty, bound, top = _numerators(summary, prediction.value)
+                limit = prediction.value
+                occupied, empty, top = summary.numerators(limit.exponent)
+                bound = limit.mantissa << (top - limit.exponent)
                 deviating = 0
                 for value, count in zip(occupied, summary.counts.tolist()):
                     report.record(

@@ -131,13 +131,12 @@ def test_l2_warnock_fine_resolution(res):
     # 2 res + 9 = 61 keeps int64 arrays at res 26, where the pair sum over
     # 256 points is about 2^68; res 27 and 28 take the object arrays
     points = random_multiset(random.Random(res), 256, res)
-    assert points.coord_arrays()[0].dtype == (np.int64 if res == 26 else object)
+    assert points.scaled_coords()[0].dtype == (np.int64 if res == 26 else object)
     assert l2_warnock(points) == lp_exact_even(points, 2)
 
 
 def test_l2_warnock_memory():
     points = symmetrize_full(hammersley_type(12, SignPattern.identity(12)))
-    points.coord_arrays()  # cached on the point set; measure the pair sum only
     tracemalloc.start()
     try:
         l2_warnock(points)
@@ -283,7 +282,6 @@ def test_cell_grid_structure():
 )
 def test_count_sweep_stays_below_one_dense_table(run):
     points = symmetrize_full(hammersley_type(10, SignPattern.identity(10)))
-    points.coord_arrays()  # cached on the point set; measure the sweep only
     full = 1 << points.n_resolution
     kx, ky = points.scaled_coords()
     # one dense int64 table over the break grid; the sweep holds single rows

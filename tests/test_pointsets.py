@@ -1,8 +1,10 @@
 """Construction, reflection and net structure of the point sets."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadisc import (
@@ -13,6 +15,7 @@ from dyadisc import (
     dyadic,
     hammersley_type,
     is_net,
+    local_discrepancy,
     reflect,
     symmetrize_davenport,
     symmetrize_full,
@@ -140,17 +143,16 @@ def test_full_symmetrization_invariant(axis):
 def test_coordinate_ranges():
     n = 5
     base = hammersley_type(n, sigma("alternating", n))
-    kx, ky = base.scaled_coords()
-    assert all(0 <= k < (1 << n) for k in kx + ky)
+    assert all(0 <= k < (1 << n) for k in np.concatenate(base.scaled_coords()))
     full = symmetrize_full(base)
-    kx, ky = full.scaled_coords()
-    assert all(0 <= k <= (1 << n) for k in kx + ky)
+    assert all(0 <= k <= (1 << n) for k in np.concatenate(full.scaled_coords()))
 
 
 def test_generation_order_deterministic():
     a = symmetrize_full(hammersley_type(4, sigma("random", 4)))
     b = symmetrize_full(hammersley_type(4, sigma("random", 4)))
-    assert a.scaled_coords() == b.scaled_coords()
+    for ka, kb in zip(a.scaled_coords(), b.scaled_coords()):
+        assert np.array_equal(ka, kb)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -188,3 +190,72 @@ def test_entries_are_points():
     assert len(entries) == 4
     assert isinstance(entries[0], Point)
     assert entries[1].x.as_fraction() == Fraction(1, 4)
+
+
+def test_scaled_coords_are_read_only():
+    points = hammersley_type(3, SignPattern.identity(3))
+    for arr in points.scaled_coords():
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert points.entries[0] == Point(dyadic(0), dyadic(0))
+
+
+def _pair_at(res):
+    # 2 res + N.bit_length() = 62 for two points at res 30: still int64
+    entries = [(dyadic(1, res), dyadic(3, res)), (dyadic(5, 3), dyadic(1, 1))]
+    return PointMultiset(entries, resolution=res)
+
+
+@pytest.mark.parametrize(
+    "union, axes",
+    [(symmetrize_full, ("", "Y", "X", "XY")), (symmetrize_davenport, ("", "Y"))],
+    ids=["full", "davenport"],
+)
+def test_union_repicks_dtype_past_guard(union, axes):
+    res = 30
+    pair = _pair_at(res)
+    assert all(arr.dtype == np.int64 for arr in pair.scaled_coords())
+    merged = union(pair)
+    kx, ky = merged.scaled_coords()
+    assert kx.dtype == ky.dtype == object  # 4 or 8 points: 2 res + 3 > 62
+    assert all(type(k) is int for k in np.concatenate([kx, ky]))
+    one = dyadic(1)
+    expected = PointMultiset(
+        [
+            (one - x if "X" in axis else x, one - y if "Y" in axis else y)
+            for axis in axes
+            for x, y in pair
+        ],
+        resolution=res,
+    )
+    for got, want in zip(merged.scaled_coords(), expected.scaled_coords()):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("axis", ["X", "Y", "XY"])
+def test_reflect_keeps_dtype(axis):
+    pair = _pair_at(30)
+    for source, dtype in ((pair, np.int64), (symmetrize_full(pair), object)):
+        assert source.scaled_coords()[0].dtype == dtype
+        assert all(arr.dtype == dtype for arr in reflect(source, axis).scaled_coords())
+
+
+def test_local_discrepancy_past_guard():
+    res, size = 40, 16
+    rng = random.Random(res)
+
+    def grid_value(bits):
+        return dyadic(rng.randrange(1 << bits), bits)
+
+    entries = [(grid_value(res), grid_value(res)) for _ in range(size)]
+    points = PointMultiset(entries, resolution=res)
+    assert points.scaled_coords()[0].dtype == object
+    kx, ky = (arr.tolist() for arr in points.scaled_coords())
+    # anchors on the grid, between grid points, on a point and at the corner
+    anchors = [(grid_value(res + 2), grid_value(res)) for _ in range(20)]
+    anchors += [(dyadic(kx[0], res), dyadic(ky[0], res)), (dyadic(1), dyadic(1))]
+    for t1, t2 in anchors:
+        a, b = t1.as_fraction(), t2.as_fraction()
+        count = sum(Fraction(x, 1 << res) < a and Fraction(y, 1 << res) < b for x, y in zip(kx, ky))
+        assert local_discrepancy(points, (t1, t2)).as_fraction() == Fraction(count, size) - a * b
