@@ -134,13 +134,15 @@ def _operand(level: int, log2s, params: BesovParams) -> float:
     return 2.0 ** (weight + (top + math.log2(total)) / p)
 
 
+def _level_term(points: PointMultiset, j1: int, j2: int, params: BesovParams) -> float:
+    operand = _level_operand(level_value_counts(points, j1, j2), params)
+    return operand if params.q == INF else operand**params.q
+
+
 def level_term(points: PointMultiset, j1: int, j2: int, params: BesovParams) -> float:
     """The (j1, j2) summand of the norm: operand^q, or the operand if q = inf."""
     _require_admissible(params)
-    operand = _level_operand(level_value_counts(points, j1, j2), params)
-    if params.q == INF:
-        return operand
-    return operand**params.q
+    return _level_term(points, j1, j2, params)
 
 
 @dataclass(frozen=True)
@@ -175,12 +177,8 @@ def _combine(core_terms, tail_content: float, params: BesovParams) -> NormBreakd
 
 
 def _core_terms(points: PointMultiset, j_max: int, params: BesovParams):
-    terms = []
-    for j1 in range(-1, j_max + 1):
-        for j2 in range(-1, j_max + 1):
-            operand = _level_operand(level_value_counts(points, j1, j2), params)
-            terms.append((j1, j2, operand if params.q == INF else operand**params.q))
-    return terms
+    levels = range(-1, j_max + 1)
+    return [(j1, j2, _level_term(points, j1, j2, params)) for j1 in levels for j2 in levels]
 
 
 def besov_norm_truncated(

@@ -177,7 +177,9 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     binomial sum of monomial integrals; the per-exponent sums collapse to a
     bilinear form between difference vectors of break powers.
     """
-    if p <= 0 or p % 2:
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    if p % 2:
         raise ValueError(
             f"p = {p} is not supported exactly; use lp_estimate for odd powers"
         )
@@ -223,8 +225,8 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
     and the midpoint count per axis. Approximate by construction, unlike
     the even-p route.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must satisfy 0 < p < inf, got {p}")
     n = len(points)
     res = points.n_resolution
     if res + extra_depth > _MAX_ESTIMATE_DEPTH:

@@ -49,16 +49,20 @@ class RunConfig:
     integrand: str = "corner:1,1"
 
 
-def _parse_extended(text: str) -> float:
-    value = float(text)
+def _parse_extended(flag: str, text: str) -> float:
+    """A float index; inf is allowed, nan and non-numbers exit with a message."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if math.isnan(value):
-        raise ValueError("nan is not a valid index")
+        raise SystemExit(f"--{flag} {text}: not a valid index")
     return value
 
 
 def _params(config: RunConfig) -> besov.BesovParams:
     params = besov.BesovParams(
-        _parse_extended(config.p), _parse_extended(config.q), config.r
+        _parse_extended("p", config.p), _parse_extended("q", config.q), config.r
     )
     report = besov.validate(params)
     if not report.admissible:
@@ -166,7 +170,10 @@ def _norm_for(config: RunConfig, points, params) -> besov.NormBreakdown:
     if config.mode == "exact":
         return besov.besov_norm_exact(points, params)
     j_max = (points.n_resolution + 40) if config.j_max is None else config.j_max
-    return besov.besov_norm_truncated(points, params, j_max)
+    try:
+        return besov.besov_norm_truncated(points, params, j_max)
+    except ValueError as exc:
+        raise SystemExit(f"--jmax {j_max}: {exc}") from exc
 
 
 def _cmd_norm(config: RunConfig) -> int:
@@ -207,27 +214,25 @@ def _cmd_classic(config: RunConfig) -> int:
     )
     p_text = config.p
     if p_text in ("inf", "star"):
-        value = classical.star_discrepancy(points)
-        num, den, flt = _fmt_exact(value)
-        emitter.row(config.family, config.n, len(points), "star", num, den, flt, "")
+        row = ("star", *_fmt_exact(classical.star_discrepancy(points)), "")
     else:
-        p_value = float(p_text)
-        if p_value.is_integer() and int(p_value) % 2 == 0:
-            power = classical.lp_exact_even(points, int(p_value))
-            num, den, flt = _fmt_exact(power)
-            emitter.row(
-                config.family, config.n, len(points), f"l{int(p_value)}^p",
-                num, den, flt, "integral of |D|^p",
-            )
-        else:
-            try:
+        try:
+            p_value = float(p_text)
+            even = p_value.is_integer() and int(p_value) % 2 == 0
+            if even:
+                power = classical.lp_exact_even(points, int(p_value))
+            else:
                 estimate, side = classical.lp_estimate(points, p_value)
-            except ValueError as exc:
-                raise SystemExit(f"classic --p {p_text}: {exc}") from exc
-            emitter.row(
-                config.family, config.n, len(points), f"l{p_text}^p", "", "",
-                _fmt_float(estimate), f"midpoint estimate on {side}x{side} grid",
+        except ValueError as exc:
+            raise SystemExit(f"classic --p {p_text}: {exc}") from exc
+        if even:
+            row = (f"l{int(p_value)}^p", *_fmt_exact(power), "integral of |D|^p")
+        else:
+            row = (
+                f"l{p_text}^p", "", "", _fmt_float(estimate),
+                f"midpoint estimate on {side}x{side} grid",
             )
+    emitter.row(config.family, config.n, len(points), *row)
     _emit(config, emitter)
     return 0
 
@@ -258,11 +263,13 @@ def _parse_integrand(text: str) -> qmc.Integrand:
         a, b = (int(part) for part in rest.split(","))
     except ValueError as exc:
         raise SystemExit(f"cannot parse integrand {text!r}") from exc
-    if kind == "corner":
-        return qmc.corner_product(a, b)
-    if kind == "monomial":
-        return qmc.monomial(a, b)
-    raise SystemExit(f"unknown integrand kind {kind!r}")
+    makers = {"corner": qmc.corner_product, "monomial": qmc.monomial}
+    if kind not in makers:
+        raise SystemExit(f"unknown integrand kind {kind!r}")
+    try:
+        return makers[kind](a, b)
+    except ValueError as exc:
+        raise SystemExit(f"integrand {text!r}: {exc}") from exc
 
 
 def _cmd_qmc(config: RunConfig) -> int:

@@ -129,16 +129,26 @@ def mu_volume(idx: HaarIndex) -> DyadicRational:
     return dyadic(*_volume(idx.j1, idx.j2))
 
 
+def _value_scale(j1: int, j2: int, scale: int, exponent: int = 0) -> Tuple[int, int, int]:
+    """One power of two for the values acc / 2^scale minus the volume term.
+
+    Returns (shift, empty, top): the value of a level sum acc is
+    ((acc << shift) + empty) / 2^top, and empty / 2^top is the value of
+    a box no point hits. top is at least exponent, so a caller can bring
+    one more value to the common scale.
+    """
+    sign, vol_exponent = _volume(j1, j2)
+    top = max(scale, vol_exponent, exponent)
+    return top - scale, -sign << (top - vol_exponent), top
+
+
 def _coefficients(accs: List[int], scale: int, j1: int, j2: int) -> List[DyadicRational]:
     """acc / 2^scale minus the volume coefficient, for each acc of one level.
 
-    The volume term is scaled once for the level, and one DyadicRational
-    is built per distinct acc.
+    One DyadicRational is built per distinct acc.
     """
-    sign, exponent = _volume(j1, j2)
-    top = max(scale, exponent)
-    shift, vol = top - scale, sign << (top - exponent)
-    values = {acc: dyadic((acc << shift) - vol, top) for acc in set(accs)}
+    shift, empty, top = _value_scale(j1, j2, scale)
+    values = {acc: dyadic((acc << shift) + empty, top) for acc in set(accs)}
     return [values[acc] for acc in accs]
 
 
@@ -147,17 +157,32 @@ def _coefficients(accs: List[int], scale: int, j1: int, j2: int) -> List[DyadicR
 # The factor of a point z = k / 2^res is the integral of h_{j,m} over
 # [z, 1]. Both forms below return it times 2^res, an integer: 2^res - k on
 # level -1, and 0 on every level j >= res, whose open intervals hold no
-# grid point. They differ on the levels 0 <= j < res.
+# grid point. They differ on the levels 0 <= j < res. The closed form,
+# _tents, also drives every level scan.
+
+
+def _tents(k, j: int, res: int):
+    """Signed factor numerators and positions of the grid points k on level j.
+
+    k is an int or an array. On level -1 the numerator is 2^res - k at
+    position 0. On 0 <= j <= res it is the closed tent
+    |k mod 2^(res-j) - half| - half with half = 2^(res-j-1), zero on the
+    interval endpoints (everywhere at j = res), at position k >> (res - j).
+    Past res it is 0.
+    """
+    if j == -1:
+        return (1 << res) - k, k * 0
+    if j > res:
+        return k * 0, k * 0
+    per = 1 << (res - j)
+    half = per >> 1
+    return abs((k & (per - 1)) - half) - half, k >> (res - j)
 
 
 def _tent_numerator(j: int, m: int, k: int, res: int) -> int:
-    """Closed tent form: -(half - |k mod 2 half - half|) at position m."""
-    if j == -1:
-        return (1 << res) - k
-    if j >= res or k >> (res - j) != m:
-        return 0
-    half = 1 << (res - j - 1)
-    return abs((k & (2 * half - 1)) - half) - half
+    """Closed tent form: the numerator of _tents where its position is m."""
+    tent, position = _tents(k, j, res)
+    return tent if position == m else 0
 
 
 def _antiderivative_numerator(j: int, m: int, k: int, res: int) -> int:
@@ -238,25 +263,12 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
 
 # -- level-wise scans ---------------------------------------------------------
 #
-# On a fixed level every factor is num / 2^res with an integer num, so the
-# per-position sums are plain integer accumulations:
-#   j >= 0: num = -(half - |k mod 2^(res-j) - half|) <= 0, half = 2^(res-j-1)
-#   j = -1: num = 2^res - k                                >= 0
-# A position therefore receives contributions of one sign only, which makes
-# "occupied" equivalent to "coefficient differs from the empty-box value".
+# On a fixed level every factor is num / 2^res with the integer num of
+# _tents: num >= 0 on level -1 and num <= 0 on every other level. A position
+# therefore receives contributions of one sign only, which makes "occupied"
+# equivalent to "coefficient differs from the empty-box value".
 # The coordinate arrays come from PointMultiset.scaled_coords(), whose dtype
 # (int64 or exact Python ints) bounds every product sum below.
-
-
-def _tents(k: np.ndarray, j: int, res: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Unnormalized tents half - |k mod 2^(res-j) - half| and positions.
-
-    For 0 <= j <= res; the tent is 0 on interval endpoints (and everywhere
-    at j = res), and the position of k is k >> (res - j).
-    """
-    per = 1 << (res - j)
-    half = per >> 1
-    return half - np.abs((k & (per - 1)) - half), k >> (res - j)
 
 
 def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
@@ -277,17 +289,17 @@ def _box_sums(m1, m2, width2: int, vals, mask) -> Tuple[np.ndarray, np.ndarray]:
 def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
 
-    Keeps only the points whose x-factor (2^res - kx on the -1 row, else
-    the tent) is nonzero, ordered by (m1, ky). Every j2 of the row then
-    finds its box keys m1 * 2^j2 + (ky >> (res - j2)) already
-    non-decreasing. Only the latest row is cached, so memory stays O(N).
+    Keeps only the points whose x-factor from _tents is nonzero, ordered by
+    (m1, ky). Every j2 of the row then finds its box keys
+    m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. Only the latest
+    row is cached, so memory stays O(N).
     """
     cached = points._cache.get("row")
     if cached is not None and cached[0] == j1:
         return cached[1]
     res = points.n_resolution
     kx, ky = points.scaled_coords()
-    n1, m1 = ((1 << res) - kx, np.zeros_like(kx)) if j1 == -1 else _tents(kx, j1, res)
+    n1, m1 = _tents(kx, j1, res)
     keep = np.flatnonzero(n1 != 0)
     order = keep[np.lexsort((ky[keep], m1[keep]))]
     row = (m1[order], ky[order], n1[order])
@@ -295,27 +307,29 @@ def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, 
     return row
 
 
-def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-position sums of the signed scaled factor products.
+def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Per-position sums of the signed factor products, and their scale.
 
-    Returns ascending keys m1 * width2 + m2 and the sums Sum_z f1 * f2
-    scaled by 2^(2 res); only positions with at least one nonzero
+    Returns ascending keys m1 * 2^max(j2, 0) + m2, the integer sums
+    Sum_z f1 * f2 and the exponent scale at which sum / 2^scale is the
+    counting average; only positions with at least one nonzero
     contribution appear.
     """
+    n = len(points)
+    if n == 0:
+        raise ValueError("empty point multiset")
+    if j1 < -1 or j2 < -1:
+        raise ValueError("levels must be >= -1")
     res = points.n_resolution
+    scale = 2 * res + _pow2_log(n)
     if j1 >= res or j2 >= res:
         empty = points.scaled_coords()[0][:0]
-        return empty, empty  # interval interiors at or beyond the resolution are empty
+        return empty, empty, scale  # interval interiors at or beyond the resolution are empty
     m1, ky, n1 = _level_row(points, j1)
-    if j2 == -1:
-        keys, n2 = m1, (1 << res) - ky
-    else:
-        n2, m2 = _tents(ky, j2, res)
-        keys = (m1 << j2) + m2
+    n2, m2 = _tents(ky, j2, res)
     hit = n2 != 0
-    keys, sums = _group_sums(keys[hit], n1[hit] * n2[hit])
-    # each tent level carries a minus sign
-    return keys, (-sums if (j1 == -1) != (j2 == -1) else sums)
+    keys, sums = _group_sums(((m1 << max(j2, 0)) + m2)[hit], n1[hit] * n2[hit])
+    return keys, sums, scale
 
 
 @dataclass(frozen=True)
@@ -344,47 +358,27 @@ class LevelSummary:
     accs: np.ndarray
     counts: np.ndarray
     scale: int
-    volume: DyadicRational
     occupied_boxes: int
     empty_boxes: int
-    box_count: int
 
     @property
     def empty_value(self) -> DyadicRational:
-        return -self.volume
+        return -dyadic(*_volume(self.j1, self.j2))
 
     def numerators(self, exponent: int = 0) -> Tuple[List[int], int, int]:
         """Occupied and empty values as integer numerators over one 2^top.
 
         Returns (occupied, empty, top), the occupied numerators in the order
-        of accs; top is at least exponent, so a caller can bring one more
-        value to the common scale.
+        of accs; top is at least exponent (see _value_scale).
         """
-        vol = self.volume
-        top = max(self.scale, vol.exponent, exponent)
-        empty = -vol.mantissa << (top - vol.exponent)
-        shift = top - self.scale
+        shift, empty, top = _value_scale(self.j1, self.j2, self.scale, exponent)
         return [(acc << shift) + empty for acc in self.accs.tolist()], empty, top
 
     @cached_property
     def occupied_values(self) -> Tuple[Tuple[DyadicRational, int], ...]:
         """(value, multiplicity) per distinct occupied value, ascending."""
-        return tuple(
-            (dyadic(acc, self.scale) - self.volume, count)
-            for acc, count in zip(self.accs.tolist(), self.counts.tolist())
-        )
-
-
-def _level_geometry(points: PointMultiset, j1: int, j2: int):
-    n = len(points)
-    if n == 0:
-        raise ValueError("empty point multiset")
-    if j1 < -1 or j2 < -1:
-        raise ValueError("levels must be >= -1")
-    nu = _pow2_log(n)
-    boxes = (1 if j1 == -1 else 1 << j1) * (1 if j2 == -1 else 1 << j2)
-    vol = mu_volume(HaarIndex(j1, j2, 0, 0))
-    return nu, boxes, vol
+        values = _coefficients(self.accs.tolist(), self.scale, self.j1, self.j2)
+        return tuple(zip(values, self.counts.tolist()))
 
 
 def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficients:
@@ -393,15 +387,12 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
     Positions missed by all points share the value -mu_volume; positions in
     the map carry their individually accumulated exact coefficient.
     """
-    nu, boxes, vol = _level_geometry(points, j1, j2)
-    scale = 2 * points.n_resolution + nu
-    width2 = 1 if j2 == -1 else 1 << j2
-    keys, sums = _scan_level(points, j1, j2)
-    occupied = {
-        divmod(key, width2): dyadic(acc, scale) - vol
-        for key, acc in zip(keys.tolist(), sums.tolist())
-    }
-    return LevelCoefficients(j1, j2, occupied, -vol, boxes)
+    keys, sums, scale = _scan_level(points, j1, j2)
+    width2 = 1 << max(j2, 0)
+    values = _coefficients(sums.tolist(), scale, j1, j2)
+    occupied = {divmod(key, width2): value for key, value in zip(keys.tolist(), values)}
+    empty = -dyadic(*_volume(j1, j2))
+    return LevelCoefficients(j1, j2, occupied, empty, 1 << (max(j1, 0) + max(j2, 0)))
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
@@ -409,12 +400,11 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     cached = points._cache.get(("level", j1, j2))
     if cached is not None:
         return cached
-    nu, boxes, vol = _level_geometry(points, j1, j2)
-    accs, counts = np.unique(_scan_level(points, j1, j2)[1], return_counts=True)
+    _, sums, scale = _scan_level(points, j1, j2)
+    accs, counts = np.unique(sums, return_counts=True)
     occupied = int(counts.sum())
     summary = LevelSummary(
-        j1, j2, accs, counts, 2 * points.n_resolution + nu, vol,
-        occupied, boxes - occupied, boxes,
+        j1, j2, accs, counts, scale, occupied, (1 << (max(j1, 0) + max(j2, 0))) - occupied
     )
     points._cache[("level", j1, j2)] = summary
     return summary
@@ -606,6 +596,7 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     kx, ky = points.scaled_coords()
     nx, m1 = _tents(kx, j1, res)
     ny, m2 = _tents(ky, j2, res)
+    nx, ny = -nx, -ny  # the unsigned tents
     width2 = 1 << j2
     return (
         _box_sums(m1, m2, width2, nx, (nx != 0) & (m2 < width2)),

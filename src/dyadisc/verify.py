@@ -114,37 +114,23 @@ def check_symmetrized_coefficients(
             prediction = predict_symmetrized(n, HaarIndex(j1, j2, 0, 0), sigma)
             summary = level_value_counts(points, j1, j2)
             note = f"level ({j1},{j2})"
+            occupied, empty = _level_matches(report, summary, prediction, note)
             if prediction.kind == ABS_UPPER_BOUND:
-                # diagonal band: bound every value, cap the deviating count
-                limit = prediction.value
-                occupied, empty, top = summary.numerators(limit.exponent)
-                bound = limit.mantissa << (top - limit.exponent)
-                deviating = 0
-                for value, count in zip(occupied, summary.counts.tolist()):
-                    report.record(
-                        abs(value) <= bound,
-                        lambda: f"{note}: |{dyadic(value, top)}| > {prediction.value}",
-                        count,
-                    )
-                    if value != empty:
-                        deviating += count
-                if summary.empty_boxes:
-                    report.record(
-                        abs(empty) <= bound,
-                        lambda: f"{note}: empty value exceeds bound",
-                        summary.empty_boxes,
-                    )
+                # diagonal band: also cap the positions deviating from the empty value
+                deviating = sum(
+                    count
+                    for value, count in zip(occupied, summary.counts.tolist())
+                    if value != empty
+                )
                 report.record(
                     deviating <= cap,
                     lambda: f"{note}: {deviating} deviating positions exceed {cap}",
                 )
-            else:
-                occupied, empty = _level_matches(report, summary, prediction, note)
-                if prediction.kind == EXACT_ABS and prediction.value:
-                    for value in occupied:
-                        sign_notes.add(("occupied", j1 >= n or j2 >= n, value > 0))
-                    if summary.empty_boxes:
-                        sign_notes.add(("empty", j1 >= n or j2 >= n, empty > 0))
+            elif prediction.kind == EXACT_ABS and prediction.value:
+                for value in occupied:
+                    sign_notes.add(("occupied", j1 >= n or j2 >= n, value > 0))
+                if summary.empty_boxes:
+                    sign_notes.add(("empty", j1 >= n or j2 >= n, empty > 0))
     for kind, high, positive in sorted(sign_notes):
         report.notes.append(
             f"observed sign {'+' if positive else '-'} on {kind} boxes "

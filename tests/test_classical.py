@@ -182,6 +182,18 @@ def test_lp_estimate_tracks_exact():
     assert estimate == pytest.approx(exact, rel=0.02)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.5])
+def test_lp_estimate_rejects_p_outside_open_range(p):
+    with pytest.raises(ValueError, match="0 < p < inf"):
+        lp_estimate(PointMultiset([(0.5, 0.5)]), p)
+
+
+def test_lp_exact_even_rejects_nonpositive_p_without_pointing_to_estimate():
+    with pytest.raises(ValueError) as excinfo:
+        lp_exact_even(PointMultiset([(0.5, 0.5)]), 0)
+    assert "positive" in str(excinfo.value) and "lp_estimate" not in str(excinfo.value)
+
+
 def test_lp_estimate_grid_limit():
     with pytest.raises(ValueError, match=r"2\^16.*even p"):
         lp_estimate(hammersley_type(13, SignPattern.identity(13)), 3)

@@ -144,6 +144,30 @@ def test_classic_estimate_grid_limit():
     assert "2^16" in message and "even p" in message
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["norm", "--mode", "truncated", "--jmax", "-1"], "--jmax -1"),
+        (["sweep", "--mode", "truncated", "--jmax", "-1", "--n-max", "5"], "--jmax -1"),
+        (["qmc", "--integrand", "corner:9,1"], "corner:9,1"),
+        (["qmc", "--integrand", "monomial:0,9"], "monomial:0,9"),
+        (["classic", "--p", "0"], "--p 0"),
+        (["classic", "--p", "-2"], "--p -2"),
+        (["classic", "--p", "abc"], "--p abc"),
+        (["classic", "--p", "nan"], "--p nan"),
+        (["norm", "--p", "abc"], "--p abc"),
+    ],
+    ids=[
+        "norm-jmax", "sweep-jmax", "qmc-corner", "qmc-monomial", "classic-p0",
+        "classic-p-neg", "classic-p-text", "classic-p-nan", "norm-p-text",
+    ],
+)
+def test_input_errors_exit_with_message(argv, named):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--n", "2"])
+    assert named in str(excinfo.value.code)
+
+
 def test_verify_exit_code_and_rows(capsys):
     code = main(["verify", "--n", "1", "--n-max", "3", "--sigma", "all"])
     captured = capsys.readouterr()
