@@ -38,6 +38,8 @@ CASES = {
     "classic-l2": ["classic", "--family", "hammersley", "--n", "5", "--sigma", "alternating",
                    "--p", "2"],
     "classic-l4": ["classic", "--n", "4", "--p", "4"],
+    # terms k = 0..3 need more than 62 bits: the limb split of the even L_p route
+    "classic-l6": ["classic", "--n", "8", "--p", "6"],
     "classic-l3": ["classic", "--n", "3", "--p", "3"],
     "gen": ["gen", "--family", "davenport", "--n", "3", "--sigma", "random", "--seed", "4"],
     "coeffs": ["coeffs", "--n", "2", "--jmax", "3", "--sigma", "alternating"],
