@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -170,12 +172,25 @@ def _group_cumsum(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
 # -- even-power norms via cell integration --------------------------------------
 
 
+# Largest even power of lp_exact_even. Its value lies in [0, 1] with a
+# denominator dividing N^p lcm(1..p+1)^2 2^(2 res (p+1)); a CLI set of order
+# n has N <= 2^(n+2) at resolution n, so for p <= 64 both parts have at most
+# 4,298 digits, within Python's 4,300-digit integer-to-string limit, up to
+# n = 72 (2^74 points, far beyond any sweep over N^2 cells).
+_MAX_EXACT_P = 64
+# count rows per int64 matmul in lp_exact_even
+_BLOCK_ROWS = 64
+
+
 def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
-    """Exact integral of |D|^p for even p (the p-th power, not the root).
+    """Exact integral of |D|^p for even 0 < p <= 64 (the p-th power, not the root).
 
     On each open cell D = c - t1 t2 with constant c, so D^p integrates as a
-    binomial sum of monomial integrals; the per-exponent sums collapse to a
-    bilinear form between difference vectors of break powers.
+    binomial sum of monomial integrals; the per-exponent sums collapse to
+    bilinear forms between count powers and difference vectors of break
+    powers. Each is exact in int64: the count powers and dy are split into
+    limbs (`_limb_split`), each block of count rows meets the dy limbs in one
+    matmul, and the results are shifted together as Python ints per block.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -183,29 +198,60 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
         raise ValueError(
             f"p = {p} is not supported exactly; use lp_estimate for odd powers"
         )
+    if p > _MAX_EXACT_P:
+        raise ValueError(f"p = {p} exceeds the limit of {_MAX_EXACT_P} for exact even powers")
     n = len(points)
     res = points.n_resolution
     xs, ys, rows = _count_rows(points)
     xs, ys = xs.tolist(), ys.tolist()
-    terms = []
-    for k in range(p + 1):
-        dy = _power_differences(ys, k + 1)
-        # every count is at most N, so N^e sum(dy) bounds each row sum
-        dtype = np.int64 if n ** (p - k) * sum(dy) < (1 << 62) else object
-        terms.append((_power_differences(xs, k + 1), np.asarray(dy, dtype=dtype)))
+    terms = [
+        (_power_differences(xs, k + 1),
+         *_limb_split([c ** (p - k) for c in range(n + 1)], _power_differences(ys, k + 1)))
+        for k in range(p + 1)
+    ]
 
     # s_k = sum over cells of count^(p-k) * dx[a] * dy[b], exact
     sums = [0] * (p + 1)
-    for a, row in zip(range(len(xs) - 1), rows):
-        cells = row[:-1]
-        for k, (dx, dy) in enumerate(terms):
-            sums[k] += dx[a] * int((cells.astype(dy.dtype) ** (p - k)) @ dy)
+    rows = islice(rows, len(xs) - 1)
+    for start in range(0, len(xs) - 1, _BLOCK_ROWS):
+        counts = np.stack(list(islice(rows, _BLOCK_ROWS)))
+        for k, (dx, table, dy_limbs, shifts) in enumerate(terms):
+            # per count limb, (dy limbs, cols) @ (cols, rows); int64 entries below 2^63
+            prods = np.einsum("irc,jc->ijr", np.take(table, counts, axis=1), dy_limbs)
+            for col, shift in zip(prods.reshape(len(shifts), -1).tolist(), shifts):
+                sums[k] += sum(map(mul, dx[start : start + _BLOCK_ROWS], col)) << shift
 
     total = Fraction(0)
     for k, s_k in enumerate(sums):
         denom = n ** (p - k) * (k + 1) ** 2 * (1 << (2 * res * (k + 1)))
         total += Fraction((-1) ** k * math.comb(p, k) * s_k, denom)
     return total
+
+
+def _limb_split(powers: List[int], dy: List[int]) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """int64 limbs of the count powers and of dy, and each limb pair's shift.
+
+    dy in ld limbs of wd bits has limb column sums S <= min(sum(dy), len(dy)
+    (2^wd - 1)), so count limbs of 63 - bitlen(S) bits keep every product sum
+    below 2^63. The split minimises lc (ld + 1): gathers plus matmul columns.
+    """
+    def limbs(values, width, count):
+        mask = (1 << width) - 1
+        return np.array([[(v >> width * i) & mask for v in values] for i in range(count)],
+                        dtype=np.int64)
+
+    total, top, bits = sum(dy), max(dy).bit_length(), max(powers).bit_length()
+    plans = []
+    for ld in range(1, top + 1):
+        wd = -(-top // ld)
+        wc = 63 - min(total, len(dy) * ((1 << wd) - 1)).bit_length()
+        if wc > 0:
+            lc = -(-bits // wc)
+            plans.append((lc * (ld + 1), lc, wc, ld, wd))
+    _, lc, wc, ld, wd = min(plans)
+    shifts = [wc * i + wd * j for i in range(lc) for j in range(ld)]
+    # a zero weight for each row's last entry keeps the gathered blocks contiguous
+    return limbs(powers, wc, lc), limbs(dy + [0], wd, ld), shifts
 
 
 def _power_differences(breaks: List[int], e: int) -> List[int]:

@@ -249,9 +249,7 @@ def _cmd_verify(config: RunConfig) -> int:
         failures += report.failures
         checked += report.checked
         for note in report.notes:
-            if report.failures:
-                print(f"FAIL {report.suite} n={report.n} {report.sigma}: {note}",
-                      file=sys.stderr)
+            print(f"FAIL {report.suite} n={report.n} {report.sigma}: {note}", file=sys.stderr)
     _emit(config, emitter)
     print(f"verify: {checked} checks, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1

@@ -48,7 +48,7 @@ SUITES = ("coefficients", "davenport-rows", "counting-sums", "net")
 
 @dataclass
 class CheckReport:
-    """Outcome of one suite run: counts plus the first few failure notes."""
+    """Outcome of one suite run: counts, the first few failure notes, observations."""
 
     suite: str
     n: int
@@ -56,6 +56,7 @@ class CheckReport:
     checked: int = 0
     failures: int = 0
     notes: List[str] = field(default_factory=list)
+    observations: List[str] = field(default_factory=list)
 
     def record(self, ok: bool, note: Union[str, Callable[[], str]] = "", count: int = 1):
         """Count a check; note is a string, or a function called only on failure."""
@@ -132,7 +133,7 @@ def check_symmetrized_coefficients(
                 if summary.empty_boxes:
                     sign_notes.add(("empty", j1 >= n or j2 >= n, empty > 0))
     for kind, high, positive in sorted(sign_notes):
-        report.notes.append(
+        report.observations.append(
             f"observed sign {'+' if positive else '-'} on {kind} boxes "
             f"({'level >= n' if high else 'mixed row'})"
         )

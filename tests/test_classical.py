@@ -23,7 +23,7 @@ from dyadisc import (
     star_discrepancy,
     symmetrize_full,
 )
-from dyadisc.classical import _count_rows
+from dyadisc.classical import _count_rows, _power_differences
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -167,6 +167,68 @@ def test_lp_even_against_brute():
         assert lp_exact_even(points, p) == brute_lp_even(points, p)
 
 
+def object_route_lp_even(points, p):
+    """The per-term dtype route lp_exact_even used before its limb split (oracle).
+
+    Term k runs in int64 while N^(p-k) sum(dy) < 2^62 and in object arrays
+    of Python ints past that, one count row at a time.
+    """
+    n = len(points)
+    res = points.n_resolution
+    xs, ys, rows = _count_rows(points)
+    xs, ys = xs.tolist(), ys.tolist()
+    terms = []
+    for k in range(p + 1):
+        dy = _power_differences(ys, k + 1)
+        dtype = np.int64 if n ** (p - k) * sum(dy) < (1 << 62) else object
+        terms.append((_power_differences(xs, k + 1), np.asarray(dy, dtype=dtype)))
+    sums = [0] * (p + 1)
+    for a, row in zip(range(len(xs) - 1), rows):
+        cells = row[:-1]
+        for k, (dx, dy) in enumerate(terms):
+            sums[k] += dx[a] * int((cells.astype(dy.dtype) ** (p - k)) @ dy)
+    return sum(
+        Fraction(
+            (-1) ** k * math.comb(p, k) * s_k,
+            n ** (p - k) * (k + 1) ** 2 * (1 << (2 * res * (k + 1))),
+        )
+        for k, s_k in enumerate(sums)
+    )
+
+
+@pytest.mark.parametrize("n, p, crossing", [(10, 4, []), (11, 4, [0]), (9, 6, list(range(7)))])
+def test_lp_even_matches_object_route_across_old_guard(n, p, crossing):
+    # the old guard N^(p-k) sum(dy_k) < 2^62, with sum(dy_k) = 2^(res (k+1)):
+    # at n = 11 (N = 2^13, res 11) the k = 0 term takes two count limbs; at
+    # n = 9, p = 6 the true row sums pass 2^63, and sum(dy_6) = 2^63 splits dy
+    points = symmetrize_full(hammersley_type(n, SignPattern.identity(n)))
+    res = points.n_resolution
+    bounds = [len(points) ** (p - k) << (res * (k + 1)) for k in range(p + 1)]
+    assert [k for k, bound in enumerate(bounds) if bound >= 1 << 62] == crossing
+    assert lp_exact_even(points, p) == object_route_lp_even(points, p)
+
+
+@pytest.mark.parametrize("res", [40, 64])
+def test_lp_even_matches_object_route_when_dy_needs_limbs(res):
+    # sum(dy_k) = 2^(res (k+1)) reaches 2^80 at res 40 (k >= 1) and 2^64 at
+    # res 64 (every k): no count limb fits beside it, so dy is split too
+    rng = random.Random(res)
+    for size in (1, 2, 8, 64):
+        points = random_multiset(rng, size, res)
+        for p in (2, 4, 6, 8):
+            assert lp_exact_even(points, p) == object_route_lp_even(points, p)
+        if size <= 8:
+            assert lp_exact_even(points, 6) == brute_lp_even(points, 6)
+
+
+def test_lp_exact_even_power_limit():
+    points = symmetrize_full(hammersley_type(1, SignPattern.identity(1)))
+    assert lp_exact_even(points, 64) == brute_lp_even(points, 64)
+    for p in (66, 4000, 10**7):
+        with pytest.raises(ValueError, match=f"p = {p} exceeds the limit of 64"):
+            lp_exact_even(points, p)
+
+
 def test_lp_guards():
     with pytest.raises(ValueError):
         lp_exact_even(PointMultiset([], resolution=0), 2)
@@ -254,6 +316,7 @@ def test_star_against_brute_fine_resolution(res):
         assert star_discrepancy(points).as_fraction() == brute_star(points)
         assert lp_exact_even(points, 2) == l2_warnock(points)
         assert lp_exact_even(points, 4) == brute_lp_even(points, 4)
+        assert lp_exact_even(points, 6) == brute_lp_even(points, 6)
 
 
 def test_monotone_norm_chain():

@@ -155,11 +155,14 @@ def test_classic_estimate_grid_limit():
         (["classic", "--p", "-2"], "--p -2"),
         (["classic", "--p", "abc"], "--p abc"),
         (["classic", "--p", "nan"], "--p nan"),
+        (["classic", "--p", "4000"], "--p 4000"),
+        (["classic", "--p", "1e7"], "--p 1e7"),
         (["norm", "--p", "abc"], "--p abc"),
     ],
     ids=[
         "norm-jmax", "sweep-jmax", "qmc-corner", "qmc-monomial", "classic-p0",
-        "classic-p-neg", "classic-p-text", "classic-p-nan", "norm-p-text",
+        "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
+        "classic-p-1e7", "norm-p-text",
     ],
 )
 def test_input_errors_exit_with_message(argv, named):

@@ -80,8 +80,7 @@ def test_coefficient_suite_reports_violations(monkeypatch):
     assert report.checked == honest.checked + 2
     assert report.failures == 1 + 1 + 16
     assert not report.passed
-    failing = [note for note in report.notes if not note.startswith("observed sign")]
-    assert failing == [
+    assert report.notes == [
         "level (-1,-1): occupied value 0 vs "
         "CoefficientPrediction(kind='exact-value', value=DyadicRational(1, 1))",
         "level (0,0): occupied value 1/2^6 vs "
@@ -97,15 +96,18 @@ def test_cli_verify_fails_on_violations(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     fail_lines = [line for line in err.splitlines() if line.startswith("FAIL ")]
-    levels = [line.split(": ")[1] for line in fail_lines if ": level (" in line]
-    assert levels == ["level (-1,-1)", "level (0,0)", "level (2,2)"]
+    assert [line.split(": ")[1] for line in fail_lines] == [
+        "level (-1,-1)", "level (0,0)", "level (2,2)",
+    ]
     assert all(line.startswith("FAIL coefficients n=2 identity: ") for line in fail_lines)
     assert "18 failures" in err
 
 
 def test_observed_signs_recorded():
     report = check_symmetrized_coefficients(3, SignPattern.identity(3))
-    assert any("observed sign" in note for note in report.notes)
+    assert report.passed and not report.notes
+    assert report.observations
+    assert all(note.startswith("observed sign") for note in report.observations)
 
 
 def test_checker_flags_wrong_structure():
