@@ -196,7 +196,11 @@ def object_route_lp_even(points, p):
     )
 
 
-@pytest.mark.parametrize("n, p, crossing", [(10, 4, []), (11, 4, [0]), (9, 6, list(range(7)))])
+@pytest.mark.parametrize(
+    "n, p, crossing",
+    [(10, 4, []), (11, 4, [0]), (9, 6, list(range(7)))],
+    ids=["n10-p4", "n11-p4", "n9-p6"],
+)
 def test_lp_even_matches_object_route_across_old_guard(n, p, crossing):
     # the old guard N^(p-k) sum(dy_k) < 2^62, with sum(dy_k) = 2^(res (k+1)):
     # at n = 11 (N = 2^13, res 11) the k = 0 term takes two count limbs; at
