@@ -178,7 +178,7 @@ def _group_cumsum(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
 # 4,298 digits, within Python's 4,300-digit integer-to-string limit, up to
 # n = 72 (2^74 points, far beyond any sweep over N^2 cells).
 _MAX_EXACT_P = 64
-# count rows per int64 matmul in lp_exact_even
+# count rows per int64 contraction in lp_exact_even
 _BLOCK_ROWS = 64
 
 
@@ -190,7 +190,8 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     bilinear forms between count powers and difference vectors of break
     powers. Each is exact in int64: the count powers and dy are split into
     limbs (`_limb_split`), each block of count rows meets the dy limbs in one
-    matmul, and the results are shifted together as Python ints per block.
+    int64 contraction (a matmul per count limb), and the results are shifted
+    together as Python ints once per block, weighted by dx.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -233,7 +234,7 @@ def _limb_split(powers: List[int], dy: List[int]) -> Tuple[np.ndarray, np.ndarra
 
     dy in ld limbs of wd bits has limb column sums S <= min(sum(dy), len(dy)
     (2^wd - 1)), so count limbs of 63 - bitlen(S) bits keep every product sum
-    below 2^63. The split minimises lc (ld + 1): gathers plus matmul columns.
+    below 2^63. The split minimises lc (ld + 1): gathers plus contraction columns.
     """
     def limbs(values, width, count):
         mask = (1 << width) - 1
