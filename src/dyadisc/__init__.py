@@ -24,7 +24,7 @@ from .classical import (
     lp_exact_even,
     star_discrepancy,
 )
-from .dyadic import HALF, ONE, ZERO, DyadicRational, cmp, dyadic, to_float
+from .dyadic import ONE, ZERO, DyadicRational, dyadic
 from .haar import (
     CoefficientPrediction,
     HaarIndex,

@@ -168,6 +168,8 @@ def _cmd_coeffs(config: RunConfig) -> int:
 
 def _norm_for(config: RunConfig, points, params) -> besov.NormBreakdown:
     if config.mode == "exact":
+        if config.j_max is not None:
+            raise SystemExit(f"--jmax {config.j_max}: only --mode truncated reads it")
         return besov.besov_norm_exact(points, params)
     j_max = (points.n_resolution + 40) if config.j_max is None else config.j_max
     try:
@@ -242,15 +244,13 @@ def _cmd_verify(config: RunConfig) -> int:
     presets = (config.sigma,) if config.sigma != "all" else SIGMA_PRESETS
     reports = verify.run_suites(n_range[0], n_range[-1], presets, seed=config.seed)
     emitter = _Emitter(["suite", "n", "sigma", "checked", "failures"])
-    failures = 0
-    checked = 0
     for report in reports:
         emitter.row(report.suite, report.n, report.sigma, report.checked, report.failures)
-        failures += report.failures
-        checked += report.checked
         for note in report.notes:
             print(f"FAIL {report.suite} n={report.n} {report.sigma}: {note}", file=sys.stderr)
     _emit(config, emitter)
+    checked = sum(report.checked for report in reports)
+    failures = sum(report.failures for report in reports)
     print(f"verify: {checked} checks, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
 
@@ -293,14 +293,35 @@ def _cmd_qmc(config: RunConfig) -> int:
     return 0
 
 
+# argparse settings per flag or per (subcommand, flag); RunConfig holds every default
+_FLAGS = {
+    "--family": dict(choices=FAMILIES),
+    "--n": dict(type=int),
+    "--n-max": dict(type=int),
+    "--sigma": dict(choices=SIGMA_PRESETS),
+    ("verify", "--sigma"): dict(choices=SIGMA_PRESETS + ("all",)),
+    "--seed": dict(type=int),
+    "--p": dict(help="1 <= p <= inf ('inf' allowed)"),
+    ("classic", "--p"): dict(
+        help="even p: exact; star or inf: the supremum; any other p > 0: midpoint estimate"),
+    "--q": dict(help="1 <= q <= inf ('inf' allowed)"),
+    "--r": dict(type=float),
+    "--jmax": dict(type=int, dest="j_max"),
+    "--mode": dict(choices=("exact", "truncated")),
+    "--format": dict(choices=("csv", "json"), dest="fmt"),
+}
+_POINT_FLAGS = ("--family", "--n", "--sigma", "--seed")
+_NORM_FLAGS = _POINT_FLAGS + ("--p", "--q", "--r", "--mode", "--jmax")
+
+# subcommand -> (function, the flags it reads besides --format and --out)
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "coeffs": _cmd_coeffs,
-    "norm": _cmd_norm,
-    "classic": _cmd_classic,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "qmc": _cmd_qmc,
+    "gen": (_cmd_gen, _POINT_FLAGS),
+    "coeffs": (_cmd_coeffs, _POINT_FLAGS + ("--jmax",)),
+    "norm": (_cmd_norm, _NORM_FLAGS),
+    "classic": (_cmd_classic, _POINT_FLAGS + ("--p",)),
+    "sweep": (_cmd_sweep, _NORM_FLAGS + ("--n-max",)),
+    "verify": (_cmd_verify, ("--n", "--n-max", "--sigma", "--seed")),
+    "qmc": (_cmd_qmc, ("--family", "--n", "--n-max", "--sigma", "--seed", "--integrand")),
 }
 
 
@@ -310,26 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact discrepancy analysis of symmetrized Hammersley-type point sets.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--family", choices=FAMILIES, default="symmetrized")
-        cmd.add_argument("--n", type=int, default=4)
-        cmd.add_argument("--n-max", type=int, default=None, dest="n_max")
-        cmd.add_argument(
-            "--sigma",
-            choices=SIGMA_PRESETS + (("all",) if name == "verify" else ()),
-            default="identity",
-        )
-        cmd.add_argument("--seed", type=int, default=7)
-        cmd.add_argument("--p", default="2", help="1 <= p <= inf ('inf' allowed)")
-        cmd.add_argument("--q", default="2", help="1 <= q <= inf ('inf' allowed)")
-        cmd.add_argument("--r", type=float, default=0.0)
-        cmd.add_argument("--jmax", type=int, default=None, dest="j_max")
-        cmd.add_argument("--mode", choices=("exact", "truncated"), default="exact")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-        cmd.add_argument("--out", default=None)
-        if name == "qmc":
-            cmd.add_argument("--integrand", default="corner:1,1")
+    for name, (_, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags + ("--format", "--out"):
+            cmd.add_argument(flag, **_FLAGS.get((name, flag), _FLAGS.get(flag, {})))
     return parser
 
 
@@ -341,16 +346,11 @@ def run(config: RunConfig) -> int:
         raise SystemExit("--n must be >= 1")
     if config.n_max is not None and config.n_max < config.n:
         raise SystemExit("--n-max must be >= --n")
-    return _COMMANDS[config.subcommand](config)
+    return _COMMANDS[config.subcommand][0](config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    values = vars(namespace)
-    values.setdefault("integrand", "corner:1,1")
-    config = RunConfig(**values)
-    return run(config)
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

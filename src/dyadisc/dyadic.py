@@ -9,9 +9,10 @@ negative exponents represent even integers such as 2**n.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-__all__ = ["DyadicRational", "dyadic", "cmp", "to_float", "ZERO", "ONE", "HALF"]
+__all__ = ["DyadicRational", "dyadic", "ZERO", "ONE"]
 
 
 class DyadicRational:
@@ -41,21 +42,10 @@ class DyadicRational:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_int(cls, value: int) -> "DyadicRational":
-        return cls(value, 0)
-
-    @classmethod
     def from_float(cls, value: float) -> "DyadicRational":
         """Exact conversion; every finite float is a dyadic rational."""
         num, den = float(value).as_integer_ratio()
         return cls(num, den.bit_length() - 1)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicRational":
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} has a non power-of-two denominator")
-        return cls(value.numerator, den.bit_length() - 1)
 
     # -- conversions ------------------------------------------------------
 
@@ -152,37 +142,24 @@ class DyadicRational:
             return NotImplemented
         return self.mantissa == o.mantissa and self.exponent == o.exponent
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (Fraction, float)):
-                return self.as_fraction() < other
-            return NotImplemented
-        return self._cmp(o) < 0
+    def _order(compare):
+        """Ordering operator: compare applied to the exact values of self and other."""
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        def method(self, other):
+            o = self._coerce(other)
+            if o is not None:
+                return compare(self._cmp(o), 0)
             if isinstance(other, (Fraction, float)):
-                return self.as_fraction() <= other
+                return compare(self.as_fraction(), other)
             return NotImplemented
-        return self._cmp(o) <= 0
 
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (Fraction, float)):
-                return self.as_fraction() > other
-            return NotImplemented
-        return self._cmp(o) > 0
+        return method
 
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (Fraction, float)):
-                return self.as_fraction() >= other
-            return NotImplemented
-        return self._cmp(o) >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
+    del _order
 
     def __hash__(self):
         return hash(self.as_fraction())
@@ -200,32 +177,11 @@ class DyadicRational:
             return str(self.mantissa << -self.exponent)
         return f"{self.mantissa}/2^{self.exponent}"
 
-    def decimal(self) -> str:
-        """Exact terminating decimal string (m/2^e = m*5^e / 10^e)."""
-        if self.exponent <= 0:
-            return str(self.mantissa << -self.exponent)
-        digits = abs(self.mantissa) * 5**self.exponent
-        text = str(digits).rjust(self.exponent + 1, "0")
-        sign = "-" if self.mantissa < 0 else ""
-        return f"{sign}{text[: -self.exponent]}.{text[-self.exponent :]}"
-
 
 ZERO = DyadicRational(0)
 ONE = DyadicRational(1)
-HALF = DyadicRational(1, 1)
 
 
 def dyadic(mantissa: int, exponent: int = 0) -> DyadicRational:
     """Normalized dyadic rational mantissa * 2**-exponent."""
     return DyadicRational(mantissa, exponent)
-
-
-def cmp(a: DyadicRational, b: DyadicRational) -> int:
-    """Total order: -1, 0 or +1."""
-    a = DyadicRational._coerce(a)
-    b = DyadicRational._coerce(b)
-    return a._cmp(b)
-
-
-def to_float(a: DyadicRational) -> float:
-    return a.to_float()

@@ -307,29 +307,28 @@ def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, 
     return row
 
 
-def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Per-position sums of the signed factor products, and their scale.
+def _count_scale(points: PointMultiset) -> int:
+    """The exponent at which a _scan_level sum / 2^scale is the counting average."""
+    return 2 * points.n_resolution + _pow2_log(len(points))
 
-    Returns ascending keys m1 * 2^max(j2, 0) + m2, the integer sums
-    Sum_z f1 * f2 and the exponent scale at which sum / 2^scale is the
-    counting average; only positions with at least one nonzero
-    contribution appear.
+
+def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-position sums of the signed factor products.
+
+    Returns ascending keys m1 * 2^max(j2, 0) + m2 and the integer sums
+    Sum_z f1 * f2 at scale 2^(2 res); only positions with at least one
+    nonzero contribution appear.
     """
-    n = len(points)
-    if n == 0:
-        raise ValueError("empty point multiset")
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
     res = points.n_resolution
-    scale = 2 * res + _pow2_log(n)
     if j1 >= res or j2 >= res:
         empty = points.scaled_coords()[0][:0]
-        return empty, empty, scale  # interval interiors at or beyond the resolution are empty
+        return empty, empty  # interval interiors at or beyond the resolution are empty
     m1, ky, n1 = _level_row(points, j1)
     n2, m2 = _tents(ky, j2, res)
     hit = n2 != 0
-    keys, sums = _group_sums(((m1 << max(j2, 0)) + m2)[hit], n1[hit] * n2[hit])
-    return keys, sums, scale
+    return _group_sums(((m1 << max(j2, 0)) + m2)[hit], n1[hit] * n2[hit])
 
 
 @dataclass(frozen=True)
@@ -387,7 +386,8 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
     Positions missed by all points share the value -mu_volume; positions in
     the map carry their individually accumulated exact coefficient.
     """
-    keys, sums, scale = _scan_level(points, j1, j2)
+    scale = _count_scale(points)
+    keys, sums = _scan_level(points, j1, j2)
     width2 = 1 << max(j2, 0)
     values = _coefficients(sums.tolist(), scale, j1, j2)
     occupied = {divmod(key, width2): value for key, value in zip(keys.tolist(), values)}
@@ -400,7 +400,8 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     cached = points._cache.get(("level", j1, j2))
     if cached is not None:
         return cached
-    _, sums, scale = _scan_level(points, j1, j2)
+    scale = _count_scale(points)
+    _, sums = _scan_level(points, j1, j2)
     accs, counts = np.unique(sums, return_counts=True)
     occupied = int(counts.sum())
     summary = LevelSummary(
@@ -598,10 +599,11 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     ny, m2 = _tents(ky, j2, res)
     nx, ny = -nx, -ny  # the unsigned tents
     width2 = 1 << j2
+    # the product of the two signed tents is the product of the unsigned ones
     return (
         _box_sums(m1, m2, width2, nx, (nx != 0) & (m2 < width2)),
         _box_sums(m1, m2, width2, ny, (ny != 0) & (m1 < (1 << j1))),
-        _box_sums(m1, m2, width2, nx * ny, (nx != 0) & (ny != 0)),
+        _scan_level(points, j1, j2),
     )
 
 

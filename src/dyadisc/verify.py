@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 SUITES = ("coefficients", "davenport-rows", "counting-sums", "net")
+_EXTRA_LEVELS = 2  # levels past n that the coefficients suite checks on each axis
 
 
 @dataclass
@@ -96,10 +97,8 @@ def _level_matches(report: CheckReport, summary, prediction, note: str):
     return occupied, empty
 
 
-def check_symmetrized_coefficients(
-    n: int, sigma: SignPattern, extra_levels: int = 2, label: str = ""
-) -> CheckReport:
-    """All coefficients of the fully symmetrized set on levels up to n + extra.
+def check_symmetrized_coefficients(n: int, sigma: SignPattern, label: str = "") -> CheckReport:
+    """All coefficients of the fully symmetrized set on levels up to n + _EXTRA_LEVELS.
 
     Low levels are checked against the exact signed value, the diagonal band
     against the magnitude bound together with the cap on positions deviating
@@ -110,8 +109,8 @@ def check_symmetrized_coefficients(
     points = symmetrize_full(hammersley_type(n, sigma))
     cap = len(points)
     sign_notes = set()
-    for j1 in range(-1, n + extra_levels + 1):
-        for j2 in range(-1, n + extra_levels + 1):
+    for j1 in range(-1, n + _EXTRA_LEVELS + 1):
+        for j2 in range(-1, n + _EXTRA_LEVELS + 1):
             prediction = predict_symmetrized(n, HaarIndex(j1, j2, 0, 0), sigma)
             summary = level_value_counts(points, j1, j2)
             note = f"level ({j1},{j2})"
@@ -205,17 +204,13 @@ _CHECKS = {
 
 
 def run_suites(
-    n_min: int,
-    n_max: int,
-    presets: Tuple[str, ...],
-    seed: int = 7,
-    suites: Tuple[str, ...] = SUITES,
+    n_min: int, n_max: int, presets: Tuple[str, ...], seed: int = 7
 ) -> List[CheckReport]:
-    """All requested suites over an n-range and sigma presets."""
+    """Every suite of SUITES over an n-range and sigma presets."""
     reports = []
     for n in range(n_min, n_max + 1):
         for preset in presets:
             sigma = SignPattern.from_preset(preset, n, seed=seed)
-            for suite in suites:
+            for suite in SUITES:
                 reports.append(_CHECKS[suite](n, sigma, label=preset))
     return reports

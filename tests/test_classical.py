@@ -76,12 +76,10 @@ def test_local_discrepancy_random_anchors():
 
     rng = random.Random(4242)
     points = symmetrize_full(hammersley_type(3, sigma("random", 3)))
-    from dyadisc import DyadicRational
-
     for _ in range(50):
-        t1 = Fraction(rng.randrange(0, 129), 128)
-        t2 = Fraction(rng.randrange(0, 129), 128)
-        anchor = (DyadicRational.from_fraction(t1), DyadicRational.from_fraction(t2))
+        k1, k2 = rng.randrange(0, 129), rng.randrange(0, 129)
+        t1, t2 = Fraction(k1, 128), Fraction(k2, 128)
+        anchor = (dyadic(k1, 7), dyadic(k2, 7))
         assert local_discrepancy(points, anchor).as_fraction() == brute_local(points, t1, t2)
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,28 @@ import sys
 import pytest
 
 from dyadisc import HaarIndex, SignPattern, dyadic, hammersley_type, mu_discrepancy, symmetrize_full
-from dyadisc.cli import RunConfig, main, run
+from dyadisc.cli import RunConfig, _build_parser, main, run
+
+POINT_FLAGS = ["--family", "--n", "--sigma", "--seed"]
+NORM_FLAGS = POINT_FLAGS + ["--p", "--q", "--r", "--mode", "--jmax"]
+# the flags each subcommand reads, besides --format and --out
+FLAGS_READ = {
+    "gen": POINT_FLAGS,
+    "coeffs": POINT_FLAGS + ["--jmax"],
+    "norm": NORM_FLAGS,
+    "sweep": NORM_FLAGS + ["--n-max"],
+    "classic": POINT_FLAGS + ["--p"],
+    "verify": ["--n", "--n-max", "--sigma", "--seed"],
+    "qmc": ["--family", "--n", "--n-max", "--sigma", "--seed", "--integrand"],
+}
+# a valid value for each flag that is shared by several subcommands
+SHARED_VALUES = {
+    "--family": "davenport", "--n": "2", "--n-max": "3", "--sigma": "alternating",
+    "--seed": "3", "--p": "7", "--q": "5", "--r": "0.9", "--jmax": "3", "--mode": "truncated",
+}
+UNREAD = [
+    (sub, flag) for sub, read in FLAGS_READ.items() for flag in SHARED_VALUES if flag not in read
+]
 
 
 def capture(capsys, argv):
@@ -149,6 +171,8 @@ def test_classic_estimate_grid_limit():
     [
         (["norm", "--mode", "truncated", "--jmax", "-1"], "--jmax -1"),
         (["sweep", "--mode", "truncated", "--jmax", "-1", "--n-max", "5"], "--jmax -1"),
+        (["norm", "--jmax", "3"], "--jmax 3"),
+        (["sweep", "--jmax", "3", "--n-max", "3"], "--jmax 3"),
         (["qmc", "--integrand", "corner:9,1"], "corner:9,1"),
         (["qmc", "--integrand", "monomial:0,9"], "monomial:0,9"),
         (["classic", "--p", "0"], "--p 0"),
@@ -160,7 +184,8 @@ def test_classic_estimate_grid_limit():
         (["norm", "--p", "abc"], "--p abc"),
     ],
     ids=[
-        "norm-jmax", "sweep-jmax", "qmc-corner", "qmc-monomial", "classic-p0",
+        "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "qmc-corner",
+        "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
         "classic-p-1e7", "norm-p-text",
     ],
@@ -219,3 +244,29 @@ def test_run_config_direct():
     config = RunConfig(subcommand="gen", family="hammersley", n=0)
     with pytest.raises(SystemExit):
         run(config)
+
+
+@pytest.mark.parametrize("sub, flag", UNREAD, ids=[f"{sub}{flag}" for sub, flag in UNREAD])
+def test_unread_flag_exits_naming_it(capsys, sub, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main([sub, "--n", "1", flag, SHARED_VALUES[flag]])
+    assert excinfo.value.code == 2
+    assert f"{flag} {SHARED_VALUES[flag]}" in capsys.readouterr().err
+
+
+def test_subcommands_accept_only_the_flags_they_read():
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        sub: {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+        for sub, parser in action.choices.items()
+    }
+    assert accepted == {sub: {*read, "--format", "--out"} for sub, read in FLAGS_READ.items()}
+    assert len(UNREAD) == 28
+    assert sum(map(len, accepted.values())) == 57
+
+
+@pytest.mark.parametrize("sub", sorted(FLAGS_READ))
+def test_defaults_come_from_run_config(capsys, sub):
+    code, out = capture(capsys, [sub, "--n", "2"])
+    assert run(RunConfig(sub, n=2)) == code
+    assert capsys.readouterr().out == out
