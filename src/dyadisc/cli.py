@@ -136,6 +136,8 @@ def _cmd_gen(config: RunConfig) -> int:
 def _cmd_coeffs(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     j_max = config.n if config.j_max is None else config.j_max
+    if j_max < -1:
+        raise SystemExit(f"--jmax {j_max}: levels start at -1")
     emitter = _Emitter(["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"])
     # Most positions of a level share its empty-box value, so every string is
     # built once (per label, per distinct value) and the rows share them.

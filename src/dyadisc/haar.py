@@ -22,6 +22,14 @@ j1 row are sorted once by (m1, y) and every j2 of that row groups them
 without sorting again. Level summaries keep the distinct numerators and
 their counts; DyadicRational values are built only when a caller reads
 them.
+
+The symmetrizations are scanned through their folded base. Reflecting
+x -> 1 - x keeps a point's tent on every level j >= 0 and moves it from
+position m to 2^j - 1 - m; on level -1 the factors of a point and its
+reflection add up to 2^res. So each level sum of a union is fixed by the
+base points folded to min(k, 2^res - k) on the reflected axes (see
+level_value_counts). The generic scan of the whole union stays as its
+oracle and serves every other caller.
 """
 
 from __future__ import annotations
@@ -161,17 +169,18 @@ def _coefficients(accs: List[int], scale: int, j1: int, j2: int) -> List[DyadicR
 # _tents, also drives every level scan.
 
 
-def _tents(k, j: int, res: int):
+def _tents(k, j: int, res: int, reflected: bool = False):
     """Signed factor numerators and positions of the grid points k on level j.
 
     k is an int or an array. On level -1 the numerator is 2^res - k at
     position 0. On 0 <= j <= res it is the closed tent
     |k mod 2^(res-j) - half| - half with half = 2^(res-j-1), zero on the
     interval endpoints (everywhere at j = res), at position k >> (res - j).
-    Past res it is 0.
+    Past res it is 0. On a reflected axis level -1 gives 2^res instead: the
+    numerators of k and of its reflection 2^res - k added up.
     """
     if j == -1:
-        return (1 << res) - k, k * 0
+        return (1 << res) - (k * 0 if reflected else k), k * 0
     if j > res:
         return k * 0, k * 0
     per = 1 << (res - j)
@@ -286,24 +295,47 @@ def _box_sums(m1, m2, width2: int, vals, mask) -> Tuple[np.ndarray, np.ndarray]:
     return _group_sums(keys[order], vals[mask][order])
 
 
-def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _folded_base(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray]:
+    """The base of a recorded symmetrization, folded on its reflected axes.
+
+    The base is the first len(points) / 2^k entries, k the number of
+    reflected axes; a reflected coordinate k becomes min(k, 2^res - k).
+    The arrays keep the union's dtype, so its int64 guard bounds every sum
+    of a folded scan. Built on first use and cached.
+    """
+    folded = points._cache.get("folded")
+    if folded is None:
+        full = 1 << points.n_resolution
+        size = len(points) >> sum(points._reflected)
+        folded = tuple(
+            np.minimum(k[:size], full - k[:size]) if reflected else k[:size]
+            for k, reflected in zip(points.scaled_coords(), points._reflected)
+        )
+        points._cache["folded"] = folded
+    return folded
+
+
+def _level_row(
+    points: PointMultiset, j1: int, reflected: Tuple[bool, bool]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
 
     Keeps only the points whose x-factor from _tents is nonzero, ordered by
     (m1, ky). Every j2 of the row then finds its box keys
-    m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. Only the latest
-    row is cached, so memory stays O(N).
+    m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. With a reflected
+    axis the row is that of the folded base (see _scan_level). Only the
+    latest row is cached, so memory stays O(N).
     """
     cached = points._cache.get("row")
-    if cached is not None and cached[0] == j1:
+    if cached is not None and cached[0] == (j1, reflected):
         return cached[1]
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
-    n1, m1 = _tents(kx, j1, res)
+    kx, ky = _folded_base(points) if any(reflected) else points.scaled_coords()
+    n1, m1 = _tents(kx, j1, res, reflected[0])
     keep = np.flatnonzero(n1 != 0)
     order = keep[np.lexsort((ky[keep], m1[keep]))]
     row = (m1[order], ky[order], n1[order])
-    points._cache["row"] = (j1, row)
+    points._cache["row"] = ((j1, reflected), row)
     return row
 
 
@@ -312,12 +344,16 @@ def _count_scale(points: PointMultiset) -> int:
     return 2 * points.n_resolution + _pow2_log(len(points))
 
 
-def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
+def _scan_level(
+    points: PointMultiset, j1: int, j2: int, reflected: Tuple[bool, bool] = (False, False)
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-position sums of the signed factor products.
 
     Returns ascending keys m1 * 2^max(j2, 0) + m2 and the integer sums
     Sum_z f1 * f2 at scale 2^(2 res); only positions with at least one
-    nonzero contribution appear.
+    nonzero contribution appear. With the default flags z runs over the
+    points; with points._reflected it runs over their folded base, whose
+    factor on a reflected axis at level -1 is 2^res.
     """
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
@@ -325,8 +361,8 @@ def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np
     if j1 >= res or j2 >= res:
         empty = points.scaled_coords()[0][:0]
         return empty, empty  # interval interiors at or beyond the resolution are empty
-    m1, ky, n1 = _level_row(points, j1)
-    n2, m2 = _tents(ky, j2, res)
+    m1, ky, n1 = _level_row(points, j1, reflected)
+    n2, m2 = _tents(ky, j2, res, reflected[1])
     hit = n2 != 0
     return _group_sums(((m1 << max(j2, 0)) + m2)[hit], n1[hit] * n2[hit])
 
@@ -396,13 +432,28 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
-    """Grouped coefficient values on the level, memoized per multiset."""
+    """Grouped coefficient values on the level, memoized per multiset.
+
+    A symmetrization that recorded its reflected axes is scanned through
+    its folded base (see _folded_base). On each reflected axis a box sum of
+    the union is then the folded sum with factor 2^res on level -1; twice
+    the folded sum on level 0, whose one position is its own mirror; and on
+    a level above 0 the folded sum shared by the box and its mirror, so the
+    count doubles.
+    """
     cached = points._cache.get(("level", j1, j2))
     if cached is not None:
         return cached
     scale = _count_scale(points)
-    _, sums = _scan_level(points, j1, j2)
+    reflected = points._reflected
+    _, sums = _scan_level(points, j1, j2, reflected)
     accs, counts = np.unique(sums, return_counts=True)
+    if any(reflected):
+        for j, axis_reflected in zip((j1, j2), reflected):
+            if axis_reflected and j == 0:
+                accs = accs << 1
+            elif axis_reflected and j > 0:
+                counts = counts * 2
     occupied = int(counts.sum())
     summary = LevelSummary(
         j1, j2, accs, counts, scale, occupied, (1 << (max(j1, 0) + max(j2, 0))) - occupied

@@ -114,9 +114,15 @@ class PointMultiset:
     accumulation downstream deterministic. Instances are immutable; a small
     cache dict holds the latest sorted level row and memoized per-level
     coefficient summaries.
+
+    The two symmetrizations record which axes their union reflects, in
+    _reflected (x, y): the union is its first len / 2^k entries, the base,
+    followed by the base's reflections. Every point of the union then has
+    the tents of its folded base point, so haar.level_value_counts scans
+    the folded base alone. Every other multiset records (False, False).
     """
 
-    __slots__ = ("n_resolution", "_kx", "_ky", "_cache")
+    __slots__ = ("n_resolution", "_kx", "_ky", "_cache", "_reflected")
 
     def __init__(self, points: Iterable, resolution: Optional[int] = None):
         coords = []
@@ -162,6 +168,7 @@ class PointMultiset:
         object.__setattr__(self, "_kx", kx)
         object.__setattr__(self, "_ky", ky)
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_reflected", (False, False))
 
     # -- views ------------------------------------------------------------
 
@@ -230,18 +237,22 @@ def reflect(points: PointMultiset, axis: str) -> PointMultiset:
 def symmetrize_full(points: PointMultiset) -> PointMultiset:
     """Multiset union with all three reflections; cardinality 4 |P|."""
     parts = [points, reflect(points, "Y"), reflect(points, "X"), reflect(points, "XY")]
-    return _union(parts, points.n_resolution)
+    return _union(parts, (True, True))
 
 
 def symmetrize_davenport(points: PointMultiset) -> PointMultiset:
     """Multiset union with the y-reflection only; cardinality 2 |P|."""
-    return _union([points, reflect(points, "Y")], points.n_resolution)
+    return _union([points, reflect(points, "Y")], (False, True))
 
 
-def _union(parts: Sequence[PointMultiset], resolution: int) -> PointMultiset:
+def _union(parts: Sequence[PointMultiset], reflected: Tuple[bool, bool]) -> PointMultiset:
     # the union has more points, so _from_scaled picks its dtype anew
     kx, ky = zip(*(part.scaled_coords() for part in parts))
-    return PointMultiset._from_scaled(np.concatenate(kx), np.concatenate(ky), resolution)
+    union = PointMultiset._from_scaled(
+        np.concatenate(kx), np.concatenate(ky), parts[0].n_resolution
+    )
+    object.__setattr__(union, "_reflected", reflected)
+    return union
 
 
 def is_net(points: PointMultiset, n: int) -> bool:

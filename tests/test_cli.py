@@ -103,6 +103,13 @@ def test_coeffs_values_match_engine(capsys):
     assert len(rows) == 64
 
 
+def test_coeffs_jmax_minus_one_prints_the_constant_coefficient(capsys):
+    code, out = capture(capsys, ["coeffs", "--family", "davenport", "--n", "2", "--jmax", "-1"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows == [["-1", "-1", "0", "0", "1", "4", "0.0625"]]  # 2^-(n+2)
+
+
 def test_norm_row(capsys):
     code, out = capture(
         capsys,
@@ -173,6 +180,7 @@ def test_classic_estimate_grid_limit():
         (["sweep", "--mode", "truncated", "--jmax", "-1", "--n-max", "5"], "--jmax -1"),
         (["norm", "--jmax", "3"], "--jmax 3"),
         (["sweep", "--jmax", "3", "--n-max", "3"], "--jmax 3"),
+        (["coeffs", "--jmax", "-2"], "--jmax -2"),
         (["qmc", "--integrand", "corner:9,1"], "corner:9,1"),
         (["qmc", "--integrand", "monomial:0,9"], "monomial:0,9"),
         (["classic", "--p", "0"], "--p 0"),
@@ -184,7 +192,8 @@ def test_classic_estimate_grid_limit():
         (["norm", "--p", "abc"], "--p abc"),
     ],
     ids=[
-        "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "qmc-corner",
+        "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "coeffs-jmax",
+        "qmc-corner",
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
         "classic-p-1e7", "norm-p-text",

@@ -17,6 +17,7 @@ from dyadisc import (
     ZERO,
     axis_factor,
     build_family,
+    corner_product,
     counting_sums,
     dyadic,
     haar_eval,
@@ -33,11 +34,19 @@ from dyadisc import (
     oracle_mu_grid,
     predict_davenport,
     predict_symmetrized,
+    qmc_integrate,
+    reflect,
     symmetrize_davenport,
     symmetrize_full,
 )
 from dyadisc import besov
-from dyadisc.haar import _antiderivative_numerator, _oracle_axis_factor, _tent_numerator
+from dyadisc.haar import (
+    _antiderivative_numerator,
+    _count_scale,
+    _oracle_axis_factor,
+    _scan_level,
+    _tent_numerator,
+)
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -61,6 +70,31 @@ def random_multiset(rng, res, size):
         [(dyadic(coord(), res), dyadic(coord(), res)) for _ in range(size)],
         resolution=res,
     )
+
+
+def endpoint_multiset(res):
+    """Points on x = 0, y = 0 and coordinate 1, plus interval midpoints."""
+    half, quarter = dyadic(1, 1), dyadic(1, 2)
+    return PointMultiset([(0, 0), (1, quarter), (half, 1), (0, 1)], resolution=res)
+
+
+def summary_fields(summary):
+    return (
+        summary.accs.tolist(),
+        summary.counts.tolist(),
+        summary.scale,
+        summary.occupied_boxes,
+        summary.empty_boxes,
+    )
+
+
+def generic_fields(points, j1, j2):
+    """The fields of level_value_counts, from the generic scan of every point."""
+    _, sums = _scan_level(points, j1, j2)
+    accs, counts = np.unique(sums, return_counts=True)
+    occupied = int(counts.sum())
+    boxes = 1 << (max(j1, 0) + max(j2, 0))
+    return accs.tolist(), counts.tolist(), _count_scale(points), occupied, boxes - occupied
 
 
 def box_of(k, j, res):
@@ -272,11 +306,13 @@ def test_level_map_matches_oracle_across_guard(res):
                     assert level.occupied.get((m1, m2), level.empty_value) == expected
 
 
-@pytest.mark.parametrize("res", [20, 31, 40, 64])
+@pytest.mark.parametrize("res", [20, 29, 31, 40, 64])
 def test_level_operand_matches_dyadic_route_across_guard(res):
     # the integer numerators of level_value_counts must give the operand
     # float for float equal to the one taken from the DyadicRational values
-    # of mu_all_at_level, on int64 scans (res = 20) and exact ones above
+    # of mu_all_at_level, on int64 scans (res = 20) and exact ones above;
+    # the two symmetrizations take the folded route of level_value_counts
+    # and mu_all_at_level the generic scan of the union
     rng = random.Random(res)
     levels = (-1, 0, 1, 2, res // 2, res - 1)
     params = (
@@ -284,8 +320,19 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
         BesovParams(1.5, math.inf, 0.2),
         BesovParams(math.inf, 2, -0.5),
     )
-    for size in (1, 4, 8, 64):
-        points = random_multiset(rng, res, size)
+    bases = [random_multiset(rng, res, size) for size in (1, 4, 8, 64)]
+    bases.append(endpoint_multiset(res))
+    if res == 29:
+        # 8 base points fit int64 (58 + 4 <= 62), their unions do not
+        assert bases[2].scaled_coords()[0].dtype == np.int64
+        assert symmetrize_davenport(bases[2]).scaled_coords()[0].dtype == object
+        assert symmetrize_full(bases[2]).scaled_coords()[0].dtype == object
+    sets = [
+        points
+        for base in bases
+        for points in (base, symmetrize_davenport(base), symmetrize_full(base))
+    ]
+    for points in sets:
         for j1 in levels:
             for j2 in levels:
                 summary = level_value_counts(points, j1, j2)
@@ -303,6 +350,40 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
                 for p in params:
                     expected = besov._operand(j1 + j2, log2s, p)
                     assert besov._level_operand(summary, p) == expected
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+def test_fold_route_matches_generic_scan(symmetrize, preset):
+    # level_value_counts scans the folded base of a symmetrization; the
+    # generic scan of the whole union is its oracle, on every level
+    for n in range(1, 11):
+        points = symmetrize(hammersley_type(n, sigma(preset, n)))
+        for j1 in range(-1, n + 3):
+            for j2 in range(-1, n + 3):
+                expected = generic_fields(points, j1, j2)
+                assert summary_fields(level_value_counts(points, j1, j2)) == expected, (n, j1, j2)
+        assert "folded" in points._cache
+
+
+def test_fold_is_lazy_and_only_for_recorded_unions():
+    base = hammersley_type(4, sigma("alternating", 4))
+    full = symmetrize_full(base)
+    assert (base._reflected, full._reflected) == ((False, False), (True, True))
+    assert symmetrize_davenport(base)._reflected == (False, True)
+    mu_all_at_level(full, 1, 2)
+    qmc_integrate(full, corner_product(1, 1))
+    assert "folded" not in full._cache
+    # the mirrored union holds the same points, but records no reflections
+    mirrored = reflect(full, "X")
+    assert mirrored._reflected == (False, False)
+    for j1 in range(-1, 7):
+        for j2 in range(-1, 7):
+            summary = summary_fields(level_value_counts(mirrored, j1, j2))
+            assert summary == generic_fields(mirrored, j1, j2)
+            assert summary == summary_fields(level_value_counts(full, j1, j2))
+    assert "folded" not in mirrored._cache
+    assert "folded" in full._cache
 
 
 def test_level_map_single_point_example():
