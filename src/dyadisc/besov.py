@@ -117,8 +117,8 @@ def _operand(level: int, log2s, params: BesovParams) -> float:
     """Weight 2^(level (r - 1/p + 1)) times the l_p norm of the values.
 
     log2s holds (log2 |value|, multiplicity) pairs. Assembled in log2 space
-    so deep levels cannot underflow prematurely; contributions are combined
-    largest-first for reproducibility.
+    so deep levels cannot underflow prematurely. math.fsum rounds the sum of
+    the contributions once, so their order never changes the result.
     """
     p = params.p
     logs = [
@@ -130,7 +130,7 @@ def _operand(level: int, log2s, params: BesovParams) -> float:
     if p == INF:
         return 2.0 ** (weight + max(logs))
     top = max(logs)
-    total = math.fsum(2.0 ** (entry - top) for entry in sorted(logs, reverse=True))
+    total = math.fsum(2.0 ** (entry - top) for entry in logs)
     return 2.0 ** (weight + (top + math.log2(total)) / p)
 
 

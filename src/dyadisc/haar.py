@@ -12,16 +12,18 @@ one position per level; positions never hit carry only the volume term.
 Two structurally different factor computations coexist on purpose. The
 closed tent form drives the fast paths; an independent evaluation via the
 piecewise-linear antiderivative of the Haar function cross-checks it.
-Both give integer numerators at the scale 2^res of the point grid, so the
-per-index routes and the coefficient grids sum plain integers and build
-exact DyadicRational values only when they return.
+Each is written once, elementwise on ints or arrays, and gives integer
+numerators at the scale 2^res of the point grid, so the per-index routes
+and the coefficient grids sum integer arrays and build exact
+DyadicRational values only when they return.
 
 Level scans work on integer numerators at the fixed scale 2^(2 res). Each
 coefficient depends only on the points inside its box, so the points of a
 j1 row are sorted once by (m1, y) and every j2 of that row groups them
 without sorting again. Level summaries keep the distinct numerators and
 their counts; DyadicRational values are built only when a caller reads
-them.
+them. A summary is built on every call and not kept: a multiset caches
+only its latest sorted row and its folded base.
 
 The symmetrizations are scanned through their folded base. Reflecting
 x -> 1 - x keeps a point's tent on every level j >= 0 and moves it from
@@ -188,25 +190,28 @@ def _tents(k, j: int, res: int, reflected: bool = False):
     return abs((k & (per - 1)) - half) - half, k >> (res - j)
 
 
-def _tent_numerator(j: int, m: int, k: int, res: int) -> int:
+def _tent_numerator(j: int, m, k, res: int):
     """Closed tent form: the numerator of _tents where its position is m."""
     tent, position = _tents(k, j, res)
-    return tent if position == m else 0
+    return tent * (position == m)
 
 
-def _antiderivative_numerator(j: int, m: int, k: int, res: int) -> int:
+def _antiderivative_numerator(j: int, m, k, res: int):
     """H(1) - H(z) for H(u) = int_0^u h_{j,m}: minus the height of H at z.
 
     H rises from 0 at the left end of the interval to its midpoint, falls
-    back to 0 at the right end and is 0 elsewhere, so the height is
-    max(0, min(k - left, right - k)) at scale 2^res.
+    back to 0 at the right end and is 0 elsewhere, so at scale 2^res the
+    height is h = half - |k - (left + half)| where h > 0, half = 2^(res-j-1).
+    m and k are ints or int64 or object arrays that broadcast; plain
+    arithmetic keeps Python ints exact past int64.
     """
     if j == -1:
         return (1 << res) - k
     if j >= res:
-        return 0
-    left = m << (res - j)
-    return -max(0, min(k - left, left + (1 << (res - j)) - k))
+        return k * 0
+    half = 1 << (res - j - 1)
+    h = half - abs(k - ((m << (res - j)) + half))
+    return -((h + abs(h)) >> 1)
 
 
 def _factor_at(numerator, j: int, m: int, z: DyadicRational) -> DyadicRational:
@@ -255,19 +260,13 @@ def oracle_mu(points: PointMultiset, idx: HaarIndex) -> DyadicRational:
 
 
 def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> DyadicRational:
-    n = len(points)
-    if n == 0:
-        raise ValueError("empty point multiset")
-    nu = _pow2_log(n)
+    # the factor products summed at scale 2^(2 res), in the dtype of
+    # scaled_coords(), whose guard bounds the sum
+    scale = _count_scale(points)
     res = points.n_resolution
-    kx, ky = (arr.tolist() for arr in points.scaled_coords())
-    j1, m1, j2, m2 = idx.j1, idx.m1, idx.j2, idx.m2
-    total = 0  # sum of factor products at scale 2^(2 res)
-    for x, y in zip(kx, ky):
-        a = numerator(j1, m1, x, res)
-        if a:
-            total += a * numerator(j2, m2, y, res)
-    return _coefficients([total], 2 * res + nu, j1, j2)[0]
+    kx, ky = points.scaled_coords()
+    products = numerator(idx.j1, idx.m1, kx, res) * numerator(idx.j2, idx.m2, ky, res)
+    return _coefficients([int(products.sum())], scale, idx.j1, idx.j2)[0]
 
 
 # -- level-wise scans ---------------------------------------------------------
@@ -299,16 +298,16 @@ def _folded_base(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray]:
     """The base of a recorded symmetrization, folded on its reflected axes.
 
     The base is the first len(points) / 2^k entries, k the number of
-    reflected axes; a reflected coordinate k becomes min(k, 2^res - k).
-    The arrays keep the union's dtype, so its int64 guard bounds every sum
-    of a folded scan. Built on first use and cached.
+    reflected axes; a reflected coordinate k becomes min(k, 2^res - k),
+    minus its level-0 tent. The arrays keep the union's dtype, so its int64
+    guard bounds every sum of a folded scan. Built on first use and cached.
     """
     folded = points._cache.get("folded")
     if folded is None:
-        full = 1 << points.n_resolution
+        res = points.n_resolution
         size = len(points) >> sum(points._reflected)
         folded = tuple(
-            np.minimum(k[:size], full - k[:size]) if reflected else k[:size]
+            -_tents(k[:size], 0, res)[0] if reflected else k[:size]
             for k, reflected in zip(points.scaled_coords(), points._reflected)
         )
         points._cache["folded"] = folded
@@ -432,18 +431,16 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
-    """Grouped coefficient values on the level, memoized per multiset.
+    """Grouped coefficient values on the level, built afresh on each call.
 
     A symmetrization that recorded its reflected axes is scanned through
     its folded base (see _folded_base). On each reflected axis a box sum of
     the union is then the folded sum with factor 2^res on level -1; twice
     the folded sum on level 0, whose one position is its own mirror; and on
     a level above 0 the folded sum shared by the box and its mirror, so the
-    count doubles.
+    count doubles. No summary is kept: a norm reads each level once, and
+    only the latest sorted row and the folded base stay in points._cache.
     """
-    cached = points._cache.get(("level", j1, j2))
-    if cached is not None:
-        return cached
     scale = _count_scale(points)
     reflected = points._reflected
     _, sums = _scan_level(points, j1, j2, reflected)
@@ -455,11 +452,9 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
             elif axis_reflected and j > 0:
                 counts = counts * 2
     occupied = int(counts.sum())
-    summary = LevelSummary(
+    return LevelSummary(
         j1, j2, accs, counts, scale, occupied, (1 << (max(j1, 0) + max(j2, 0))) - occupied
     )
-    points._cache[("level", j1, j2)] = summary
-    return summary
 
 
 # -- batch per-index tables ----------------------------------------------------
@@ -489,18 +484,15 @@ def _level_rows(j: int) -> slice:
 def _factor_matrix(ks: np.ndarray, j_max: int, res: int) -> np.ndarray:
     """Antiderivative factors times 2^res, one row per (j, m), one column per point.
 
-    Row (j, m) is -max(0, min(k - left, right - k)) over the interval
-    [left, right) of the position at scale 2^res; the level -1 row is
-    2^res - k and rows with j >= res are zero. The dtype is that of ks.
+    Each level's block is _antiderivative_numerator over a column of its
+    positions and the row ks, in the dtype of ks.
     """
-    rows = [((1 << res) - ks)[None, :]]
-    for j in range(j_max + 1):
-        if j >= res:
-            rows.append(np.zeros((1 << j, len(ks)), dtype=ks.dtype))
-            continue
-        left = (np.arange(1 << j, dtype=ks.dtype) << (res - j))[:, None]
-        rows.append(-np.maximum(0, np.minimum(ks - left, left + (1 << (res - j)) - ks)))
-    return np.concatenate(rows)
+    blocks = []
+    for j in range(-1, j_max + 1):
+        m = np.arange(1 if j == -1 else 1 << j, dtype=ks.dtype)[:, None]
+        block = _antiderivative_numerator(j, m, ks, res)
+        blocks.append(np.broadcast_to(block, (len(m), len(ks))))
+    return np.concatenate(blocks)
 
 
 def mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
@@ -524,7 +516,7 @@ def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicR
     PointMultiset.scaled_coords() holds, independent of the level scans
     behind :func:`mu_grid`.
     """
-    nu = _pow2_log(len(points))
+    scale = _count_scale(points)
     res = points.n_resolution
     kx, ky = points.scaled_coords()
     sums = _factor_matrix(kx, j_max, res) @ _factor_matrix(ky, j_max, res).T
@@ -532,7 +524,7 @@ def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicR
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):
             block = sums[_level_rows(j1), _level_rows(j2)].ravel().tolist()
-            values += _coefficients(block, 2 * res + nu, j1, j2)
+            values += _coefficients(block, scale, j1, j2)
     return dict(zip(_grid_indices(j_max), values))
 
 

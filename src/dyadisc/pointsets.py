@@ -112,8 +112,8 @@ class PointMultiset:
 
     The entry order is the generation order, which makes every floating
     accumulation downstream deterministic. Instances are immutable; a small
-    cache dict holds the latest sorted level row and memoized per-level
-    coefficient summaries.
+    cache dict holds the latest sorted level row and, for a symmetrization,
+    its folded base (see haar._level_row and haar._folded_base).
 
     The two symmetrizations record which axes their union reflects, in
     _reflected (x, y): the union is its first len / 2^k entries, the base,

@@ -1,6 +1,9 @@
 """Sequence-norm assembly: admissibility, level terms, tails, ratios."""
 
+import gc
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -12,11 +15,13 @@ from dyadisc import (
     besov_norm_truncated,
     hammersley_type,
     level_term,
+    level_value_counts,
     scaling_ratio,
     symmetrize_davenport,
     symmetrize_full,
     validate,
 )
+from dyadisc import besov
 
 INF = math.inf
 
@@ -175,3 +180,49 @@ def test_zero_resolution_set():
     exact = besov_norm_exact(corner, params)
     truncated = besov_norm_truncated(corner, params, 45)
     assert abs(exact.total - truncated.total) / exact.total <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "params", [BesovParams(2, 2, -0.3), BesovParams(1.5, INF, 0.2), BesovParams(3, 1, -0.5)]
+)
+def test_operand_ignores_the_order_of_its_pairs(params):
+    # math.fsum rounds the sum once, so any order of a level's
+    # (log2 |value|, multiplicity) pairs gives the identical float
+    points = rt(8, "random")
+    rng = random.Random(8)
+    for j1, j2 in ((3, 5), (4, 4), (5, 7), (6, 5), (7, 7)):
+        pairs = list(besov._level_log2s(level_value_counts(points, j1, j2)))
+        assert len(pairs) >= 2, (j1, j2)
+        expected = besov._operand(j1 + j2, pairs, params)
+        orders = [sorted(pairs, reverse=True), sorted(pairs), pairs[::-1]]
+        orders += [rng.sample(pairs, len(pairs)) for _ in range(5)]
+        for order in orders:
+            assert besov._operand(j1 + j2, order, params) == expected, (j1, j2)
+
+
+@pytest.mark.parametrize("n", [10, 12, 14])
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+def test_norm_leaves_no_per_level_state(symmetrize, n):
+    # after a norm the multiset keeps only the latest sorted row (three
+    # arrays) and the folded base (two arrays), each of at most N / 2^k
+    # int64 entries for k reflected axes; level summaries are not kept
+    points = symmetrize(hammersley_type(n, SignPattern.from_preset("random", n, seed=7)))
+    reflected = sum(points._reflected)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        besov_norm_exact(points, BesovParams(2, 2, -0.3))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert set(points._cache) == {"row", "folded"}
+    assert retained < 5 * 8 * len(points) >> reflected, retained
+    first = level_value_counts(points, 2, n - 3)
+    second = level_value_counts(points, 2, n - 3)
+    assert first is not second
+    for field in ("j1", "j2", "scale", "occupied_boxes", "empty_boxes"):
+        assert getattr(first, field) == getattr(second, field)
+    assert first.accs.tolist() == second.accs.tolist()
+    assert first.counts.tolist() == second.counts.tolist()

@@ -207,6 +207,33 @@ def test_factor_numerators_against_brute():
                     assert _antiderivative_numerator(j, m, k, res) == expected, (j, m, k, res)
 
 
+@pytest.mark.parametrize("res", [20, 40, 64])
+def test_factor_numerators_on_arrays(res):
+    # both integer forms take int64 arrays (res = 20) and Python-int object
+    # arrays (res = 40, 64) of grid points, and a column of positions that
+    # broadcasts against them; every entry equals the scalar form
+    rng = random.Random(res)
+    dtype = np.int64 if res == 20 else object
+    full = 1 << res
+    ks = [0, full, 1, full - 1, full >> 1] + [rng.randint(0, full) for _ in range(27)]
+    k = np.array(ks, dtype=dtype)
+    for j in (-1, 0, res - 1, res, res + 1):
+        width = 1 if j == -1 else 1 << j
+        positions = {0, width - 1} | {rng.randrange(width) for _ in range(4)}
+        if j >= 0:
+            positions |= {box_of(x, j, res) for x in ks[:12]}
+        positions = sorted(positions)
+        column = np.array(positions, dtype=dtype)[:, None]
+        for numerator in (_tent_numerator, _antiderivative_numerator):
+            expected = [[numerator(j, m, x, res) for x in ks] for m in positions]
+            assert all(type(value) is int for row in expected for value in row)
+            for m, row in zip(positions, expected):
+                values = numerator(j, m, k, res)
+                assert values.dtype == dtype and values.tolist() == row, (numerator, j, m)
+            table = np.broadcast_to(numerator(j, column, k, res), (len(positions), len(ks)))
+            assert table.dtype == dtype and table.tolist() == expected, (numerator, j)
+
+
 def test_axis_factors_off_grid():
     # z finer than the grid of res: the wrappers pick z's own scale
     rng = random.Random(5)
