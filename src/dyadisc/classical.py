@@ -270,10 +270,12 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
     Subdivides to step 2^-(resolution + extra_depth), no finer than 2^-16
     (ValueError past that); returns the estimate of the integral of |D|^p
     and the midpoint count per axis. Approximate by construction, unlike
-    the even-p route.
+    the even-p route. extra_depth >= 0 keeps every midpoint off the breaks.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must satisfy 0 < p < inf, got {p}")
+    if extra_depth < 0:
+        raise ValueError(f"extra_depth must be >= 0, got {extra_depth}")
     n = len(points)
     res = points.n_resolution
     if res + extra_depth > _MAX_ESTIMATE_DEPTH:

@@ -352,7 +352,11 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
+    parser = _build_parser()
+    given = vars(parser.parse_args(argv))
+    if "seed" in given and given.get("sigma", RunConfig.sigma) not in ("random", "all"):
+        parser.error(f"--seed {given['seed']}: only --sigma random (or verify's all) reads it")
+    return run(RunConfig(**given))
 
 
 if __name__ == "__main__":

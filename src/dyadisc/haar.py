@@ -280,18 +280,15 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
 
 
 def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
-    """Sums of vals per run of equal keys; keys must be non-decreasing."""
+    """Sums of vals along its last axis per run of equal keys.
+
+    keys must be non-decreasing; vals is one row, or a stack of rows that
+    share the keys.
+    """
     if not keys.size:
         return keys, vals
     cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[cuts], np.add.reduceat(vals, cuts)
-
-
-def _box_sums(m1, m2, width2: int, vals, mask) -> Tuple[np.ndarray, np.ndarray]:
-    """Sums of vals[mask] per box key m1 * width2 + m2, keys ascending."""
-    keys = m1[mask] * width2 + m2[mask]
-    order = np.argsort(keys, kind="stable")
-    return _group_sums(keys[order], vals[mask][order])
+    return keys[cuts], np.add.reduceat(vals, cuts, axis=-1)
 
 
 def _folded_base(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray]:
@@ -627,27 +624,27 @@ def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> Coefficient
 def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     """Integer tent sums for every box of one level, batched.
 
-    Returns three (keys, sums) array pairs with ascending keys
-    m1 * 2^j2 + m2: the x-sums scaled by 2^(res-j1-1), the y-sums scaled
-    by 2^(res-j2-1), and the product sums scaled by the product of the two.
-    Membership is per axis: a single-axis sum gates its own coordinate
-    strictly and the other by the half-open box; the product needs both
-    strict. Levels must lie in [0, resolution].
+    Returns three (keys, sums) array pairs: the x-sums scaled by
+    2^(res-j1-1), the y-sums scaled by 2^(res-j2-1), and the product sums
+    scaled by the product of the two. The three share one key array: the
+    ascending keys m1 * 2^j2 + m2 of the boxes that hold a point with both
+    coordinates below 1. A box whose points all sit on tent edges is listed
+    with sum 0. A tent is zero off the open interval, so each sum gates its
+    own coordinates strictly and the others by the half-open box, as
+    counting_sums describes. Levels must lie in [0, resolution].
     """
     res = points.n_resolution
     if not (0 <= j1 <= res and 0 <= j2 <= res):
         raise ValueError(f"box levels must lie in [0, {res}]")
     kx, ky = points.scaled_coords()
-    nx, m1 = _tents(kx, j1, res)
-    ny, m2 = _tents(ky, j2, res)
-    nx, ny = -nx, -ny  # the unsigned tents
-    width2 = 1 << j2
-    # the product of the two signed tents is the product of the unsigned ones
-    return (
-        _box_sums(m1, m2, width2, nx, (nx != 0) & (m2 < width2)),
-        _box_sums(m1, m2, width2, ny, (ny != 0) & (m1 < (1 << j1))),
-        _scan_level(points, j1, j2),
-    )
+    inside = (kx < 1 << res) & (ky < 1 << res)  # coordinate 1 lies in no half-open box
+    nx, m1 = _tents(kx[inside], j1, res)
+    ny, m2 = _tents(ky[inside], j2, res)
+    keys = (m1 << j2) + m2
+    order = np.argsort(keys, kind="stable")
+    # the unsigned tents, and their product, which is that of the signed ones
+    keys, sums = _group_sums(keys[order], np.stack((-nx, -ny, nx * ny))[:, order])
+    return tuple((keys, row) for row in sums)
 
 
 def counting_sums(
@@ -672,9 +669,9 @@ def counting_sums(
         return ZERO, ZERO, ZERO
     key = ((m1 >> s1) << l2) + (m2 >> s2)
     exponents = (res - l1 - 1, res - l2 - 1, 2 * res - l1 - l2 - 2)
-    out = []
-    for (keys, sums), exponent in zip(level_counting_sums(points, l1, l2), exponents):
-        i = int(np.searchsorted(keys, key))
-        hit = i < len(keys) and keys[i] == key
-        out.append(dyadic(int(sums[i]), exponent) if hit else ZERO)
-    return tuple(out)
+    pairs = level_counting_sums(points, l1, l2)
+    keys = pairs[0][0]
+    i = int(np.searchsorted(keys, key))
+    if i == len(keys) or keys[i] != key:
+        return ZERO, ZERO, ZERO
+    return tuple(dyadic(int(sums[i]), e) for (_, sums), e in zip(pairs, exponents))

@@ -260,26 +260,22 @@ def is_net(points: PointMultiset, n: int) -> bool:
 
     Checks all shapes (j1, j2) with j1 + j2 = n, j_i >= 0. A coordinate
     exactly equal to 1 lies in no half-open box, which forces a failure.
+    The box index of k / 2^res on level j is (k << j) >> res, on either
+    side of j = res; it stays below 2^(res + n) <= 2^61 under the int64
+    guard of scaled_coords(), since N = 2^n.
     """
     if len(points) != 1 << n:
         raise ValueError(f"expected 2^{n} points, got {len(points)}")
     res = points.n_resolution
-    kx, ky = (arr.tolist() for arr in points.scaled_coords())
+    kx, ky = points.scaled_coords()
+    if not ((kx < 1 << res) & (ky < 1 << res)).all():
+        return False
     for j1 in range(n + 1):
         j2 = n - j1
-        seen = set()
-        for x, y in zip(kx, ky):
-            key = (_box_index(x, j1, res), _box_index(y, j2, res))
-            if None in key or key in seen:
-                return False
-            seen.add(key)
+        keys = np.sort((((kx << j1) >> res) << j2) + ((ky << j2) >> res), kind="stable")
+        if (keys[1:] == keys[:-1]).any():
+            return False
     return True
-
-
-def _box_index(k: int, j: int, res: int) -> Optional[int]:
-    # half-open boxes: index floor(z * 2^j); z = 1 falls outside
-    m = (k >> (res - j)) if res >= j else (k << (j - res))
-    return m if m < (1 << j) else None
 
 
 def build_family(family: str, n: int, sigma: SignPattern) -> PointMultiset:

@@ -162,28 +162,24 @@ def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckRep
     points = hammersley_type(n, sigma)
     for j1 in range(n):
         for j2 in range(n - j1):
-            (_, sums_x), (_, sums_y), (_, sums_xy) = level_counting_sums(points, j1, j2)
+            (keys, sums_x), (_, sums_y), (_, sums_xy) = level_counting_sums(points, j1, j2)
             boxes = 1 << (j1 + j2)
+            every_box = len(keys) == boxes  # the three sums share their keys
             # integer targets at the scan's fixed scales
-            single_x = 1 << (2 * n - 2 * j1 - j2 - 2)
-            single_y = 1 << (2 * n - j1 - 2 * j2 - 2)
-            note = f"level ({j1},{j2})"
-            report.record(
-                len(sums_x) == boxes and bool((sums_x == single_x).all()),
-                lambda: f"{note}: x-sums differ from 2^(n-j1-j2-1)",
-                boxes,
-            )
-            report.record(
-                len(sums_y) == boxes and bool((sums_y == single_y).all()),
-                lambda: f"{note}: y-sums differ from 2^(n-j1-j2-1)",
-                boxes,
-            )
+            targets = [
+                (sums_x, 1 << (2 * n - 2 * j1 - j2 - 2), "x-sums differ from 2^(n-j1-j2-1)"),
+                (sums_y, 1 << (2 * n - j1 - 2 * j2 - 2), "y-sums differ from 2^(n-j1-j2-1)"),
+            ]
             if j1 + j2 < n - 1:
                 eps = low_level_sign(sigma, j1, j2)
                 product = (1 << (3 * n - 2 * (j1 + j2) - 4)) + eps * (1 << (n - 2))
+                targets.append(
+                    (sums_xy, product, "product sums differ from 2^(n-j1-j2-2) + eps 2^(j1+j2-n)")
+                )
+            for sums, target, what in targets:
                 report.record(
-                    len(sums_xy) == boxes and bool((sums_xy == product).all()),
-                    lambda: f"{note}: product sums differ from 2^(n-j1-j2-2) + eps 2^(j1+j2-n)",
+                    every_box and bool((sums == target).all()),
+                    lambda: f"level ({j1},{j2}): {what}",
                     boxes,
                 )
     return report

@@ -265,6 +265,14 @@ def test_lp_estimate_grid_limit():
         lp_estimate(PointMultiset([(0.5, 0.5)]), 3, extra_depth=16)
 
 
+@pytest.mark.parametrize("depth", [-1, -2, -5])
+def test_lp_estimate_rejects_negative_extra_depth(depth):
+    # depths -1 and -2 would put midpoints on grid breaks, -5 a negative shift
+    points = build_family("davenport", 4, SignPattern.identity(4))
+    with pytest.raises(ValueError, match=f"extra_depth must be >= 0, got {depth}"):
+        lp_estimate(points, 3, extra_depth=depth)
+
+
 def test_star_examples():
     assert star_discrepancy(PointMultiset([(0.5, 0.5)])).as_fraction() == Fraction(3, 4)
     assert star_discrepancy(PointMultiset([(0.0, 0.0)])).as_fraction() == 1

@@ -263,6 +263,19 @@ def test_unread_flag_exits_naming_it(capsys, sub, flag):
     assert f"{flag} {SHARED_VALUES[flag]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", sorted(FLAGS_READ))
+def test_seed_without_random_pattern_exits_naming_it(capsys, sub):
+    # the default pattern, identity, ignores the seed, and so does an explicit one
+    for argv in ([sub, "--n", "1", "--seed", "3"],
+                 [sub, "--n", "1", "--sigma", "alternating", "--seed", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--seed 3" in capsys.readouterr().err
+    random_sigma = "all" if sub == "verify" else "random"
+    assert main([sub, "--n", "1", "--sigma", random_sigma, "--seed", "3"]) == 0
+
+
 def test_subcommands_accept_only_the_flags_they_read():
     (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     accepted = {

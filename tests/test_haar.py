@@ -603,8 +603,10 @@ def test_counting_sums_against_brute_fine_resolution(res):
     # the int64 guard 2 res + N.bit_length() <= 62 flips at res = 30 for these sizes
     rng = random.Random(res)
     levels = (0, 1, res // 2, res - 1, res, res + 1)
-    for size in (2, 3, 5, 8):
-        points = random_multiset(rng, res, size)
+    sets = [random_multiset(rng, res, size) for size in (2, 3, 5, 8)]
+    # its one point with both coordinates below 1 sits on every tent edge
+    sets.append(endpoint_multiset(res))
+    for points in sets:
         kx, ky = (arr.tolist() for arr in points.scaled_coords())
         for j1 in levels:
             for j2 in levels:
@@ -617,10 +619,21 @@ def test_counting_sums_against_brute_fine_resolution(res):
                     continue
                 scales = (Fraction(2) ** (res - j1 - 1), Fraction(2) ** (res - j2 - 1))
                 scales += (scales[0] * scales[1],)
-                for axis, (keys, sums) in enumerate(level_counting_sums(points, j1, j2)):
-                    keys = keys.tolist()
-                    assert keys == sorted(set(keys))
-                    found = {divmod(k, 1 << j2): v for k, v in zip(keys, sums.tolist())}
+                level = level_counting_sums(points, j1, j2)
+                # one key array: the sorted boxes that hold a point with both coordinates < 1
+                held = {
+                    ((x >> (res - j1)) << j2) + (y >> (res - j2))
+                    for x, y in zip(kx, ky)
+                    if max(x, y) < 1 << res
+                }
+                for keys, _ in level:
+                    assert keys.tolist() == sorted(held)
+                # the product sums are the level scan's, and 0 on boxes it does not list
+                scan = dict(zip(*(arr.tolist() for arr in _scan_level(points, j1, j2))))
+                assert set(scan) <= held
+                assert level[2][1].tolist() == [scan.get(key, 0) for key in sorted(held)]
+                for axis, (keys, sums) in enumerate(level):
+                    found = {divmod(k, 1 << j2): v for k, v in zip(keys.tolist(), sums.tolist())}
                     assert set(found) <= set(brute)
                     for box, expected in brute.items():
                         assert found.get(box, 0) / scales[axis] == expected[axis]

@@ -161,11 +161,34 @@ def test_net_property_small(preset):
         assert is_net(hammersley_type(n, sigma(preset, n)), n)
 
 
+def exact_copy(points):
+    """The same multiset held in arrays of Python ints, the dtype past the int64 guard."""
+    copy = PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution)
+    for name, k in zip(("_kx", "_ky"), points.scaled_coords()):
+        object.__setattr__(copy, name, k.astype(object))
+    return copy
+
+
 def test_net_property_counterexample():
     bad = PointMultiset([(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)], resolution=2)
     assert not is_net(bad, 2)
     with pytest.raises(ValueError):
         is_net(bad, 3)
+    # a Hammersley net on a 2^-40 grid crosses the int64 guard
+    base = hammersley_type(3, sigma("alternating", 3))
+    fine = PointMultiset(base, resolution=40)
+    assert fine.scaled_coords()[0].dtype == object
+    assert is_net(fine, 3)
+    entries = list(fine)
+    entries[5] = (dyadic(1), entries[5].y)
+    assert not is_net(PointMultiset(entries, resolution=40), 3)
+    # at resolution 2 < n = 3 the boxes of level 3 take k << (3 - 2): only the even
+    # ones are hit, in int64 and in Python ints alike
+    coarse = PointMultiset(
+        [(dyadic(k, 2), dyadic(k * 3 % 4, 2)) for k in range(4)] * 2, resolution=2
+    )
+    for points in (coarse, exact_copy(coarse)):
+        assert not is_net(points, 3)
 
 
 def test_point_on_coarser_grid_rejected():
