@@ -165,7 +165,7 @@ def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:
 
 def _group_cumsum(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Running sums of w, in place, restarting at every index in starts."""
-    w[starts] -= np.add.reduceat(w, np.r_[0, starts])[:-1]
+    w[starts] -= np.add.reduceat(w, np.concatenate(([0], starts)))[:-1]
     return np.cumsum(w, out=w)
 
 

@@ -13,15 +13,13 @@ emitted.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import besov, classical, qmc, verify
 from .dyadic import DyadicRational
@@ -93,31 +91,57 @@ def _fmt_exact(value) -> Tuple[str, str, str]:
 
 
 class _Emitter:
-    def __init__(self, header: List[str]):
-        self.header = header
-        self.rows: List[Sequence[str]] = []
+    """CSV, or a JSON list of objects, built one block of rows at a time.
 
-    def row(self, *values):
-        self.rows.append([str(v) for v in values])
+    A row is a lead and a tail, fragments of cells joined by "," (CSV) or by ",\n"
+    after their JSON keys. Cells are escaped a column at a time and rows sharing a
+    lead are one join, so no Python code runs per row.
+    """
 
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            objs = [dict(zip(self.header, row)) for row in self.rows]
-            return json.dumps(objs, indent=2) + "\n"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
-        return buf.getvalue()
+    def __init__(self, header: List[str], fmt: str):
+        self.json = fmt == "json"
+        self.keys = [f"    {json.dumps(key)}: " for key in header]  # CSV counts them
+        self.sep, self.open, self.row_sep = (
+            (",\n", "  {\n", "\n  },\n") if self.json else (",", "", "\n"))
+        self.pieces: List[str] = []
+        if not self.json:
+            self.row(*header)
 
+    def _bare(self, column: List[str]) -> bool:
+        """Whether csv.writer, ending lines with "\n", would leave every cell unquoted."""
+        return not {",", '"', "\n"} & set("".join(column)) and (len(self.keys) > 1 or all(column))
 
-def _emit(config: RunConfig, emitter: _Emitter) -> None:
-    text = emitter.render(config.fmt)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    def _column(self, key: str, column: List[str]) -> Iterable[str]:
+        if self.json:  # one call escapes the column: escaped strings hold no raw newline
+            return map(key.__add__, json.dumps(column, separators=("\n", ":"))[1:-1].split("\n"))
+        if self._bare(column):
+            return column
+        quoted = {cell: cell if self._bare([cell]) else '"%s"' % cell.replace('"', '""')
+                  for cell in set(column)}
+        return map(quoted.get, column)
+
+    def fragments(self, columns: Sequence[List[str]], start: int = 0) -> List[str]:
+        """Rendered rows, given column by column, of the columns from start on."""
+        return list(map(self.sep.join, zip(*map(self._column, self.keys[start:], columns))))
+
+    def block(self, tails: Sequence[str], lead: Optional[str] = None) -> None:
+        """One row per tail, each after the rendered lead if there is one."""
+        pre = self.open if lead is None else self.open + lead + self.sep
+        self.pieces += (self.row_sep, pre + (self.row_sep + pre).join(tails))
+
+    def row(self, *values) -> None:
+        self.block(self.fragments([[str(value)] for value in values]))
+
+    def emit(self, out: Optional[str]) -> None:
+        """Write the table to the file named out, or to stdout."""
+        end = "\n  }\n]\n" if self.json else "\n"
+        # a separator goes before every block but the first; only a JSON table can be empty
+        pieces = ["[\n" if self.json else "", *self.pieces[1:], end] if self.pieces else ["[]\n"]
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -125,46 +149,46 @@ def _emit(config: RunConfig, emitter: _Emitter) -> None:
 
 def _cmd_gen(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
-    emitter = _Emitter(["num_x", "num_y", "den"])
-    den = str(1 << points.n_resolution)
-    kx, ky = (arr.tolist() for arr in points.scaled_coords())
-    emitter.rows.extend(zip(map(str, kx), map(str, ky), repeat(den)))
-    _emit(config, emitter)
+    emitter = _Emitter(["num_x", "num_y", "den"], config.fmt)
+    kx, ky = (list(map(str, arr.tolist())) for arr in points.scaled_coords())
+    emitter.block(emitter.fragments([kx, ky, [str(1 << points.n_resolution)] * len(kx)]))
+    emitter.emit(config.out)
     return 0
 
 
 def _cmd_coeffs(config: RunConfig) -> int:
-    points = build_family(config.family, config.n, _sigma(config, config.n))
     j_max = config.n if config.j_max is None else config.j_max
     if j_max < -1:
         raise SystemExit(f"--jmax {j_max}: levels start at -1")
-    emitter = _Emitter(["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"])
-    # Most positions of a level share its empty-box value, so every string is
-    # built once (per label, per distinct value) and the rows share them.
+    if j_max > 10:  # the 4^(jmax + 1) rows are held in memory before they are written
+        raise SystemExit(f"--jmax {j_max}: {4 ** (j_max + 1):,} rows, "
+                         f"over the limit of {4 ** 11:,} (--jmax 10)")
+    points = build_family(config.family, config.n, _sigma(config, config.n))
+    emitter = _Emitter(["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"], config.fmt)
     labels = [str(m) for m in range(1 << max(j_max, 0))]
-    rendered = {}
+    rendered: Dict[Tuple[int, int], str] = {}  # (mantissa, exponent) -> "," + value cells
 
-    def render(mu: DyadicRational) -> Tuple[str, str, str]:
+    def render(mu: DyadicRational) -> str:
         key = (mu.mantissa, mu.exponent)
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = (
-                str(mu.mantissa), str(mu.exponent), _fmt_float(mu.to_float())
-            )
-        return text
+        if key not in rendered:
+            cells = [[str(mu.mantissa)], [str(mu.exponent)], [_fmt_float(mu.to_float())]]
+            rendered[key] = emitter.sep + emitter.fragments(cells, 4)[0]
+        return rendered[key]
 
+    # a level's tails hold the empty value, patched in copies for m1 rows with points
     for j1 in range(-1, j_max + 1):
+        width1 = 1 << max(j1, 0)
         for j2 in range(-1, j_max + 1):
             level = mu_all_at_level(points, j1, j2)
-            empty = render(level.empty_value)
-            occupied = {key: render(mu) for key, mu in level.occupied.items()}
-            prefix = (str(j1), str(j2))
-            emitter.rows.extend(
-                prefix + (labels[m1], labels[m2]) + occupied.get((m1, m2), empty)
-                for m1 in range(1 if j1 == -1 else 1 << j1)
-                for m2 in range(1 if j2 == -1 else 1 << j2)
-            )
-    _emit(config, emitter)
+            leads = emitter.fragments([[str(j1)] * width1, [str(j2)] * width1, labels[:width1]])
+            m2_cells = emitter.fragments([labels[: 1 << max(j2, 0)]], 3)
+            empty = list(map(str.__add__, m2_cells, repeat(render(level.empty_value))))
+            patched = {m1: empty.copy() for m1 in {m1 for m1, _ in level.occupied}}
+            for (m1, m2), mu in level.occupied.items():
+                patched[m1][m2] = m2_cells[m2] + render(mu)
+            for m1, lead in enumerate(leads):
+                emitter.block(patched.get(m1, empty), lead)
+    emitter.emit(config.out)
     return 0
 
 
@@ -185,20 +209,20 @@ def _cmd_norm(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     breakdown = _norm_for(config, points, params)
     emitter = _Emitter(
-        ["family", "n", "N", "p", "q", "r", "mode", "total", "core", "tail"]
+        ["family", "n", "N", "p", "q", "r", "mode", "total", "core", "tail"], config.fmt
     )
     emitter.row(
         config.family, config.n, len(points), config.p, config.q, config.r,
         config.mode, _fmt_float(breakdown.total), _fmt_float(breakdown.core_part),
         _fmt_float(breakdown.tail_part),
     )
-    _emit(config, emitter)
+    emitter.emit(config.out)
     return 0
 
 
 def _cmd_sweep(config: RunConfig) -> int:
     params = _params(config)
-    emitter = _Emitter(["family", "n", "N", "p", "q", "r", "norm", "ratio"])
+    emitter = _Emitter(["family", "n", "N", "p", "q", "r", "norm", "ratio"], config.fmt)
     for n in _n_range(config):
         points = build_family(config.family, n, _sigma(config, n))
         breakdown = _norm_for(config, points, params)
@@ -207,14 +231,14 @@ def _cmd_sweep(config: RunConfig) -> int:
             config.family, n, len(points), config.p, config.q, config.r,
             _fmt_float(breakdown.total), _fmt_float(ratio),
         )
-    _emit(config, emitter)
+    emitter.emit(config.out)
     return 0
 
 
 def _cmd_classic(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     emitter = _Emitter(
-        ["family", "n", "N", "stat", "value_num", "value_den", "value", "note"]
+        ["family", "n", "N", "stat", "value_num", "value_den", "value", "note"], config.fmt
     )
     p_text = config.p
     if p_text in ("inf", "star"):
@@ -237,7 +261,7 @@ def _cmd_classic(config: RunConfig) -> int:
                 f"midpoint estimate on {side}x{side} grid",
             )
     emitter.row(config.family, config.n, len(points), *row)
-    _emit(config, emitter)
+    emitter.emit(config.out)
     return 0
 
 
@@ -245,12 +269,12 @@ def _cmd_verify(config: RunConfig) -> int:
     n_range = _n_range(config)
     presets = (config.sigma,) if config.sigma != "all" else SIGMA_PRESETS
     reports = verify.run_suites(n_range[0], n_range[-1], presets, seed=config.seed)
-    emitter = _Emitter(["suite", "n", "sigma", "checked", "failures"])
+    emitter = _Emitter(["suite", "n", "sigma", "checked", "failures"], config.fmt)
     for report in reports:
         emitter.row(report.suite, report.n, report.sigma, report.checked, report.failures)
         for note in report.notes:
             print(f"FAIL {report.suite} n={report.n} {report.sigma}: {note}", file=sys.stderr)
-    _emit(config, emitter)
+    emitter.emit(config.out)
     checked = sum(report.checked for report in reports)
     failures = sum(report.failures for report in reports)
     print(f"verify: {checked} checks, {failures} failures", file=sys.stderr)
@@ -278,7 +302,7 @@ def _cmd_qmc(config: RunConfig) -> int:
         config.family, config.sigma, integrand, list(_n_range(config)), seed=config.seed
     )
     emitter = _Emitter(
-        ["family", "sigma", "integrand", "n", "N", "error", "slope_so_far"]
+        ["family", "sigma", "integrand", "n", "N", "error", "slope_so_far"], config.fmt
     )
     for i, row in enumerate(rows):
         prefix = rows[: i + 1]
@@ -291,7 +315,7 @@ def _cmd_qmc(config: RunConfig) -> int:
             config.family, config.sigma, integrand.name, row.n, row.cardinality,
             _fmt_float(float(row.error)), slope,
         )
-    _emit(config, emitter)
+    emitter.emit(config.out)
     return 0
 
 

@@ -287,7 +287,7 @@ def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
     """
     if not keys.size:
         return keys, vals
-    cuts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    cuts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
     return keys[cuts], np.add.reduceat(vals, cuts, axis=-1)
 
 

@@ -1,17 +1,25 @@
 """Command-line front end: formats, determinism, exit codes."""
 
 import argparse
+import ast
 import csv
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dyadisc import HaarIndex, SignPattern, dyadic, hammersley_type, mu_discrepancy, symmetrize_full
-from dyadisc.cli import RunConfig, _build_parser, main, run
+from dyadisc.cli import RunConfig, _build_parser, _Emitter, main, run
+from dyadisc.haar import mu_all_at_level
+from dyadisc.pointsets import build_family
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 POINT_FLAGS = ["--family", "--n", "--sigma", "--seed"]
 NORM_FLAGS = POINT_FLAGS + ["--p", "--q", "--r", "--mode", "--jmax"]
@@ -67,7 +75,7 @@ def test_gen_json_mirrors_csv(capsys):
 
 
 def test_module_entry_point_matches_in_process(capsys):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -181,6 +189,7 @@ def test_classic_estimate_grid_limit():
         (["norm", "--jmax", "3"], "--jmax 3"),
         (["sweep", "--jmax", "3", "--n-max", "3"], "--jmax 3"),
         (["coeffs", "--jmax", "-2"], "--jmax -2"),
+        (["coeffs", "--jmax", "11"], "--jmax 11: 16,777,216 rows, over the limit of 4,194,304"),
         (["qmc", "--integrand", "corner:9,1"], "corner:9,1"),
         (["qmc", "--integrand", "monomial:0,9"], "monomial:0,9"),
         (["classic", "--p", "0"], "--p 0"),
@@ -193,6 +202,7 @@ def test_classic_estimate_grid_limit():
     ],
     ids=[
         "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "coeffs-jmax",
+        "coeffs-jmax-limit",
         "qmc-corner",
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
@@ -292,3 +302,103 @@ def test_defaults_come_from_run_config(capsys, sub):
     code, out = capture(capsys, [sub, "--n", "2"])
     assert run(RunConfig(sub, n=2)) == code
     assert capsys.readouterr().out == out
+
+
+# -- the block renderer against the csv and json modules ----------------------
+
+
+def oracle_text(header, rows, fmt):
+    """The table as csv.writer or json.dumps, given one list of cells per row, renders it."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def emitted(emitter):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        emitter.emit(None)
+    return out.getvalue()
+
+
+CELLS = st.text(st.sampled_from(',"\r\n\\ {}:a1') | st.characters(), max_size=5)
+
+
+@given(st.data())
+def test_emitter_matches_csv_and_json_modules(data):
+    header = data.draw(st.lists(CELLS, min_size=1, max_size=4, unique=True), "header")
+    lead_width = data.draw(st.integers(0, len(header) - 1), "lead width")
+
+    def cells(size):
+        return st.lists(CELLS, min_size=size, max_size=size)
+
+    tail_rows = st.lists(cells(len(header) - lead_width), min_size=1, max_size=3)
+    blocks = data.draw(st.lists(st.tuples(cells(lead_width), tail_rows), max_size=3), "blocks")
+    rows = [lead + tail for lead, tails in blocks for tail in tails]
+    for fmt in ("csv", "json"):
+        by_row, by_block = _Emitter(header, fmt), _Emitter(header, fmt)
+        for row in rows:
+            by_row.row(*row)
+        for lead, tails in blocks:
+            columns = [list(column) for column in zip(*tails)]
+            pre = by_block.fragments([[cell] for cell in lead])[0] if lead else None
+            by_block.block(by_block.fragments(columns, lead_width), pre)
+        expected = oracle_text(header, rows, fmt)
+        assert emitted(by_row) == expected
+        assert emitted(by_block) == expected
+
+
+def assert_same_text(out, expected):
+    # asserting out == expected would have pytest diff megabytes of text on failure
+    same = out == expected
+    if not same:
+        pairs = zip(out.splitlines(), expected.splitlines())
+        first = next((pair for pair in pairs if pair[0] != pair[1]), "one text is a prefix")
+    assert same, f"first difference: {first}"
+
+
+def coeffs_rows(points, j_max):
+    rows = []
+    for j1 in range(-1, j_max + 1):
+        for j2 in range(-1, j_max + 1):
+            level = mu_all_at_level(points, j1, j2)
+            for m1 in range(1 << max(j1, 0)):
+                for m2 in range(1 << max(j2, 0)):
+                    mu = level.occupied.get((m1, m2), level.empty_value)
+                    rows.append([str(j1), str(j2), str(m1), str(m2), str(mu.mantissa),
+                                 str(mu.exponent), repr(mu.to_float())])
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_large_coeffs_and_gen_match_module_rendering(capsys, fmt):
+    # beyond the goldens (n <= 4, --jmax <= 4): many m1 rows hold points and are patched
+    points = build_family("symmetrized", 6, SignPattern.identity(6))
+    header = ["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"]
+    _, out = capture(capsys, ["coeffs", "--n", "6", "--jmax", "8", "--format", fmt])
+    assert_same_text(out, oracle_text(header, coeffs_rows(points, 8), fmt))
+
+    points = build_family("symmetrized", 10, SignPattern.identity(10))
+    den = str(1 << points.n_resolution)
+    rows = [[str(x), str(y), den] for x, y in zip(*(a.tolist() for a in points.scaled_coords()))]
+    _, out = capture(capsys, ["gen", "--n", "10", "--format", fmt])
+    assert_same_text(out, oracle_text(["num_x", "num_y", "den"], rows, fmt))
+
+
+def test_perfbench_span_bindings_resolve():
+    # perfbench/tracing.py wraps these names where callers look them up (for example
+    # dyadisc.cli.build_family); a binding that disappears breaks every traced pass
+    with open(os.path.join(ROOT, "perfbench", "tracing.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    (spans,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", "") for t in node.targets] == ["SPANS"]
+    ]
+    bindings = [binding for per_span in spans.values() for binding in per_span]
+    assert bindings
+    for module, attribute in bindings:
+        assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"
