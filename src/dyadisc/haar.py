@@ -23,15 +23,17 @@ j1 row are sorted once by (m1, y) and every j2 of that row groups them
 without sorting again. Level summaries keep the distinct numerators and
 their counts; DyadicRational values are built only when a caller reads
 them. A summary is built on every call and not kept: a multiset caches
-only its latest sorted row and its folded base.
+only its latest sorted row.
 
 The symmetrizations are scanned through their folded base. Reflecting
 x -> 1 - x keeps a point's tent on every level j >= 0 and moves it from
-position m to 2^j - 1 - m; on level -1 the factors of a point and its
-reflection add up to 2^res. So each level sum of a union is fixed by the
-base points folded to min(k, 2^res - k) on the reflected axes (see
-level_value_counts). The generic scan of the whole union stays as its
-oracle and serves every other caller.
+position m to 2^j - 1 - m. So a box sum of a union is fixed by the base
+points folded to min(k, 2^res - k) on the reflected axes, with the
+mirror's factor added on the levels where a point and its mirror share a
+box (-1 and 0, see _tents). Every factor stays within 2^res, so the fold
+is scanned in the dtype its own size needs, not the union's (see
+_level_row). The generic scan of the whole union stays as its oracle and
+serves every other caller.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .dyadic import DyadicRational, ZERO, dyadic
-from .pointsets import PointMultiset, SignPattern, _as_dyadic, _pow2_log
+from .pointsets import PointMultiset, SignPattern, _as_dyadic, _exact, _pow2_log
 
 __all__ = [
     "HaarIndex",
@@ -178,8 +180,9 @@ def _tents(k, j: int, res: int, reflected: bool = False):
     position 0. On 0 <= j <= res it is the closed tent
     |k mod 2^(res-j) - half| - half with half = 2^(res-j-1), zero on the
     interval endpoints (everywhere at j = res), at position k >> (res - j).
-    Past res it is 0. On a reflected axis level -1 gives 2^res instead: the
-    numerators of k and of its reflection 2^res - k added up.
+    Past res it is 0. On a reflected axis k and its mirror 2^res - k share
+    the box of levels -1 and 0, so their numerators are added up there:
+    2^res on level -1 and twice the tent on level 0.
     """
     if j == -1:
         return (1 << res) - (k * 0 if reflected else k), k * 0
@@ -187,7 +190,8 @@ def _tents(k, j: int, res: int, reflected: bool = False):
         return k * 0, k * 0
     per = 1 << (res - j)
     half = per >> 1
-    return abs((k & (per - 1)) - half) - half, k >> (res - j)
+    tent = abs((k & (per - 1)) - half) - half
+    return (tent << 1 if reflected and j == 0 else tent), k >> (res - j)
 
 
 def _tent_numerator(j: int, m, k, res: int):
@@ -291,26 +295,6 @@ def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
     return keys[cuts], np.add.reduceat(vals, cuts, axis=-1)
 
 
-def _folded_base(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray]:
-    """The base of a recorded symmetrization, folded on its reflected axes.
-
-    The base is the first len(points) / 2^k entries, k the number of
-    reflected axes; a reflected coordinate k becomes min(k, 2^res - k),
-    minus its level-0 tent. The arrays keep the union's dtype, so its int64
-    guard bounds every sum of a folded scan. Built on first use and cached.
-    """
-    folded = points._cache.get("folded")
-    if folded is None:
-        res = points.n_resolution
-        size = len(points) >> sum(points._reflected)
-        folded = tuple(
-            -_tents(k[:size], 0, res)[0] if reflected else k[:size]
-            for k, reflected in zip(points.scaled_coords(), points._reflected)
-        )
-        points._cache["folded"] = folded
-    return folded
-
-
 def _level_row(
     points: PointMultiset, j1: int, reflected: Tuple[bool, bool]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,15 +302,25 @@ def _level_row(
 
     Keeps only the points whose x-factor from _tents is nonzero, ordered by
     (m1, ky). Every j2 of the row then finds its box keys
-    m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. With a reflected
-    axis the row is that of the folded base (see _scan_level). Only the
-    latest row is cached, so memory stays O(N).
+    m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. Only the latest
+    row is cached, so memory stays O(N).
+
+    With a reflected axis the row is that of the folded base: the first
+    M = N / 2^a entries, a the number of reflected axes, with each reflected
+    coordinate k folded to min(k, 2^res - k). Every factor of _tents is at
+    most 2^res in magnitude, so M products of at most 2^(2 res) bound every
+    box sum of the union, and the base is cast to _exact(2 res, M), whatever
+    the union's dtype.
     """
     cached = points._cache.get("row")
     if cached is not None and cached[0] == (j1, reflected):
         return cached[1]
     res = points.n_resolution
-    kx, ky = _folded_base(points) if any(reflected) else points.scaled_coords()
+    kx, ky = points.scaled_coords()
+    if any(reflected):
+        size = len(kx) >> sum(reflected)
+        base = (k[:size].astype(_exact(2 * res, size), copy=False) for k in (kx, ky))
+        kx, ky = (np.minimum(k, (1 << res) - k) if r else k for k, r in zip(base, reflected))
     n1, m1 = _tents(kx, j1, res, reflected[0])
     keep = np.flatnonzero(n1 != 0)
     order = keep[np.lexsort((ky[keep], m1[keep]))]
@@ -348,8 +342,8 @@ def _scan_level(
     Returns ascending keys m1 * 2^max(j2, 0) + m2 and the integer sums
     Sum_z f1 * f2 at scale 2^(2 res); only positions with at least one
     nonzero contribution appear. With the default flags z runs over the
-    points; with points._reflected it runs over their folded base, whose
-    factor on a reflected axis at level -1 is 2^res.
+    points; with points._reflected it runs over their folded base, with the
+    mirror's factor of _tents on each reflected axis.
     """
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
@@ -431,23 +425,17 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     """Grouped coefficient values on the level, built afresh on each call.
 
     A symmetrization that recorded its reflected axes is scanned through
-    its folded base (see _folded_base). On each reflected axis a box sum of
-    the union is then the folded sum with factor 2^res on level -1; twice
-    the folded sum on level 0, whose one position is its own mirror; and on
-    a level above 0 the folded sum shared by the box and its mirror, so the
-    count doubles. No summary is kept: a norm reads each level once, and
-    only the latest sorted row and the folded base stay in points._cache.
+    its folded base (see _level_row), whose sums already hold the mirror's
+    factor on levels -1 and 0 (see _tents). On a reflected axis above
+    level 0 a folded sum is shared by a box and its mirror, so its count
+    doubles. No summary is kept: a norm reads each level once, and only
+    the latest sorted row stays in points._cache.
     """
     scale = _count_scale(points)
     reflected = points._reflected
     _, sums = _scan_level(points, j1, j2, reflected)
     accs, counts = np.unique(sums, return_counts=True)
-    if any(reflected):
-        for j, axis_reflected in zip((j1, j2), reflected):
-            if axis_reflected and j == 0:
-                accs = accs << 1
-            elif axis_reflected and j > 0:
-                counts = counts * 2
+    counts = counts << sum(r and j > 0 for r, j in zip(reflected, (j1, j2)))
     occupied = int(counts.sum())
     return LevelSummary(
         j1, j2, accs, counts, scale, occupied, (1 << (max(j1, 0) + max(j2, 0))) - occupied

@@ -97,6 +97,15 @@ def _pow2_log(n: int) -> int:
     return n.bit_length() - 1
 
 
+def _exact(term_bits: int, count: int):
+    """The dtype that sums count integers of magnitude at most 2^term_bits exactly.
+
+    int64 while term_bits + bitlen(count) <= 62, so that every such sum
+    stays below 2^62; object, for Python ints, once it may leave int64.
+    """
+    return object if term_bits + count.bit_length() > 62 else np.int64
+
+
 def _as_dyadic(value) -> DyadicRational:
     if isinstance(value, DyadicRational):
         return value
@@ -112,8 +121,7 @@ class PointMultiset:
 
     The entry order is the generation order, which makes every floating
     accumulation downstream deterministic. Instances are immutable; a small
-    cache dict holds the latest sorted level row and, for a symmetrization,
-    its folded base (see haar._level_row and haar._folded_base).
+    cache dict holds only the latest sorted level row (see haar._level_row).
 
     The two symmetrizations record which axes their union reflects, in
     _reflected (x, y): the union is its first len / 2^k entries, the base,
@@ -159,8 +167,7 @@ class PointMultiset:
         return obj
 
     def _store(self, kx, ky, resolution: int) -> None:
-        exact = 2 * resolution + len(kx).bit_length() > 62
-        dtype = object if exact else np.int64
+        dtype = _exact(2 * resolution, len(kx))
         kx = np.asarray(kx, dtype=dtype)
         ky = np.asarray(ky, dtype=dtype)
         kx.flags.writeable = ky.flags.writeable = False
@@ -187,8 +194,8 @@ class PointMultiset:
     def scaled_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
-        int64 while N * 2^(2 n_resolution) < 2^62, which bounds every sum of
-        coordinate products; past that, object arrays of Python ints.
+        In the dtype of _exact(2 n_resolution, N), which bounds every sum of
+        coordinate products: int64, or object arrays of Python ints.
         """
         return self._kx, self._ky
 

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .pointsets import PointMultiset, SignPattern, build_family
+from .pointsets import PointMultiset, SignPattern, _exact, build_family
 
 __all__ = [
     "Integrand",
@@ -90,9 +90,9 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
 
     Exact (a Fraction) for the built-in polynomial family at dyadic nodes:
     the numerator is one numpy sum over the integer coordinates at scale
-    2^res, in int64 while (a + b) * res + N.bit_length() <= 62 (every term
-    is at most 2^((a + b) res)) and in object arrays of Python ints past
-    that. Custom integrands give a float average.
+    2^res, in the dtype of pointsets._exact((a + b) res, N), as every term
+    is at most 2^((a + b) res): int64, or object arrays of Python ints.
+    Custom integrands give a float average.
     """
     n = len(points)
     if n == 0:
@@ -101,8 +101,7 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
     full = 1 << res
     if f.kind in (CORNER, MONOMIAL):
         # max(..., 1): the coordinates themselves must fit as well
-        exact = max(f.a + f.b, 1) * res + n.bit_length() > 62
-        dtype = object if exact else np.int64
+        dtype = _exact(max(f.a + f.b, 1) * res, n)
         kx, ky = (arr.astype(dtype, copy=False) for arr in points.scaled_coords())
         if f.kind == CORNER:
             kx, ky = full - kx, full - ky

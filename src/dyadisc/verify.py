@@ -16,7 +16,6 @@ from typing import Callable, List, Tuple, Union
 from .dyadic import dyadic
 from .haar import (
     ABS_UPPER_BOUND,
-    EXACT_ABS,
     CoefficientPrediction,
     HaarIndex,
     level_counting_sums,
@@ -49,7 +48,7 @@ _EXTRA_LEVELS = 2  # levels past n that the coefficients suite checks on each ax
 
 @dataclass
 class CheckReport:
-    """Outcome of one suite run: counts, the first few failure notes, observations."""
+    """Outcome of one suite run: counts and the first few failure notes."""
 
     suite: str
     n: int
@@ -57,7 +56,6 @@ class CheckReport:
     checked: int = 0
     failures: int = 0
     notes: List[str] = field(default_factory=list)
-    observations: List[str] = field(default_factory=list)
 
     def record(self, ok: bool, note: Union[str, Callable[[], str]] = "", count: int = 1):
         """Count a check; note is a string, or a function called only on failure."""
@@ -103,12 +101,11 @@ def check_symmetrized_coefficients(n: int, sigma: SignPattern, label: str = "") 
     Low levels are checked against the exact signed value, the diagonal band
     against the magnitude bound together with the cap on positions deviating
     from the empty-box value, and everything else against exact magnitudes
-    or exact zeros. Observed signs of the magnitude-only cases are recorded.
+    or exact zeros.
     """
     report = CheckReport("coefficients", n, label or "custom")
     points = symmetrize_full(hammersley_type(n, sigma))
     cap = len(points)
-    sign_notes = set()
     for j1 in range(-1, n + _EXTRA_LEVELS + 1):
         for j2 in range(-1, n + _EXTRA_LEVELS + 1):
             prediction = predict_symmetrized(n, HaarIndex(j1, j2, 0, 0), sigma)
@@ -126,16 +123,6 @@ def check_symmetrized_coefficients(n: int, sigma: SignPattern, label: str = "") 
                     deviating <= cap,
                     lambda: f"{note}: {deviating} deviating positions exceed {cap}",
                 )
-            elif prediction.kind == EXACT_ABS and prediction.value:
-                for value in occupied:
-                    sign_notes.add(("occupied", j1 >= n or j2 >= n, value > 0))
-                if summary.empty_boxes:
-                    sign_notes.add(("empty", j1 >= n or j2 >= n, empty > 0))
-    for kind, high, positive in sorted(sign_notes):
-        report.observations.append(
-            f"observed sign {'+' if positive else '-'} on {kind} boxes "
-            f"({'level >= n' if high else 'mixed row'})"
-        )
     return report
 
 

@@ -203,9 +203,9 @@ def test_operand_ignores_the_order_of_its_pairs(params):
 @pytest.mark.parametrize("n", [10, 12, 14])
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_norm_leaves_no_per_level_state(symmetrize, n):
-    # after a norm the multiset keeps only the latest sorted row (three
-    # arrays) and the folded base (two arrays), each of at most N / 2^k
-    # int64 entries for k reflected axes; level summaries are not kept
+    # after a norm the multiset keeps only the latest sorted row: three
+    # arrays of at most N / 2^k int64 entries for k reflected axes; neither
+    # the folded base nor the level summaries are kept
     points = symmetrize(hammersley_type(n, SignPattern.from_preset("random", n, seed=7)))
     reflected = sum(points._reflected)
     gc.collect()
@@ -217,8 +217,8 @@ def test_norm_leaves_no_per_level_state(symmetrize, n):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert set(points._cache) == {"row", "folded"}
-    assert retained < 5 * 8 * len(points) >> reflected, retained
+    assert set(points._cache) == {"row"}
+    assert retained < 3 * 8 * len(points) >> reflected, retained
     first = level_value_counts(points, 2, n - 3)
     second = level_value_counts(points, 2, n - 3)
     assert first is not second

@@ -97,6 +97,16 @@ def generic_fields(points, j1, j2):
     return accs.tolist(), counts.tolist(), _count_scale(points), occupied, boxes - occupied
 
 
+def row_dtypes(points):
+    """The dtypes of the cached sorted row (positions, y, x-factors)."""
+    return {array.dtype for array in points._cache["row"][1]}
+
+
+def row_flags(points):
+    """The reflection flags of the cached sorted row."""
+    return points._cache["row"][0][1]
+
+
 def box_of(k, j, res):
     """Half-open box of grid coordinate k on level j (the last box for z = 1)."""
     return min(k >> (res - j) if j <= res else k << (j - res), (1 << j) - 1)
@@ -350,10 +360,13 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
     bases = [random_multiset(rng, res, size) for size in (1, 4, 8, 64)]
     bases.append(endpoint_multiset(res))
     if res == 29:
-        # 8 base points fit int64 (58 + 4 <= 62), their unions do not
+        # 8 base points fit int64 (58 + 4 <= 62), their unions do not, and
+        # the folded scan of a union runs in its base's int64
         assert bases[2].scaled_coords()[0].dtype == np.int64
-        assert symmetrize_davenport(bases[2]).scaled_coords()[0].dtype == object
-        assert symmetrize_full(bases[2]).scaled_coords()[0].dtype == object
+        for union in (symmetrize_davenport(bases[2]), symmetrize_full(bases[2])):
+            assert union.scaled_coords()[0].dtype == object
+            level_value_counts(union, 0, 1)
+            assert row_dtypes(union) == {np.dtype(np.int64)}
     sets = [
         points
         for base in bases
@@ -390,7 +403,10 @@ def test_fold_route_matches_generic_scan(symmetrize, preset):
             for j2 in range(-1, n + 3):
                 expected = generic_fields(points, j1, j2)
                 assert summary_fields(level_value_counts(points, j1, j2)) == expected, (n, j1, j2)
-        assert "folded" in points._cache
+        # only the latest row stays: the folded one, in the base's int64
+        assert set(points._cache) == {"row"}
+        assert points._cache["row"][0] == (n - 1, points._reflected)
+        assert row_dtypes(points) == {np.dtype(np.int64)}
 
 
 def test_fold_is_lazy_and_only_for_recorded_unions():
@@ -400,17 +416,39 @@ def test_fold_is_lazy_and_only_for_recorded_unions():
     assert symmetrize_davenport(base)._reflected == (False, True)
     mu_all_at_level(full, 1, 2)
     qmc_integrate(full, corner_product(1, 1))
-    assert "folded" not in full._cache
+    assert row_flags(full) == (False, False)
     # the mirrored union holds the same points, but records no reflections
     mirrored = reflect(full, "X")
     assert mirrored._reflected == (False, False)
     for j1 in range(-1, 7):
         for j2 in range(-1, 7):
             summary = summary_fields(level_value_counts(mirrored, j1, j2))
+            assert row_flags(mirrored) == (False, False)
             assert summary == generic_fields(mirrored, j1, j2)
             assert summary == summary_fields(level_value_counts(full, j1, j2))
-    assert "folded" not in mirrored._cache
-    assert "folded" in full._cache
+            assert row_flags(full) == (True, True)
+    assert set(mirrored._cache) == set(full._cache) == {"row"}
+
+
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+@pytest.mark.parametrize("bits", [62, 63])
+def test_fold_crosses_its_guard(symmetrize, bits):
+    # the folded base of M points is scanned in int64 while 2 res + bitlen(M)
+    # <= 62, whatever the union's dtype; one bit past that, in Python ints.
+    # Both sides must match the generic scan of the union on every level.
+    res = 29
+    size = 1 << (bits - 2 * res - 1)
+    rng = random.Random(bits)
+    points = symmetrize(random_multiset(rng, res, size))
+    assert points.scaled_coords()[0].dtype == object
+    row_dtype = np.dtype(np.int64) if bits == 62 else np.dtype(object)
+    for j1 in range(-1, res + 1):
+        for j2 in range(-1, res + 1):
+            expected = generic_fields(points, j1, j2)
+            assert summary_fields(level_value_counts(points, j1, j2)) == expected, (j1, j2)
+            if j1 < res:
+                assert row_flags(points) == points._reflected
+                assert row_dtypes(points) == {row_dtype}, (j1, j2)
 
 
 def test_level_map_single_point_example():

@@ -103,13 +103,6 @@ def test_cli_verify_fails_on_violations(monkeypatch, capsys):
     assert "18 failures" in err
 
 
-def test_observed_signs_recorded():
-    report = check_symmetrized_coefficients(3, SignPattern.identity(3))
-    assert report.passed and not report.notes
-    assert report.observations
-    assert all(note.startswith("observed sign") for note in report.observations)
-
-
 def test_checker_flags_wrong_structure():
     # feeding the single-axis symmetrization where the full one is expected
     # must fail: its mixed rows are nonzero
