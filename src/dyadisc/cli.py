@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -380,7 +381,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     given = vars(parser.parse_args(argv))
     if "seed" in given and given.get("sigma", RunConfig.sigma) not in ("random", "all"):
         parser.error(f"--seed {given['seed']}: only --sigma random (or verify's all) reads it")
-    return run(RunConfig(**given))
+    try:
+        status = run(RunConfig(**given))
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head`); the flush at exit must
+        # not raise again, so stdout goes to devnull, as Python's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

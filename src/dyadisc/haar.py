@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .dyadic import DyadicRational, ZERO, dyadic
-from .pointsets import PointMultiset, SignPattern, _as_dyadic, _exact, _pow2_log
+from .pointsets import PointMultiset, SignPattern, _as_dyadic, _pow2_log
 
 __all__ = [
     "HaarIndex",
@@ -301,29 +301,37 @@ def _level_row(
     """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
 
     Keeps only the points whose x-factor from _tents is nonzero, ordered by
-    (m1, ky). Every j2 of the row then finds its box keys
+    (m1, ky): a stable sort by ky, then a stable sort by m1, which numpy
+    radix-sorts in the narrowest unsigned dtype (object rows keep a stable
+    comparison sort). Every j2 of the row then finds its box keys
     m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. Only the latest
     row is cached, so memory stays O(N).
 
-    With a reflected axis the row is that of the folded base: the first
-    M = N / 2^a entries, a the number of reflected axes, with each reflected
-    coordinate k folded to min(k, 2^res - k). Every factor of _tents is at
-    most 2^res in magnitude, so M products of at most 2^(2 res) bound every
-    box sum of the union, and the base is cast to _exact(2 res, M), whatever
-    the union's dtype.
+    With the reflected flags of a symmetrization (points._reflected) the row
+    is that of its folded base: the M = N / 2^a base points, a the number
+    of reflected axes, with each reflected coordinate k folded to
+    min(k, 2^res - k); the union is never built. Every factor of _tents is
+    at most 2^res in magnitude, so M products of at most 2^(2 res) bound
+    every box sum of the union, and the base is held in _exact(2 res, M),
+    whatever the union's dtype. With the default flags the row reads every
+    point of scaled_coords().
     """
     cached = points._cache.get("row")
     if cached is not None and cached[0] == (j1, reflected):
         return cached[1]
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
     if any(reflected):
-        size = len(kx) >> sum(reflected)
-        base = (k[:size].astype(_exact(2 * res, size), copy=False) for k in (kx, ky))
-        kx, ky = (np.minimum(k, (1 << res) - k) if r else k for k, r in zip(base, reflected))
+        full = 1 << res
+        kx, ky = (np.minimum(k, full - k) if r else k for k, r in zip(points._base, reflected))
+    else:
+        kx, ky = points.scaled_coords()
     n1, m1 = _tents(kx, j1, res, reflected[0])
     keep = np.flatnonzero(n1 != 0)
-    order = keep[np.lexsort((ky[keep], m1[keep]))]
+    order = keep[np.argsort(ky[keep], kind="stable")]
+    key = m1[order]
+    if key.dtype != object:
+        key = key.astype(np.min_scalar_type((1 << max(j1, 0)) - 1))
+    order = order[np.argsort(key, kind="stable")]
     row = (m1[order], ky[order], n1[order])
     points._cache["row"] = ((j1, reflected), row)
     return row
@@ -349,7 +357,7 @@ def _scan_level(
         raise ValueError("levels must be >= -1")
     res = points.n_resolution
     if j1 >= res or j2 >= res:
-        empty = points.scaled_coords()[0][:0]
+        empty = points._base[0][:0]
         return empty, empty  # interval interiors at or beyond the resolution are empty
     m1, ky, n1 = _level_row(points, j1, reflected)
     n2, m2 = _tents(ky, j2, res, reflected[1])

@@ -9,7 +9,8 @@ always counts multiplicity and coordinates exactly equal to 1 can occur.
 
 Coordinates are stored as integers k with value k / 2**n_resolution, in one
 read-only pair of numpy arrays, which keeps every downstream computation
-exact and deterministic.
+exact and deterministic. A symmetrization stores the pair of its base and
+the axes it reflects, and builds its union's pair only when it is read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -123,14 +125,17 @@ class PointMultiset:
     accumulation downstream deterministic. Instances are immutable; a small
     cache dict holds only the latest sorted level row (see haar._level_row).
 
-    The two symmetrizations record which axes their union reflects, in
-    _reflected (x, y): the union is its first len / 2^k entries, the base,
-    followed by the base's reflections. Every point of the union then has
-    the tents of its folded base point, so haar.level_value_counts scans
-    the folded base alone. Every other multiset records (False, False).
+    A multiset holds its base coordinate arrays, _base, and the axes its
+    union reflects, _reflected (x, y): it is the base followed by the
+    base's reflections on every combination of those axes, M 2^a points for
+    M base points and a reflected axes. The two symmetrizations record
+    (True, True) and (False, True); every other multiset records
+    (False, False), and its base is its coordinate arrays. The union's
+    arrays, _coords, are built on the first scaled_coords() call and kept;
+    haar folds the base and qmc sums over orbits, so neither builds them.
     """
 
-    __slots__ = ("n_resolution", "_kx", "_ky", "_cache", "_reflected")
+    __slots__ = ("n_resolution", "_base", "_coords", "_cache", "_reflected")
 
     def __init__(self, points: Iterable, resolution: Optional[int] = None):
         coords = []
@@ -161,31 +166,59 @@ class PointMultiset:
         raise AttributeError("PointMultiset is immutable")
 
     @classmethod
-    def _from_scaled(cls, kx, ky, resolution: int) -> "PointMultiset":
+    def _from_scaled(cls, kx, ky, resolution: int, reflected=(False, False)) -> "PointMultiset":
         obj = cls.__new__(cls)
-        obj._store(kx, ky, resolution)
+        obj._store(kx, ky, resolution, reflected)
         return obj
 
-    def _store(self, kx, ky, resolution: int) -> None:
+    def _store(self, kx, ky, resolution: int, reflected=(False, False)) -> None:
         dtype = _exact(2 * resolution, len(kx))
-        kx = np.asarray(kx, dtype=dtype)
-        ky = np.asarray(ky, dtype=dtype)
-        kx.flags.writeable = ky.flags.writeable = False
+        base = (np.asarray(kx, dtype=dtype), np.asarray(ky, dtype=dtype))
+        for k in base:
+            k.flags.writeable = False
         object.__setattr__(self, "n_resolution", resolution)
-        object.__setattr__(self, "_kx", kx)
-        object.__setattr__(self, "_ky", ky)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_coords", None if any(reflected) else base)
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_reflected", (False, False))
+        object.__setattr__(self, "_reflected", reflected)
+
+    def _build_union(self) -> None:
+        """Fill the union's arrays in entry order: base, Y, X, XY (or base, Y).
+
+        In the dtype of _exact(2 res, N); when that is the base's, the base
+        becomes a view of the union's first M entries, so no second copy
+        stays. No local name holds a base array, so each is freed as soon as
+        the view replaces it.
+        """
+        res = self.n_resolution
+        copies = list(product(*([False, True] if r else [False] for r in self._reflected)))
+        dtype = _exact(2 * res, len(self))
+        coords = []
+        for axis in range(2):
+            k = np.empty(len(self), dtype=dtype)
+            rows = k.reshape(len(copies), len(self._base[0]))
+            rows[0] = self._base[axis]
+            for row, copy in zip(rows[1:], copies[1:]):
+                if copy[axis]:
+                    np.subtract(1 << res, rows[0], out=row)
+                else:
+                    row[...] = rows[0]
+            k.flags.writeable = False
+            coords.append(k)
+        if dtype == self._base[0].dtype:
+            object.__setattr__(self, "_base", tuple(k[: len(self._base[0])] for k in coords))
+        object.__setattr__(self, "_coords", tuple(coords))
 
     # -- views ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._kx)
+        return len(self._base[0]) << sum(self._reflected)
 
     def __iter__(self) -> Iterator[Point]:
         res = self.n_resolution
-        for kx, ky in zip(self._kx.tolist(), self._ky.tolist()):
-            yield Point(dyadic(kx, res), dyadic(ky, res))
+        kx, ky = self.scaled_coords()
+        for x, y in zip(kx.tolist(), ky.tolist()):
+            yield Point(dyadic(x, res), dyadic(y, res))
 
     @property
     def entries(self) -> Tuple[Point, ...]:
@@ -195,9 +228,12 @@ class PointMultiset:
         """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
         In the dtype of _exact(2 n_resolution, N), which bounds every sum of
-        coordinate products: int64, or object arrays of Python ints.
+        coordinate products: int64, or object arrays of Python ints. A
+        symmetrization builds its union's arrays on the first call.
         """
-        return self._kx, self._ky
+        if self._coords is None:
+            self._build_union()
+        return self._coords
 
     def multiset(self) -> Counter:
         """Counter over Point values; order-free equality for tests."""
@@ -243,23 +279,12 @@ def reflect(points: PointMultiset, axis: str) -> PointMultiset:
 
 def symmetrize_full(points: PointMultiset) -> PointMultiset:
     """Multiset union with all three reflections; cardinality 4 |P|."""
-    parts = [points, reflect(points, "Y"), reflect(points, "X"), reflect(points, "XY")]
-    return _union(parts, (True, True))
+    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution, (True, True))
 
 
 def symmetrize_davenport(points: PointMultiset) -> PointMultiset:
     """Multiset union with the y-reflection only; cardinality 2 |P|."""
-    return _union([points, reflect(points, "Y")], (False, True))
-
-
-def _union(parts: Sequence[PointMultiset], reflected: Tuple[bool, bool]) -> PointMultiset:
-    # the union has more points, so _from_scaled picks its dtype anew
-    kx, ky = zip(*(part.scaled_coords() for part in parts))
-    union = PointMultiset._from_scaled(
-        np.concatenate(kx), np.concatenate(ky), parts[0].n_resolution
-    )
-    object.__setattr__(union, "_reflected", reflected)
-    return union
+    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution, (False, True))
 
 
 def is_net(points: PointMultiset, n: int) -> bool:

@@ -5,9 +5,10 @@ The built-in integrand family consists of the corner products
 At dyadic nodes these evaluate to exact rationals, so cubature values and
 errors are exact: the sum runs over the integer coordinate arrays at scale
 2^resolution, in int64 while every term and the total fit and in Python
-integers past that. The corner product with a = b = 1 is the litmus test
-separating the full symmetrization (error exactly zero) from the
-single-axis one (error exactly 2^-(n+2)).
+integers past that, and over reflection orbits for the symmetrizations.
+The corner product with a = b = 1 is the litmus test separating the full
+symmetrization (error exactly zero) from the single-axis one (error
+exactly 2^-(n+2)).
 """
 
 from __future__ import annotations
@@ -90,9 +91,14 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
 
     Exact (a Fraction) for the built-in polynomial family at dyadic nodes:
     the numerator is one numpy sum over the integer coordinates at scale
-    2^res, in the dtype of pointsets._exact((a + b) res, N), as every term
-    is at most 2^((a + b) res): int64, or object arrays of Python ints.
-    Custom integrands give a float average.
+    2^res, in the dtype of pointsets._exact(max(a + b, 1) res, N). A
+    symmetrization is summed over its M base points, each point's
+    reflection orbit at once: on a reflected axis with exponent e the
+    orbit factor is k^e + (2^res - k)^e, after the corner's k -> 2^res - k.
+    It is at most 2^(e res) for e >= 1 and 2 for e = 0, so the M products
+    are bounded as the N terms of the union are, every term at most
+    2^((a + b) res): int64, or object arrays of Python ints. Custom
+    integrands give a float average over every point.
     """
     n = len(points)
     if n == 0:
@@ -102,10 +108,13 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
     if f.kind in (CORNER, MONOMIAL):
         # max(..., 1): the coordinates themselves must fit as well
         dtype = _exact(max(f.a + f.b, 1) * res, n)
-        kx, ky = (arr.astype(dtype, copy=False) for arr in points.scaled_coords())
-        if f.kind == CORNER:
-            kx, ky = full - kx, full - ky
-        total = int((kx**f.a * ky**f.b).sum())
+        factors = []
+        for k, e, reflected in zip(points._base, (f.a, f.b), points._reflected):
+            k = k.astype(dtype, copy=False)
+            if f.kind == CORNER:
+                k = full - k
+            factors.append(k**e + (full - k) ** e if reflected else k**e)
+        total = int((factors[0] * factors[1]).sum())
         return Fraction(total, n * full ** (f.a + f.b))
     kx, ky = (arr.tolist() for arr in points.scaled_coords())
     scale = 1.0 / full

@@ -86,6 +86,23 @@ def test_module_entry_point_matches_in_process(capsys):
     assert proc.stdout == expected
 
 
+def test_closed_stdout_exits_quietly():
+    # as in `dyadisc gen --n 16 | head -1`: the reader leaves after one line
+    # of about 1.3 MB, far more than a pipe buffers
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyadisc", "gen", "--n", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"num_x,num_y,den\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["sweep", "--family", "symmetrized", "--n", "2", "--n-max", "5",
             "--p", "2", "--q", "2", "--r", "-0.3", "--sigma", "random", "--seed", "11"]

@@ -46,6 +46,7 @@ from dyadisc.haar import (
     _oracle_axis_factor,
     _scan_level,
     _tent_numerator,
+    _tents,
 )
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
@@ -105,6 +106,21 @@ def row_dtypes(points):
 def row_flags(points):
     """The reflection flags of the cached sorted row."""
     return points._cache["row"][0][1]
+
+
+def lexsort_row(points, j1):
+    """The sorted row of a symmetrization, ordered by np.lexsort from its union's head."""
+    res = points.n_resolution
+    reflected = points._reflected
+    size = len(points) >> sum(reflected)
+    kx, ky = (
+        np.minimum(k[:size], (1 << res) - k[:size]) if r else k[:size]
+        for k, r in zip(points.scaled_coords(), reflected)
+    )
+    n1, m1 = _tents(kx, j1, res, reflected[0])
+    keep = np.flatnonzero(n1 != 0)
+    order = keep[np.lexsort((ky[keep], m1[keep]))]
+    return [m1[order].tolist(), ky[order].tolist(), n1[order].tolist()]
 
 
 def box_of(k, j, res):
@@ -449,6 +465,9 @@ def test_fold_crosses_its_guard(symmetrize, bits):
             if j1 < res:
                 assert row_flags(points) == points._reflected
                 assert row_dtypes(points) == {row_dtype}, (j1, j2)
+        if j1 < res:
+            # the two stable sorts give np.lexsort's order of the folded base
+            assert [a.tolist() for a in points._cache["row"][1]] == lexsort_row(points, j1)
 
 
 def test_level_map_single_point_example():

@@ -8,14 +8,20 @@ import numpy as np
 import pytest
 
 from dyadisc import (
+    BesovParams,
     Point,
     PointMultiset,
     SignPattern,
+    besov_norm_exact,
     build_family,
+    corner_product,
     dyadic,
     hammersley_type,
     is_net,
+    level_value_counts,
     local_discrepancy,
+    monomial,
+    qmc_integrate,
     reflect,
     symmetrize_davenport,
     symmetrize_full,
@@ -120,6 +126,7 @@ def test_symmetrize_empty():
     empty = PointMultiset([], resolution=0)
     assert len(symmetrize_full(empty)) == 0
     assert len(symmetrize_davenport(empty)) == 0
+    assert [len(k) for k in symmetrize_full(empty).scaled_coords()] == [0, 0]
 
 
 def test_symmetrize_davenport_n1():
@@ -164,8 +171,10 @@ def test_net_property_small(preset):
 def exact_copy(points):
     """The same multiset held in arrays of Python ints, the dtype past the int64 guard."""
     copy = PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution)
-    for name, k in zip(("_kx", "_ky"), points.scaled_coords()):
-        object.__setattr__(copy, name, k.astype(object))
+    coords = tuple(k.astype(object) for k in points.scaled_coords())
+    # no reflected axes: the base is the coordinate arrays
+    for name in ("_base", "_coords"):
+        object.__setattr__(copy, name, coords)
     return copy
 
 
@@ -239,6 +248,8 @@ def test_union_repicks_dtype_past_guard(union, axes):
     pair = _pair_at(res)
     assert all(arr.dtype == np.int64 for arr in pair.scaled_coords())
     merged = union(pair)
+    besov_norm_exact(merged, BesovParams(2, 2, -0.3))
+    assert merged._coords is None  # the norm folds the base
     kx, ky = merged.scaled_coords()
     assert kx.dtype == ky.dtype == object  # 4 or 8 points: 2 res + 3 > 62
     assert all(type(k) is int for k in np.concatenate([kx, ky]))
@@ -254,6 +265,36 @@ def test_union_repicks_dtype_past_guard(union, axes):
     for got, want in zip(merged.scaled_coords(), expected.scaled_coords()):
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "union, axes",
+    [(symmetrize_full, ("Y", "X", "XY")), (symmetrize_davenport, ("Y",))],
+    ids=["full", "davenport"],
+)
+def test_union_is_built_once_and_only_when_read(union, axes):
+    # the length, the level scans, the norm and the built-in cubature read
+    # the base and the reflection flags alone
+    base = hammersley_type(8, sigma("random", 8))
+    parts = [base] + [reflect(base, axis) for axis in axes]
+    points = union(base)
+    assert len(points) == len(parts) * len(base)
+    level_value_counts(points, 2, 3)
+    besov_norm_exact(points, BesovParams(2, 2, -0.3))
+    for f in (corner_product(2, 3), monomial(0, 1)):
+        qmc_integrate(points, f)
+    assert points._coords is None
+    # then every point: the old concatenation of the base and its reflections,
+    # in its values, order and dtype, built once
+    kx, ky = points.scaled_coords()
+    assert points.scaled_coords()[0] is kx
+    for got, want in zip((kx, ky), zip(*(part.scaled_coords() for part in parts))):
+        want = np.concatenate(want)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    # the union has the base's dtype, so the base is a view of its head, not a copy
+    assert all(np.shares_memory(b, k) for b, k in zip(points._base, (kx, ky)))
+    assert len(points) == len(kx)
 
 
 @pytest.mark.parametrize("axis", ["X", "Y", "XY"])

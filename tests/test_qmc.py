@@ -45,12 +45,13 @@ def test_integrand_evaluate_exact():
 
 
 def test_qmc_integrate_matches_brute_force():
-    points = symmetrize_full(hammersley_type(3, sigma("random", 3)))
-    for f in (corner_product(1, 2), monomial(3, 1), corner_product(0, 4)):
-        brute = sum(
-            f.evaluate(p.x.as_fraction(), p.y.as_fraction()) for p in points
-        ) / len(points)
-        assert qmc_integrate(points, f) == brute
+    for symmetrize in (symmetrize_full, symmetrize_davenport):
+        points = symmetrize(hammersley_type(3, sigma("random", 3)))
+        for f in (corner_product(1, 2), monomial(3, 1), corner_product(0, 4)):
+            brute = sum(
+                f.evaluate(p.x.as_fraction(), p.y.as_fraction()) for p in points
+            ) / len(points)
+            assert qmc_integrate(points, f) == brute, (symmetrize.__name__, f.name)
 
 
 def test_exactness_identity_symmetrized():
@@ -86,16 +87,19 @@ def grid_multiset(seed, res, size):
 @pytest.mark.parametrize("res", (20, 31, 40, 64))
 def test_qmc_integrate_across_guard(res, size):
     # (a + b) * res + N.bit_length() falls on both sides of 62 for every
-    # (res, size) as a + b runs over 0..16; at res 64 the coordinates
-    # themselves pass int64
-    points = grid_multiset(res * 100 + size, res, size)
-    coords = [(p.x.as_fraction(), p.y.as_fraction()) for p in points]
-    for make in (corner_product, monomial):
-        for a in range(9):
-            for b in range(9):
-                f = make(a, b)
-                brute = sum(f.evaluate(x, y) for x, y in coords) / size
-                assert qmc_integrate(points, f) == brute, (f.name, res, size)
+    # (res, size) as a + b runs over 0..16, for the grid points and for
+    # their symmetrizations; at res 64 the coordinates themselves pass
+    # int64. A symmetrization is summed over the reflection orbits of its
+    # base points, the brute force over every point of its union.
+    base = grid_multiset(res * 100 + size, res, size)
+    for points in (base, symmetrize_davenport(base), symmetrize_full(base)):
+        coords = [(p.x.as_fraction(), p.y.as_fraction()) for p in points]
+        for make in (corner_product, monomial):
+            for a in range(9):
+                for b in range(9):
+                    f = make(a, b)
+                    brute = sum(f.evaluate(x, y) for x, y in coords) / len(coords)
+                    assert qmc_integrate(points, f) == brute, (f.name, res, len(points))
 
 
 def test_single_point_monomial():
