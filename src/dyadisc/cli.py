@@ -139,8 +139,11 @@ class _Emitter:
         # a separator goes before every block but the first; only a JSON table can be empty
         pieces = ["[\n" if self.json else "", *self.pieces[1:], end] if self.pieces else ["[]\n"]
         if out:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.writelines(pieces)
+            try:
+                with open(out, "w", encoding="utf-8", newline="") as handle:
+                    handle.writelines(pieces)
+            except OSError as exc:
+                raise SystemExit(f"--out {out}: {exc.strerror}") from exc
         else:
             sys.stdout.writelines(pieces)
 

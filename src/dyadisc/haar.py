@@ -32,8 +32,9 @@ points folded to min(k, 2^res - k) on the reflected axes, with the
 mirror's factor added on the levels where a point and its mirror share a
 box (-1 and 0, see _tents). Every factor stays within 2^res, so the fold
 is scanned in the dtype its own size needs, not the union's (see
-_level_row). The generic scan of the whole union stays as its oracle and
-serves every other caller.
+_level_row). Every level scan reads the base folded on the axes its
+multiset reflects; a plain multiset, which reflects none, is its own
+base. The same scan of the union as a plain multiset is the fold's oracle.
 """
 
 from __future__ import annotations
@@ -295,45 +296,35 @@ def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
     return keys[cuts], np.add.reduceat(vals, cuts, axis=-1)
 
 
-def _level_row(
-    points: PointMultiset, j1: int, reflected: Tuple[bool, bool]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
 
-    Keeps only the points whose x-factor from _tents is nonzero, ordered by
-    (m1, ky): a stable sort by ky, then a stable sort by m1, which numpy
-    radix-sorts in the narrowest unsigned dtype (object rows keep a stable
-    comparison sort). Every j2 of the row then finds its box keys
-    m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. Only the latest
-    row is cached, so memory stays O(N).
+    Reads the base, points._base, with each coordinate k on an axis of
+    points._reflected folded to min(k, 2^res - k): the M = N / 2^a base
+    points of a symmetrization with a reflected axes, or every point of a
+    plain multiset; a union is never built. Every factor of _tents is at
+    most 2^res in magnitude, so M products of at most 2^(2 res) bound every
+    box sum of the union, and the base's dtype _exact(2 res, M) holds them.
 
-    With the reflected flags of a symmetrization (points._reflected) the row
-    is that of its folded base: the M = N / 2^a base points, a the number
-    of reflected axes, with each reflected coordinate k folded to
-    min(k, 2^res - k); the union is never built. Every factor of _tents is
-    at most 2^res in magnitude, so M products of at most 2^(2 res) bound
-    every box sum of the union, and the base is held in _exact(2 res, M),
-    whatever the union's dtype. With the default flags the row reads every
-    point of scaled_coords().
+    Keeps only the points whose x-factor from _tents is nonzero, ordered by
+    (m1, ky) with one stable argsort of the key (m1 << (res + 1)) + ky:
+    ky <= 2^res and m1 < 2^(res - 1) on the rows that _scan_level reads, so
+    the key is below 2^(2 res) and fits the base's dtype. Every j2 of the
+    row then finds its box keys m1 * 2^j2 + (ky >> (res - j2)) already
+    non-decreasing. Only the latest row is cached, so memory stays O(M).
     """
     cached = points._cache.get("row")
-    if cached is not None and cached[0] == (j1, reflected):
+    if cached is not None and cached[0] == j1:
         return cached[1]
     res = points.n_resolution
-    if any(reflected):
-        full = 1 << res
-        kx, ky = (np.minimum(k, full - k) if r else k for k, r in zip(points._base, reflected))
-    else:
-        kx, ky = points.scaled_coords()
+    reflected = points._reflected
+    full = 1 << res
+    kx, ky = (np.minimum(k, full - k) if r else k for k, r in zip(points._base, reflected))
     n1, m1 = _tents(kx, j1, res, reflected[0])
     keep = np.flatnonzero(n1 != 0)
-    order = keep[np.argsort(ky[keep], kind="stable")]
-    key = m1[order]
-    if key.dtype != object:
-        key = key.astype(np.min_scalar_type((1 << max(j1, 0)) - 1))
-    order = order[np.argsort(key, kind="stable")]
+    order = keep[np.argsort((m1[keep] << (res + 1)) + ky[keep], kind="stable")]
     row = (m1[order], ky[order], n1[order])
-    points._cache["row"] = ((j1, reflected), row)
+    points._cache["row"] = (j1, row)
     return row
 
 
@@ -342,16 +333,15 @@ def _count_scale(points: PointMultiset) -> int:
     return 2 * points.n_resolution + _pow2_log(len(points))
 
 
-def _scan_level(
-    points: PointMultiset, j1: int, j2: int, reflected: Tuple[bool, bool] = (False, False)
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-position sums of the signed factor products.
+def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-position sums of the signed factor products over the folded base.
 
     Returns ascending keys m1 * 2^max(j2, 0) + m2 and the integer sums
-    Sum_z f1 * f2 at scale 2^(2 res); only positions with at least one
-    nonzero contribution appear. With the default flags z runs over the
-    points; with points._reflected it runs over their folded base, with the
-    mirror's factor of _tents on each reflected axis.
+    Sum_z f1 * f2 at scale 2^(2 res) over the rows of _level_row, with the
+    mirror's factor of _tents on each reflected axis; only positions with
+    at least one nonzero contribution appear. A folded coordinate is at
+    most 2^(res - 1), a box edge on every level j >= 1, so on a reflected
+    axis above level 0 every key lies in the lower half of the level.
     """
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
@@ -359,8 +349,8 @@ def _scan_level(
     if j1 >= res or j2 >= res:
         empty = points._base[0][:0]
         return empty, empty  # interval interiors at or beyond the resolution are empty
-    m1, ky, n1 = _level_row(points, j1, reflected)
-    n2, m2 = _tents(ky, j2, res, reflected[1])
+    m1, ky, n1 = _level_row(points, j1)
+    n2, m2 = _tents(ky, j2, res, points._reflected[1])
     hit = n2 != 0
     return _group_sums(((m1 << max(j2, 0)) + m2)[hit], n1[hit] * n2[hit])
 
@@ -418,30 +408,35 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
     """Every coefficient on the level, sparsely.
 
     Positions missed by all points share the value -mu_volume; positions in
-    the map carry their individually accumulated exact coefficient.
+    the map carry their individually accumulated exact coefficient. On a
+    reflected axis above level 0 a folded sum of _scan_level is also the
+    sum of its mirror box, in the other half of the level.
     """
     scale = _count_scale(points)
     keys, sums = _scan_level(points, j1, j2)
-    width2 = 1 << max(j2, 0)
-    values = _coefficients(sums.tolist(), scale, j1, j2)
-    occupied = {divmod(key, width2): value for key, value in zip(keys.tolist(), values)}
+    last1, last2 = (1 << max(j1, 0)) - 1, (1 << max(j2, 0)) - 1
+    boxes = zip((keys >> max(j2, 0)).tolist(), (keys & last2).tolist())
+    occupied = dict(zip(boxes, _coefficients(sums.tolist(), scale, j1, j2)))
+    if points._reflected[0] and j1 > 0:
+        occupied.update({(last1 - m1, m2): value for (m1, m2), value in occupied.items()})
+    if points._reflected[1] and j2 > 0:
+        occupied.update({(m1, last2 - m2): value for (m1, m2), value in occupied.items()})
     empty = -dyadic(*_volume(j1, j2))
-    return LevelCoefficients(j1, j2, occupied, empty, 1 << (max(j1, 0) + max(j2, 0)))
+    return LevelCoefficients(j1, j2, occupied, empty, (last1 + 1) * (last2 + 1))
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     """Grouped coefficient values on the level, built afresh on each call.
 
-    A symmetrization that recorded its reflected axes is scanned through
-    its folded base (see _level_row), whose sums already hold the mirror's
-    factor on levels -1 and 0 (see _tents). On a reflected axis above
-    level 0 a folded sum is shared by a box and its mirror, so its count
-    doubles. No summary is kept: a norm reads each level once, and only
-    the latest sorted row stays in points._cache.
+    The folded sums of _scan_level already hold the mirror's factor on
+    levels -1 and 0 (see _tents). On a reflected axis above level 0 a
+    folded sum is shared by a box and its mirror, so its count doubles.
+    No summary is kept: a norm reads each level once, and only the latest
+    sorted row stays in points._cache.
     """
     scale = _count_scale(points)
     reflected = points._reflected
-    _, sums = _scan_level(points, j1, j2, reflected)
+    _, sums = _scan_level(points, j1, j2)
     accs, counts = np.unique(sums, return_counts=True)
     counts = counts << sum(r and j > 0 for r, j in zip(reflected, (j1, j2)))
     occupied = int(counts.sum())
@@ -656,12 +651,13 @@ def counting_sums(
     """
     if j1 < 0 or j2 < 0:
         raise ValueError("box levels must be nonnegative")
+    HaarIndex(j1, j2, m1, m2)  # raises for a position outside its level
     res = points.n_resolution
     # beyond the resolution no tent is interior, and box m holds the grid
     # points of box m >> (j - res) at level res when 2^(j - res) divides m
     l1, l2 = min(j1, res), min(j2, res)
     s1, s2 = j1 - l1, j2 - l2
-    if not (0 <= m1 < 1 << j1 and 0 <= m2 < 1 << j2) or m1 % (1 << s1) or m2 % (1 << s2):
+    if m1 % (1 << s1) or m2 % (1 << s2):
         return ZERO, ZERO, ZERO
     key = ((m1 >> s1) << l2) + (m2 >> s2)
     exponents = (res - l1 - 1, res - l2 - 1, 2 * res - l1 - l2 - 2)

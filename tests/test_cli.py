@@ -216,6 +216,9 @@ def test_classic_estimate_grid_limit():
         (["classic", "--p", "4000"], "--p 4000"),
         (["classic", "--p", "1e7"], "--p 1e7"),
         (["norm", "--p", "abc"], "--p abc"),
+        # {tmp} is a fresh empty directory
+        (["gen", "--out", "{tmp}/missing/x.csv"], "--out {tmp}/missing/x.csv: No such file"),
+        (["gen", "--out", "{tmp}"], "--out {tmp}: Is a directory"),
     ],
     ids=[
         "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "coeffs-jmax",
@@ -223,13 +226,13 @@ def test_classic_estimate_grid_limit():
         "qmc-corner",
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
-        "classic-p-1e7", "norm-p-text",
+        "classic-p-1e7", "norm-p-text", "out-missing-dir", "out-directory",
     ],
 )
-def test_input_errors_exit_with_message(argv, named):
+def test_input_errors_exit_with_message(argv, named, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
-        main(argv + ["--n", "2"])
-    assert named in str(excinfo.value.code)
+        main([arg.format(tmp=tmp_path) for arg in argv] + ["--n", "2"])
+    assert named.format(tmp=tmp_path) in str(excinfo.value.code)
 
 
 def test_verify_exit_code_and_rows(capsys):

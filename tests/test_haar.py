@@ -89,23 +89,32 @@ def summary_fields(summary):
     )
 
 
-def generic_fields(points, j1, j2):
-    """The fields of level_value_counts, from the generic scan of every point."""
-    _, sums = _scan_level(points, j1, j2)
+def union_of(points):
+    """Every point of a multiset, as a plain multiset that reflects no axis.
+
+    Its level scans read each point, so it is the oracle of a fold.
+    """
+    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution)
+
+
+def generic_fields(union, j1, j2):
+    """The fields of level_value_counts, from the scan of every point of a plain multiset."""
+    assert union._reflected == (False, False)
+    _, sums = _scan_level(union, j1, j2)
     accs, counts = np.unique(sums, return_counts=True)
     occupied = int(counts.sum())
     boxes = 1 << (max(j1, 0) + max(j2, 0))
-    return accs.tolist(), counts.tolist(), _count_scale(points), occupied, boxes - occupied
+    return accs.tolist(), counts.tolist(), _count_scale(union), occupied, boxes - occupied
+
+
+def level_fields(level):
+    """The occupied map, empty value and box count of a mu_all_at_level result."""
+    return level.occupied, level.empty_value, level.box_count
 
 
 def row_dtypes(points):
     """The dtypes of the cached sorted row (positions, y, x-factors)."""
     return {array.dtype for array in points._cache["row"][1]}
-
-
-def row_flags(points):
-    """The reflection flags of the cached sorted row."""
-    return points._cache["row"][0][1]
 
 
 def lexsort_row(points, j1):
@@ -364,8 +373,7 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
     # the integer numerators of level_value_counts must give the operand
     # float for float equal to the one taken from the DyadicRational values
     # of mu_all_at_level, on int64 scans (res = 20) and exact ones above;
-    # the two symmetrizations take the folded route of level_value_counts
-    # and mu_all_at_level the generic scan of the union
+    # both read the folded base of the two symmetrizations
     rng = random.Random(res)
     levels = (-1, 0, 1, 2, res // 2, res - 1)
     params = (
@@ -411,17 +419,21 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_fold_route_matches_generic_scan(symmetrize, preset):
-    # level_value_counts scans the folded base of a symmetrization; the
-    # generic scan of the whole union is its oracle, on every level
+    # level_value_counts and mu_all_at_level scan the folded base of a
+    # symmetrization; the scan of its union as a plain multiset is their
+    # oracle, on every level and, for the map, box by box
     for n in range(1, 11):
         points = symmetrize(hammersley_type(n, sigma(preset, n)))
+        union = union_of(points)
         for j1 in range(-1, n + 3):
             for j2 in range(-1, n + 3):
-                expected = generic_fields(points, j1, j2)
+                expected = generic_fields(union, j1, j2)
                 assert summary_fields(level_value_counts(points, j1, j2)) == expected, (n, j1, j2)
+                expected = level_fields(mu_all_at_level(union, j1, j2))
+                assert level_fields(mu_all_at_level(points, j1, j2)) == expected, (n, j1, j2)
         # only the latest row stays: the folded one, in the base's int64
         assert set(points._cache) == {"row"}
-        assert points._cache["row"][0] == (n - 1, points._reflected)
+        assert points._cache["row"][0] == n - 1
         assert row_dtypes(points) == {np.dtype(np.int64)}
 
 
@@ -432,17 +444,15 @@ def test_fold_is_lazy_and_only_for_recorded_unions():
     assert symmetrize_davenport(base)._reflected == (False, True)
     mu_all_at_level(full, 1, 2)
     qmc_integrate(full, corner_product(1, 1))
-    assert row_flags(full) == (False, False)
+    assert full._coords is None
     # the mirrored union holds the same points, but records no reflections
     mirrored = reflect(full, "X")
     assert mirrored._reflected == (False, False)
     for j1 in range(-1, 7):
         for j2 in range(-1, 7):
             summary = summary_fields(level_value_counts(mirrored, j1, j2))
-            assert row_flags(mirrored) == (False, False)
             assert summary == generic_fields(mirrored, j1, j2)
             assert summary == summary_fields(level_value_counts(full, j1, j2))
-            assert row_flags(full) == (True, True)
     assert set(mirrored._cache) == set(full._cache) == {"row"}
 
 
@@ -451,22 +461,26 @@ def test_fold_is_lazy_and_only_for_recorded_unions():
 def test_fold_crosses_its_guard(symmetrize, bits):
     # the folded base of M points is scanned in int64 while 2 res + bitlen(M)
     # <= 62, whatever the union's dtype; one bit past that, in Python ints.
-    # Both sides must match the generic scan of the union on every level.
+    # Both sides must match the scan of the union as a plain multiset on
+    # every level, the summaries and the coefficient maps alike.
     res = 29
     size = 1 << (bits - 2 * res - 1)
     rng = random.Random(bits)
     points = symmetrize(random_multiset(rng, res, size))
-    assert points.scaled_coords()[0].dtype == object
+    union = union_of(points)
+    assert union.scaled_coords()[0].dtype == object
     row_dtype = np.dtype(np.int64) if bits == 62 else np.dtype(object)
     for j1 in range(-1, res + 1):
         for j2 in range(-1, res + 1):
-            expected = generic_fields(points, j1, j2)
+            expected = generic_fields(union, j1, j2)
             assert summary_fields(level_value_counts(points, j1, j2)) == expected, (j1, j2)
+            expected = level_fields(mu_all_at_level(union, j1, j2))
+            assert level_fields(mu_all_at_level(points, j1, j2)) == expected, (j1, j2)
             if j1 < res:
-                assert row_flags(points) == points._reflected
+                assert points._cache["row"][0] == j1
                 assert row_dtypes(points) == {row_dtype}, (j1, j2)
         if j1 < res:
-            # the two stable sorts give np.lexsort's order of the folded base
+            # the one stable sort gives np.lexsort's order of the folded base
             assert [a.tolist() for a in points._cache["row"][1]] == lexsort_row(points, j1)
 
 
@@ -612,6 +626,12 @@ def test_counting_sums_examples():
     one = hammersley_type(1, SignPattern.identity(1))
     sx, sy, _ = counting_sums(one, 0, 0, 0, 0)
     assert sx == 1 and sy == 1
+    # an in-range box past the resolution that holds no grid point sums to 0
+    assert counting_sums(base, 5, 0, 1, 0) == (ZERO, ZERO, ZERO)
+    # a position outside its level is an error, as for HaarIndex and axis_factor
+    for j1, j2, m1, m2, bad in ((1, 1, 5, 0, (5, 1)), (1, 1, 0, -1, (-1, 1)), (0, 4, 0, 16, (16, 4))):
+        with pytest.raises(ValueError, match=r"position %d out of range for level %d" % bad):
+            counting_sums(base, j1, j2, m1, m2)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

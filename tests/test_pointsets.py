@@ -21,6 +21,8 @@ from dyadisc import (
     level_value_counts,
     local_discrepancy,
     monomial,
+    mu_all_at_level,
+    mu_grid,
     qmc_integrate,
     reflect,
     symmetrize_davenport,
@@ -273,13 +275,18 @@ def test_union_repicks_dtype_past_guard(union, axes):
     ids=["full", "davenport"],
 )
 def test_union_is_built_once_and_only_when_read(union, axes):
-    # the length, the level scans, the norm and the built-in cubature read
-    # the base and the reflection flags alone
-    base = hammersley_type(8, sigma("random", 8))
+    # the length, the level scans, the coefficient maps and grid, the norm
+    # and the built-in cubature read the base and the reflection flags alone
+    n = 8
+    base = hammersley_type(n, sigma("random", n))
     parts = [base] + [reflect(base, axis) for axis in axes]
     points = union(base)
     assert len(points) == len(parts) * len(base)
     level_value_counts(points, 2, 3)
+    for j1 in range(-1, n + 2):
+        for j2 in range(-1, n + 2):
+            mu_all_at_level(points, j1, j2)
+    mu_grid(points, n)
     besov_norm_exact(points, BesovParams(2, 2, -0.3))
     for f in (corner_product(2, 3), monomial(0, 1)):
         qmc_integrate(points, f)
