@@ -102,19 +102,41 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     1/9 - (2/N) sum_z prod (1 - z_i^2)/2 + (1/N^2) sum_{z,z'} prod
     (1 - max(z_i, z_i')); the double sum runs over
     min(1-x, 1-x') min(1-y, 1-y') and is evaluated as a dominance sum in
-    O(N log N) exact integer array passes.
+    O(M log M) exact integer array passes over the M base points.
+
+    Both sums factor over the axes, so a symmetrization sums each base
+    point's reflection orbit and never builds its union. At scale R = 2^res,
+    on a reflected axis the single factor is (R^2 - k^2) + (R^2 - (R - k)^2)
+    and the four reflected pairs of k and k' give
+    sum min(u, u') = R + 2 min(f, f') = 2 min(R/2 + f, R/2 + f'), where
+    u = R - k and f = min(k, R - k). So the pair sum is one
+    `_min_product_pair_sum` over the base, with input R/2 + f on a reflected
+    axis and R - k on a plain one, times 2 per reflected axis; every input
+    is at most R. The half offset R/2 needs res >= 1, so a base at
+    resolution 0 is first lifted to resolution 1 (k -> 2k).
     """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
     res = points.n_resolution
+    base = points._base
+    if res == 0:
+        base, res = tuple(k << 1 for k in base), 1
     full = 1 << res
-    kx, ky = points.scaled_coords()
-
-    # each factor is below 2^62 under the int64 guard; only products need Python ints
     sq = full * full
-    single = int(np.dot((sq - kx * kx).astype(object), (sq - ky * ky).astype(object)))
-    pair = _min_product_pair_sum(full - kx, full - ky)
+    singles, pair_inputs = [], []
+    for k, reflected in zip(base, points._reflected):
+        if reflected:
+            # (R^2 - k^2) + (R^2 - (R - k)^2), at most 3/2 R^2
+            singles.append(sq + 2 * k * (full - k))
+            pair_inputs.append((full >> 1) + np.minimum(k, full - k))
+        else:
+            singles.append(sq - k * k)
+            pair_inputs.append(full - k)
+
+    # each factor fits the base's dtype; only products need Python ints
+    single = int(np.dot(singles[0].astype(object), singles[1].astype(object)))
+    pair = _min_product_pair_sum(*pair_inputs) << sum(points._reflected)
 
     r4 = full**4
     return (
@@ -135,10 +157,10 @@ def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:
     bit b clear and i has it set. Each bit costs one stable sort and a few
     grouped cumulative sums.
 
-    The inputs are nonnegative arrays in the dtype of
-    `PointMultiset.scaled_coords`. For int64 every per-point sum stays below
-    2 N max(u) max(v) < 2^63; only the total over all points can exceed
-    it, so the last reduction is exact.
+    The inputs are M nonnegative values at most 2^res, in the base's dtype
+    `pointsets._exact(2 res, M)`. For int64 every per-point sum stays below
+    2 M max(u) max(v) <= 2^(2 res + 1) M < 2^63; only the total over all
+    points can exceed it, so the last reduction is exact.
     """
     order = np.argsort(us, kind="stable")
     u, v = us[order], vs[order]

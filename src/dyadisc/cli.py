@@ -251,7 +251,9 @@ def _cmd_classic(config: RunConfig) -> int:
         try:
             p_value = float(p_text)
             even = p_value.is_integer() and int(p_value) % 2 == 0
-            if even:
+            if p_value == 2:
+                power = classical.l2_warnock(points)
+            elif even:
                 power = classical.lp_exact_even(points, int(p_value))
             else:
                 estimate, side = classical.lp_estimate(points, p_value)

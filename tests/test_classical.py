@@ -21,6 +21,7 @@ from dyadisc import (
     lp_estimate,
     lp_exact_even,
     star_discrepancy,
+    symmetrize_davenport,
     symmetrize_full,
 )
 from dyadisc.classical import _count_rows, _power_differences
@@ -134,15 +135,76 @@ def test_l2_warnock_fine_resolution(res):
 
 
 def test_l2_warnock_memory():
-    points = symmetrize_full(hammersley_type(12, SignPattern.identity(12)))
-    tracemalloc.start()
-    try:
-        l2_warnock(points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # sixteen int64 arrays of length N
-    assert peak < 16 * 8 * len(points)
+    for symmetrize in (symmetrize_full, symmetrize_davenport):
+        points = symmetrize(hammersley_type(12, SignPattern.identity(12)))
+        tracemalloc.start()
+        try:
+            l2_warnock(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # thirty-two int64 arrays of length M: the base, never the union
+        assert peak < 32 * 8 * len(points._base[0]), symmetrize.__name__
+
+
+def union_of(points):
+    """The union of a symmetrization as a plain multiset (test oracle)."""
+    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution)
+
+
+def assert_l2_reads_base(points, even_route=False):
+    value = l2_warnock(points)
+    assert points._coords is None
+    assert value == l2_warnock(union_of(points))
+    if even_route:
+        assert value == lp_exact_even(points, 2)
+    return value
+
+
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+def test_l2_warnock_sums_orbits_of_the_base(symmetrize):
+    for n in range(1, 11):
+        for preset in PRESETS:
+            points = symmetrize(hammersley_type(n, sigma(preset, n)))
+            assert_l2_reads_base(points, even_route=n <= 4)
+
+
+def test_l2_warnock_orbits_at_resolution_zero():
+    # the half offset 2^(res - 1) does not exist at res 0; taking it as 0
+    # gives -1/72 for the first set, whose union is the four corners
+    corner = PointMultiset([(0, 0)])
+    assert assert_l2_reads_base(symmetrize_full(corner), True) == Fraction(7, 144)
+    assert assert_l2_reads_base(symmetrize_davenport(corner), True) == Fraction(1, 9)
+    rng = random.Random(0)
+    for size in range(1, 9):
+        for symmetrize in (symmetrize_full, symmetrize_davenport):
+            assert_l2_reads_base(symmetrize(random_multiset(rng, size, 0)), True)
+
+
+def edge_multiset(rng, size, res):
+    """size random points on the 2^-res grid, with 0, 2^(res-1) and 2^res weighted up."""
+    full = 1 << res
+    values = [0, full >> 1, full]
+    coords = [[rng.choice(values + [rng.randint(0, full)]) for _ in range(size)] for _ in "xy"]
+    return PointMultiset._from_scaled(*coords, res)
+
+
+@pytest.mark.parametrize("res", [1, 2, 29, 31, 40])
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+def test_l2_warnock_orbits_across_guard(res, symmetrize):
+    # res 29 with 8 points: 58 + bitlen(8) = 62 keeps an int64 base at the
+    # guard's edge under an object union; res 31 and 40 are object throughout
+    rng = random.Random(res)
+    for size in (1, 2, 3, 8):
+        points = symmetrize(edge_multiset(rng, size, res))
+        assert_l2_reads_base(points, even_route=True)
+        if (res, size) == (29, 8):
+            assert points._base[0].dtype == np.int64
+            assert points.scaled_coords()[0].dtype == object
+    # every pair input at its largest, 2^res, on 8 base points
+    half = 1 << (res - 1)
+    x = half if symmetrize is symmetrize_full else 0
+    assert_l2_reads_base(symmetrize(PointMultiset._from_scaled([x] * 8, [half] * 8, res)), True)
 
 
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])

@@ -18,6 +18,7 @@ from dyadisc import (
     dyadic,
     hammersley_type,
     is_net,
+    l2_warnock,
     level_value_counts,
     local_discrepancy,
     monomial,
@@ -275,8 +276,9 @@ def test_union_repicks_dtype_past_guard(union, axes):
     ids=["full", "davenport"],
 )
 def test_union_is_built_once_and_only_when_read(union, axes):
-    # the length, the level scans, the coefficient maps and grid, the norm
-    # and the built-in cubature read the base and the reflection flags alone
+    # the length, the level scans, the coefficient maps and grid, the norm,
+    # the built-in cubature and the L2 norm read the base and the reflection
+    # flags alone
     n = 8
     base = hammersley_type(n, sigma("random", n))
     parts = [base] + [reflect(base, axis) for axis in axes]
@@ -290,6 +292,7 @@ def test_union_is_built_once_and_only_when_read(union, axes):
     besov_norm_exact(points, BesovParams(2, 2, -0.3))
     for f in (corner_product(2, 3), monomial(0, 1)):
         qmc_integrate(points, f)
+    l2_warnock(points)
     assert points._coords is None
     # then every point: the old concatenation of the base and its reflections,
     # in its values, order and dtype, built once
