@@ -4,7 +4,11 @@ The norm aggregates exact Haar coefficient magnitudes: positions of a level
 combine in l_p, levels combine in l_q with weights 2^((j1+j2)(r - 1/p + 1)),
 with suprema replacing sums for infinite indices. Coefficients enter as
 exact integer numerators at a power-of-two scale and become floats only
-as the log2 of their odd parts.
+as the log2 of their odd parts. A level of many distinct values is one
+array pass over them (_array_operand), a level of few goes value by
+value (_operand over _log2_abs), and the two give the same float. A norm
+whose l_q content floats cannot hold (underflowed, subnormal, infinite or
+nan) raises ValueError.
 
 For a point set on the 2^-n coordinate grid every level with an axis at
 resolution n or finer carries only the volume coefficient, so the infinite
@@ -17,11 +21,15 @@ mode sums levels explicitly instead and doubles as the oracle for the tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import compress
+from typing import List, Optional, Sequence, Tuple
 
-from .haar import level_value_counts
+from .haar import _value_scale, level_value_counts
 from .pointsets import PointMultiset
+
+import numpy as np  # after the package modules, which import it first: a lower peak RSS
 
 __all__ = [
     "BesovParams",
@@ -108,9 +116,89 @@ def _level_log2s(summary):
         yield _log2_abs(empty, top), summary.empty_boxes
 
 
+# Below this many distinct occupied values, the per-value route is faster
+# than the array pass, whose numpy calls cost about 10 us per level: most
+# levels of a norm hold a few values, its largest ones thousands.
+_ARRAY_MIN_VALUES = 64
+
+
 def _level_operand(summary, params: BesovParams) -> float:
-    """2^(weight) times the l_p position aggregate of one level, in floats."""
-    return _operand(summary.j1 + summary.j2, _level_log2s(summary), params)
+    """2^(weight) times the l_p position aggregate of one level, in floats.
+
+    The per-value route for a level of few distinct values, the array pass
+    for one of many; both give the same float.
+    """
+    if len(summary.accs) < _ARRAY_MIN_VALUES:
+        return _operand(summary.j1 + summary.j2, _level_log2s(summary), params)
+    return _array_operand(summary, params)
+
+
+def _level_numerators(summary) -> Tuple[np.ndarray, int]:
+    """The level's value numerators over one 2^top, as one array.
+
+    Returns the numerators (acc << shift) + empty of the occupied values,
+    in the order of accs, then the empty value, and top (see _value_scale).
+    The array is int64 while |acc| << shift plus |empty| stays below 2^62,
+    judged from the two ends of the ascending accs, and object, for Python
+    ints, past that.
+    """
+    shift, empty, top = _value_scale(summary.j1, summary.j2, summary.scale)
+    accs = summary.accs
+    hi = max(abs(int(accs[0])), abs(int(accs[-1]))) if accs.size else 0
+    dtype = np.int64 if ((hi << shift) + abs(empty)).bit_length() <= 62 else object
+    nums = np.zeros(accs.size + 1, dtype)
+    nums[:-1] = accs
+    nums <<= shift
+    nums += empty
+    return nums, top
+
+
+def _array_operand(summary, params: BesovParams) -> float:
+    """_level_operand in one array pass over the level's distinct values.
+
+    The pass over the nonzero values gives the float that _operand gives
+    from _log2_abs of each value, bit for bit. The trailing zero count low
+    of each numerator comes from its isolated low bit: frexp is exact on
+    that power of two in int64, and Python ints take bit_length. Then the
+    same math.log2 of each odd part, the same float subtraction of
+    top - low and the same p log2 + log2(count) follow in float64, and
+    math.fsum adds the same terms. np.log2 and np.power are not bit-equal
+    to math.log2 and float **, so they stay out. The arrays are reused in
+    place, so a level holds few temporaries.
+    """
+    nums, top = _level_numerators(summary)
+    counts = summary.counts.tolist()
+    counts.append(summary.empty_boxes)
+    keep = nums != 0
+    keep[-1] = summary.empty_boxes > 0  # the empty value is minus the volume term, never 0
+    if not keep.all():
+        nums, counts = nums[keep], list(compress(counts, keep.tolist()))
+    if not nums.size:
+        return 0.0
+    low = -nums
+    low &= nums
+    if nums.dtype == object:
+        low = np.fromiter(map(int.bit_length, low.tolist()), np.int64, len(low))
+    else:
+        low = np.frexp(low.astype(np.float64))[1]
+    low -= 1
+    nums >>= low
+    np.absolute(nums, out=nums)
+    log2s = np.fromiter(map(math.log2, nums.tolist()), np.float64, len(nums))
+    log2s -= top - low
+    weight = (summary.j1 + summary.j2) * (params.r - params.inv_p + 1.0)
+    p = params.p
+    if p == INF:
+        return 2.0 ** (weight + float(log2s.max()))
+    # Python floats overflow to inf and give nan for inf - inf without a
+    # warning; so do these, and _combine rejects what comes of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        log2s *= p
+        log2s += np.fromiter(map(math.log2, counts), np.float64, len(counts))
+        peak = float(log2s.max())
+        log2s -= peak
+    total = math.fsum(map((2.0).__pow__, log2s.tolist()))
+    return 2.0 ** (weight + (peak + math.log2(total)) / p)
 
 
 def _operand(level: int, log2s, params: BesovParams) -> float:
@@ -118,7 +206,8 @@ def _operand(level: int, log2s, params: BesovParams) -> float:
 
     log2s holds (log2 |value|, multiplicity) pairs. Assembled in log2 space
     so deep levels cannot underflow prematurely. math.fsum rounds the sum of
-    the contributions once, so their order never changes the result.
+    the contributions once, so their order never changes the result. The
+    per-value route, and the oracle of _array_operand.
     """
     p = params.p
     logs = [
@@ -134,15 +223,21 @@ def _operand(level: int, log2s, params: BesovParams) -> float:
     return 2.0 ** (weight + (top + math.log2(total)) / p)
 
 
-def _level_term(points: PointMultiset, j1: int, j2: int, params: BesovParams) -> float:
-    operand = _level_operand(level_value_counts(points, j1, j2), params)
-    return operand if params.q == INF else operand**params.q
+def _level_operands(points: PointMultiset, j_max: int, params: BesovParams):
+    """(j1, j2, operand) for every level pair in [-1, j_max]^2, lexicographically."""
+    levels = range(-1, j_max + 1)
+    return [
+        (j1, j2, _level_operand(level_value_counts(points, j1, j2), params))
+        for j1 in levels
+        for j2 in levels
+    ]
 
 
 def level_term(points: PointMultiset, j1: int, j2: int, params: BesovParams) -> float:
     """The (j1, j2) summand of the norm: operand^q, or the operand if q = inf."""
     _require_admissible(params)
-    return _level_term(points, j1, j2, params)
+    operand = _level_operand(level_value_counts(points, j1, j2), params)
+    return operand if params.q == INF else operand**params.q
 
 
 @dataclass(frozen=True)
@@ -161,24 +256,45 @@ class NormBreakdown:
     per_level: Tuple[Tuple[int, int, float], ...]
 
 
-def _combine(core_terms, tail_content: float, params: BesovParams) -> NormBreakdown:
+def _require_normal(content: float, part: str, params: BesovParams) -> None:
+    if not sys.float_info.min <= content < INF:  # a nan fails the comparison too
+        raise ValueError(
+            f"p = {params.p}, q = {params.q}: the {part} content {content!r} (its l_q sum,"
+            " or its maximum at q = inf) is not a finite, normal, positive float, so the"
+            " norm would lose its digits"
+        )
+
+
+def _combine(core_operands, tail_content: Optional[float], params: BesovParams) -> NormBreakdown:
+    """The breakdown of the core level operands and the tail content, if any.
+
+    Raises ValueError unless the core content and the tail content are
+    finite, normal and positive floats: at a large q or p an l_q sum can
+    underflow to 0 or to a subnormal, or turn into nan, and the norm would
+    print as 0.0, as a few digits or as nan. A core whose operands are all
+    exactly 0, because every one of its coefficients is 0, keeps content 0.
+    """
     q = params.q
-    per_level = tuple(core_terms)
+    per_level = tuple((j1, j2, op if q == INF else op**q) for j1, j2, op in core_operands)
     values = [term for _, _, term in per_level]
     if q == INF:
-        core = max(values, default=0.0)
-        total = max(core, tail_content)
-        return NormBreakdown(total, core, tail_content, per_level)
-    core_content = math.fsum(values)
+        # max() passes over a nan that does not come first
+        core_content = math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+    else:
+        core_content = math.fsum(values)
+    if any(op != 0.0 for _, _, op in core_operands):
+        _require_normal(core_content, "core", params)
+    if tail_content is None:
+        tail_content = 0.0
+    else:
+        _require_normal(tail_content, "tail", params)
+    if q == INF:
+        total = max(core_content, tail_content)
+        return NormBreakdown(total, core_content, tail_content, per_level)
     total = (core_content + tail_content) ** (1.0 / q)
     return NormBreakdown(
         total, core_content ** (1.0 / q), tail_content ** (1.0 / q), per_level
     )
-
-
-def _core_terms(points: PointMultiset, j_max: int, params: BesovParams):
-    levels = range(-1, j_max + 1)
-    return [(j1, j2, _level_term(points, j1, j2, params)) for j1 in levels for j2 in levels]
 
 
 def besov_norm_truncated(
@@ -188,7 +304,7 @@ def besov_norm_truncated(
     _require_admissible(params)
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    return _combine(_core_terms(points, j_max, params), 0.0, params)
+    return _combine(_level_operands(points, j_max, params), None, params)
 
 
 def besov_norm_exact(points: PointMultiset, params: BesovParams) -> NormBreakdown:
@@ -212,7 +328,7 @@ def besov_norm_exact(points: PointMultiset, params: BesovParams) -> NormBreakdow
         quadrant = 2.0 ** (-4.0 * q) * x**n * (2.0 - x**n) / (1.0 - x) ** 2
         rows = 2.0 * 2.0 ** (q * (inv_p - r - 4.0)) * x**n / (1.0 - x)
         tail = quadrant + rows
-    return _combine(_core_terms(points, n - 1, params), tail, params)
+    return _combine(_level_operands(points, n - 1, params), tail, params)
 
 
 def scaling_ratio(

@@ -197,15 +197,19 @@ def _cmd_coeffs(config: RunConfig) -> int:
 
 
 def _norm_for(config: RunConfig, points, params) -> besov.NormBreakdown:
+    """The norm of the configured mode; a norm that floats cannot hold exits."""
     if config.mode == "exact":
         if config.j_max is not None:
             raise SystemExit(f"--jmax {config.j_max}: only --mode truncated reads it")
-        return besov.besov_norm_exact(points, params)
-    j_max = (points.n_resolution + 40) if config.j_max is None else config.j_max
+    elif config.j_max is not None and config.j_max < 0:
+        raise SystemExit(f"--jmax {config.j_max}: j_max must be nonnegative")
     try:
+        if config.mode == "exact":
+            return besov.besov_norm_exact(points, params)
+        j_max = (points.n_resolution + 40) if config.j_max is None else config.j_max
         return besov.besov_norm_truncated(points, params, j_max)
     except ValueError as exc:
-        raise SystemExit(f"--jmax {j_max}: {exc}") from exc
+        raise SystemExit(str(exc)) from exc  # it names p and q
 
 
 def _cmd_norm(config: RunConfig) -> int:

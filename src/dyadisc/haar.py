@@ -279,8 +279,9 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
 # On a fixed level every factor is num / 2^res with the integer num of
 # _tents: num >= 0 on level -1 and num <= 0 on every other level. A position
 # therefore receives contributions of one sign only, which makes "occupied"
-# equivalent to "coefficient differs from the empty-box value".
-# The coordinate arrays come from PointMultiset.scaled_coords(), whose dtype
+# equivalent to "coefficient differs from the empty-box value", and a box
+# sum of 0 equivalent to "no point contributes".
+# The coordinate arrays come from the base (see _level_row), whose dtype
 # (int64 or exact Python ints) bounds every product sum below.
 
 
@@ -339,9 +340,12 @@ def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np
     Returns ascending keys m1 * 2^max(j2, 0) + m2 and the integer sums
     Sum_z f1 * f2 at scale 2^(2 res) over the rows of _level_row, with the
     mirror's factor of _tents on each reflected axis; only positions with
-    at least one nonzero contribution appear. A folded coordinate is at
-    most 2^(res - 1), a box edge on every level j >= 1, so on a reflected
-    axis above level 0 every key lies in the lower half of the level.
+    at least one nonzero contribution appear. The whole sorted row is
+    grouped first and the zero sums are dropped after: every nonzero
+    product on a level has one sign, so a box sums to 0 exactly when no
+    point contributes to it. A folded coordinate is at most 2^(res - 1), a
+    box edge on every level j >= 1, so on a reflected axis above level 0
+    every key lies in the lower half of the level.
     """
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
@@ -351,8 +355,9 @@ def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np
         return empty, empty  # interval interiors at or beyond the resolution are empty
     m1, ky, n1 = _level_row(points, j1)
     n2, m2 = _tents(ky, j2, res, points._reflected[1])
-    hit = n2 != 0
-    return _group_sums(((m1 << max(j2, 0)) + m2)[hit], n1[hit] * n2[hit])
+    keys, sums = _group_sums((m1 << max(j2, 0)) + m2, n1 * n2)
+    hit = sums != 0
+    return keys[hit], sums[hit]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from dyadisc import (
     SignPattern,
     besov_norm_exact,
     besov_norm_truncated,
+    build_family,
+    dyadic,
     hammersley_type,
     level_term,
     level_value_counts,
@@ -28,6 +30,18 @@ INF = math.inf
 
 def rt(n, preset="identity"):
     return symmetrize_full(hammersley_type(n, SignPattern.from_preset(preset, n, seed=7)))
+
+
+def dyadic_log2s(summary):
+    """(log2 |value|, multiplicity) per nonzero value of a level, empty value last.
+
+    Read from the DyadicRational values, whose mantissas are odd, through
+    the per-value besov._log2_abs: the oracle of besov._level_operand.
+    """
+    values = list(summary.occupied_values)
+    if summary.empty_boxes:
+        values.append((summary.empty_value, summary.empty_boxes))
+    return [(besov._log2_abs(v.mantissa, v.exponent), count) for v, count in values if v]
 
 
 def test_validate_window():
@@ -226,3 +240,106 @@ def test_norm_leaves_no_per_level_state(symmetrize, n):
         assert getattr(first, field) == getattr(second, field)
     assert first.accs.tolist() == second.accs.tolist()
     assert first.counts.tolist() == second.counts.tolist()
+
+
+ORACLE_PARAMS = [
+    BesovParams(2, 2, -0.3),
+    BesovParams(1, INF, 0.5),
+    BesovParams(INF, 2, -0.3),
+    BesovParams(3, 1.5, -0.1),
+]
+
+
+@pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])
+def test_level_operand_matches_per_value_route(family):
+    # the array pass gives the float of _operand over the DyadicRational
+    # values, bit for bit, on every level of the core and on the first two
+    # past the resolution, whichever route _level_operand takes there
+    routes = set()
+    for n in range(1, 13):
+        points = build_family(family, n, SignPattern.from_preset("random", n, seed=n))
+        for j1 in range(-1, n + 2):
+            for j2 in range(-1, n + 2):
+                summary = level_value_counts(points, j1, j2)
+                routes.add(len(summary.accs) >= besov._ARRAY_MIN_VALUES)
+                pairs = dyadic_log2s(summary)
+                for params in ORACLE_PARAMS:
+                    expected = besov._operand(j1 + j2, pairs, params)
+                    assert besov._array_operand(summary, params) == expected, (n, j1, j2, params)
+                    assert besov._level_operand(summary, params) == expected, (n, j1, j2, params)
+    assert routes == {False, True}
+
+
+def grid_multiset(rng, res, size):
+    return PointMultiset(
+        [(dyadic(rng.randint(0, 1 << res), res), dyadic(rng.randint(0, 1 << res), res))
+         for _ in range(size)],
+        resolution=res,
+    )
+
+
+def test_level_numerators_cross_int64():
+    # the numerators (acc << shift) + empty take int64 while they stay
+    # below 2^62 and Python ints past it, whatever the dtype of the accs:
+    # at res 29 eight base points scan in int64, and the numerators of
+    # their symmetrizations outgrow it on the low levels; a single point at
+    # res 31 scans in Python ints, and its mid levels fit int64 again
+    rng = random.Random(29)
+    sets = []
+    for res, size in ((29, 8), (29, 8), (31, 1), (600, 4)):
+        base = grid_multiset(rng, res, size)
+        sets += [base, symmetrize_davenport(base), symmetrize_full(base)]
+    paths = set()
+    for points in sets:
+        res = points.n_resolution
+        levels = sorted({-1, 0, 1, 2, res // 3, res // 2, res - 2, res - 1})
+        for j1 in levels:
+            for j2 in levels:
+                summary = level_value_counts(points, j1, j2)
+                nums, top = besov._level_numerators(summary)
+                exact, empty, exact_top = summary.numerators()
+                assert (nums.tolist(), top) == (exact + [empty], exact_top)
+                fits = all(abs(num) < 1 << 62 for num in exact + [empty])
+                assert nums.dtype == object or fits
+                paths.add((summary.accs.dtype.name, nums.dtype.name))
+                pairs = dyadic_log2s(summary)
+                for params in ORACLE_PARAMS:
+                    expected = besov._operand(j1 + j2, pairs, params)
+                    assert besov._array_operand(summary, params) == expected, (res, j1, j2)
+    assert paths == {("int64", "int64"), ("int64", "object"), ("object", "int64"),
+                     ("object", "object")}
+
+
+@pytest.mark.parametrize(
+    "family, n, params, part",
+    [
+        ("symmetrized", 12, BesovParams(2, 100, 0.0), "core content 0.0 "),  # all underflow
+        ("symmetrized", 4, BesovParams(2, 130, 0.0), "core content 2.5"),  # a subnormal sum
+        ("hammersley", 4, BesovParams(2, 130, -0.3), "tail content 0.0 "),
+        ("symmetrized", 2, BesovParams(1e308, 2, 0.0), "core content nan "),
+        ("symmetrized", 2, BesovParams(1e308, INF, 0.0), "core content nan "),  # under a max
+    ],
+)
+def test_norm_rejects_contents_floats_cannot_hold(family, n, params, part):
+    # a norm from an l_q sum that underflowed, went subnormal or became nan
+    # printed as 0.0, a few digits or nan; it raises, naming p and q
+    points = build_family(family, n, SignPattern.identity(n))
+    with pytest.raises(ValueError) as excinfo:
+        besov_norm_exact(points, params)
+    message = str(excinfo.value)
+    assert part in message and f"p = {params.p}, q = {params.q}:" in message
+    if part.startswith("core"):
+        with pytest.raises(ValueError, match=part.strip()):
+            besov_norm_truncated(points, params, n - 1)
+
+
+def test_all_zero_core_keeps_content_zero():
+    # the trapezoid rule: per axis, weights 1/4, 1/2, 1/4 at 0, 1/2 and 1.
+    # Its counting average is the cell average of t1 t2 on the 2^-1 grid,
+    # so every core coefficient is 0, and a core of content 0 is exact
+    xs = (0, dyadic(1, 1), dyadic(1, 1), 1)
+    points = PointMultiset([(x, y) for x in xs for y in xs], resolution=1)
+    params = BesovParams(2, 2, -0.3)
+    exact = besov_norm_exact(points, params)
+    assert exact.core_part == 0.0 and exact.total == exact.tail_part > 0
+    assert besov_norm_truncated(points, params, 0).total == 0.0

@@ -216,6 +216,12 @@ def test_classic_estimate_grid_limit():
         (["classic", "--p", "4000"], "--p 4000"),
         (["classic", "--p", "1e7"], "--p 1e7"),
         (["norm", "--p", "abc"], "--p abc"),
+        (["norm", "--q", "1000"], "p = 2.0, q = 1000.0: the core content 0.0 "),
+        (["sweep", "--q", "1000", "--n-max", "3"], "p = 2.0, q = 1000.0: the core content 0.0 "),
+        (["norm", "--p", "1e308"], "p = 1e+308, q = 2.0: the core content nan "),
+        (["norm", "--mode", "truncated", "--q", "1000"], "q = 1000.0: the core content 0.0 "),
+        (["sweep", "--mode", "truncated", "--p", "1e308", "--q", "inf", "--n-max", "3"],
+         "p = 1e+308, q = inf: the core content nan "),
         # {tmp} is a fresh empty directory
         (["gen", "--out", "{tmp}/missing/x.csv"], "--out {tmp}/missing/x.csv: No such file"),
         (["gen", "--out", "{tmp}"], "--out {tmp}: Is a directory"),
@@ -226,7 +232,9 @@ def test_classic_estimate_grid_limit():
         "qmc-corner",
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
-        "classic-p-1e7", "norm-p-text", "out-missing-dir", "out-directory",
+        "classic-p-1e7", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",
+        "norm-p-nan", "norm-truncated-q-underflow", "sweep-truncated-p-nan",
+        "out-missing-dir", "out-directory",
     ],
 )
 def test_input_errors_exit_with_message(argv, named, tmp_path):

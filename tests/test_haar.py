@@ -484,6 +484,38 @@ def test_fold_crosses_its_guard(symmetrize, bits):
             assert [a.tolist() for a in points._cache["row"][1]] == lexsort_row(points, j1)
 
 
+def interior(k, j, res):
+    """Whether grid coordinate k is strictly inside its tent on level j (below 1 on level -1)."""
+    if j == -1:
+        return k < 1 << res
+    return j < res and k % (1 << (res - j)) != 0
+
+
+@pytest.mark.parametrize("symmetrize", [None, symmetrize_davenport, symmetrize_full])
+def test_scan_keeps_exactly_the_boxes_a_point_hits(symmetrize):
+    # counted by brute force over every point of the union, without
+    # _scan_level: a box is occupied when it holds a point strictly inside
+    # both tents. The scan groups whole rows and then drops the zero sums,
+    # so no summary may hold an acc of 0 and no hit box may go missing.
+    bases = [endpoint_multiset(res) for res in (2, 3, 5)]
+    bases += [hammersley_type(n, sigma("random", n)) for n in range(1, 9)]
+    for base in bases:
+        points = base if symmetrize is None else symmetrize(base)
+        res = points.n_resolution
+        kx, ky = (k.tolist() for k in points.scaled_coords())
+        for j1 in range(-1, res + 2):
+            for j2 in range(-1, res + 2):
+                hit = {
+                    (box_of(x, j1, res) if j1 >= 0 else 0, box_of(y, j2, res) if j2 >= 0 else 0)
+                    for x, y in zip(kx, ky)
+                    if interior(x, j1, res) and interior(y, j2, res)
+                }
+                summary = level_value_counts(points, j1, j2)
+                assert 0 not in summary.accs.tolist(), (res, j1, j2)
+                assert summary.occupied_boxes == len(hit), (res, j1, j2)
+                assert set(mu_all_at_level(points, j1, j2).occupied) == hit, (res, j1, j2)
+
+
 def test_level_map_single_point_example():
     points = PointMultiset([(0.25, 0.25)], resolution=2)
     level = mu_all_at_level(points, 0, 0)
