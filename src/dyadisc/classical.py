@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from operator import mul
 from typing import Iterator, List, Tuple
 
@@ -32,7 +32,12 @@ __all__ = [
 
 
 def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
-    """Counting fraction of the half-open box [0, t) minus its area, exact."""
+    """Counting fraction of the half-open box [0, t) minus its area, exact.
+
+    Counts each base point's reflection orbit: per axis the test k < b, and
+    on a reflected axis also 2^res - k < b (as k > 2^res - b); the count sums
+    the points that pass one test on each axis, over every pair of tests.
+    """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
@@ -44,8 +49,10 @@ def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
     res = points.n_resolution
     tx = _strict_bound(t1, res)
     ty = _strict_bound(t2, res)
-    kx, ky = points.scaled_coords()
-    count = int(np.count_nonzero((kx < tx) & (ky < ty)))
+    full = 1 << res
+    tests = [[k < b, k > full - b] if r else [k < b]
+             for k, b, r in zip(points._base, (tx, ty), points._reflected)]
+    count = sum(int(np.count_nonzero(a & c)) for a, c in product(*tests))
     return dyadic(count, nu) - t1 * t2
 
 

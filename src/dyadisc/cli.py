@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, product, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import besov, classical, qmc, verify
@@ -96,7 +96,8 @@ class _Emitter:
 
     A row is a lead and a tail, fragments of cells joined by "," (CSV) or by ",\n"
     after their JSON keys. Cells are escaped a column at a time and rows sharing a
-    lead are one join, so no Python code runs per row.
+    lead are one join, so no Python code runs per row. The blocks rendered so far
+    are written, and dropped, after each step of emit.
     """
 
     def __init__(self, header: List[str], fmt: str):
@@ -105,6 +106,7 @@ class _Emitter:
         self.sep, self.open, self.row_sep = (
             (",\n", "  {\n", "\n  },\n") if self.json else (",", "", "\n"))
         self.pieces: List[str] = []
+        self.next_sep = "[\n" if self.json else ""  # the table's opening, before the first block
         if not self.json:
             self.row(*header)
 
@@ -128,24 +130,32 @@ class _Emitter:
     def block(self, tails: Sequence[str], lead: Optional[str] = None) -> None:
         """One row per tail, each after the rendered lead if there is one."""
         pre = self.open if lead is None else self.open + lead + self.sep
-        self.pieces += (self.row_sep, pre + (self.row_sep + pre).join(tails))
+        self.pieces += (self.next_sep, pre + (self.row_sep + pre).join(tails))
+        self.next_sep = self.row_sep
 
     def row(self, *values) -> None:
         self.block(self.fragments([[str(value)] for value in values]))
 
-    def emit(self, out: Optional[str]) -> None:
-        """Write the table to the file named out, or to stdout."""
+    def emit(self, out: Optional[str], steps: Iterable[object] = ()) -> None:
+        """Write the table to the file named out, or to stdout.
+
+        The file is opened first; each item taken from steps renders more
+        blocks, which are written before the next is taken.
+        """
+        if not out:
+            return self._write(sys.stdout, steps)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                self._write(handle, steps)
+        except OSError as exc:
+            raise SystemExit(f"--out {out}: {exc.strerror}") from exc
+
+    def _write(self, handle, steps: Iterable[object]) -> None:
+        for _ in chain(steps, [None]):
+            handle.writelines(self.pieces)
+            self.pieces.clear()
         end = "\n  }\n]\n" if self.json else "\n"
-        # a separator goes before every block but the first; only a JSON table can be empty
-        pieces = ["[\n" if self.json else "", *self.pieces[1:], end] if self.pieces else ["[]\n"]
-        if out:
-            try:
-                with open(out, "w", encoding="utf-8", newline="") as handle:
-                    handle.writelines(pieces)
-            except OSError as exc:
-                raise SystemExit(f"--out {out}: {exc.strerror}") from exc
-        else:
-            sys.stdout.writelines(pieces)
+        handle.write(end if self.next_sep == self.row_sep else "[]\n")  # only JSON can be empty
 
 
 # -- subcommands -----------------------------------------------------------
@@ -164,7 +174,7 @@ def _cmd_coeffs(config: RunConfig) -> int:
     j_max = config.n if config.j_max is None else config.j_max
     if j_max < -1:
         raise SystemExit(f"--jmax {j_max}: levels start at -1")
-    if j_max > 10:  # the 4^(jmax + 1) rows are held in memory before they are written
+    if j_max > 10:  # 4^(jmax + 1) rows: --jmax 10 writes 4.2 million, 0.65 GB of JSON
         raise SystemExit(f"--jmax {j_max}: {4 ** (j_max + 1):,} rows, "
                          f"over the limit of {4 ** 11:,} (--jmax 10)")
     points = build_family(config.family, config.n, _sigma(config, config.n))
@@ -179,10 +189,10 @@ def _cmd_coeffs(config: RunConfig) -> int:
             rendered[key] = emitter.sep + emitter.fragments(cells, 4)[0]
         return rendered[key]
 
-    # a level's tails hold the empty value, patched in copies for m1 rows with points
-    for j1 in range(-1, j_max + 1):
-        width1 = 1 << max(j1, 0)
-        for j2 in range(-1, j_max + 1):
+    # one level per step; its tails hold the empty value, patched in copies for m1 rows with points
+    def levels():
+        for j1, j2 in product(range(-1, j_max + 1), repeat=2):
+            width1 = 1 << max(j1, 0)
             level = mu_all_at_level(points, j1, j2)
             leads = emitter.fragments([[str(j1)] * width1, [str(j2)] * width1, labels[:width1]])
             m2_cells = emitter.fragments([labels[: 1 << max(j2, 0)]], 3)
@@ -192,7 +202,9 @@ def _cmd_coeffs(config: RunConfig) -> int:
                 patched[m1][m2] = m2_cells[m2] + render(mu)
             for m1, lead in enumerate(leads):
                 emitter.block(patched.get(m1, empty), lead)
-    emitter.emit(config.out)
+            yield
+
+    emitter.emit(config.out, levels())
     return 0
 
 
@@ -249,11 +261,11 @@ def _cmd_classic(config: RunConfig) -> int:
         ["family", "n", "N", "stat", "value_num", "value_den", "value", "note"], config.fmt
     )
     p_text = config.p
-    if p_text in ("inf", "star"):
+    p_value = math.inf if p_text == "star" else _parse_extended("p", p_text)
+    if p_value == math.inf:
         row = ("star", *_fmt_exact(classical.star_discrepancy(points)), "")
     else:
         try:
-            p_value = float(p_text)
             even = p_value.is_integer() and int(p_value) % 2 == 0
             if p_value == 2:
                 power = classical.l2_warnock(points)

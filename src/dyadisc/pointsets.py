@@ -10,7 +10,7 @@ always counts multiplicity and coordinates exactly equal to 1 can occur.
 Coordinates are stored as integers k with value k / 2**n_resolution, in one
 read-only pair of numpy arrays, which keeps every downstream computation
 exact and deterministic. A symmetrization stores the pair of its base and
-the axes it reflects, and builds its union's pair only when it is read.
+the axes it reflects, and builds its union's pair on each read.
 """
 
 from __future__ import annotations
@@ -130,20 +130,19 @@ class PointMultiset:
     base's reflections on every combination of those axes, M 2^a points for
     M base points and a reflected axes. The two symmetrizations record
     (True, True) and (False, True); every other multiset records
-    (False, False), and its base is its coordinate arrays. The union's
-    arrays, _coords, are built on the first scaled_coords() call and kept;
-    haar folds the base and qmc sums over orbits, so neither builds them.
+    (False, False), and its base is its coordinate arrays. The level scans,
+    the norms, the built-in cubature, L2 and the local discrepancy read the
+    base and the flags; scaled_coords() builds the union for every other
+    reader of all points and keeps nothing.
     """
 
-    __slots__ = ("n_resolution", "_base", "_coords", "_cache", "_reflected")
+    __slots__ = ("n_resolution", "_base", "_cache", "_reflected")
 
     def __init__(self, points: Iterable, resolution: Optional[int] = None):
         coords = []
         max_exp = 0
-        for entry in points:
-            x, y = entry
-            x = _as_dyadic(x)
-            y = _as_dyadic(y)
+        for x, y in points:
+            x, y = _as_dyadic(x), _as_dyadic(y)
             for c in (x, y):
                 if c < 0 or c > 1:
                     raise ValueError(f"coordinate {c} outside [0, 1]")
@@ -178,36 +177,8 @@ class PointMultiset:
             k.flags.writeable = False
         object.__setattr__(self, "n_resolution", resolution)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_coords", None if any(reflected) else base)
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_reflected", reflected)
-
-    def _build_union(self) -> None:
-        """Fill the union's arrays in entry order: base, Y, X, XY (or base, Y).
-
-        In the dtype of _exact(2 res, N); when that is the base's, the base
-        becomes a view of the union's first M entries, so no second copy
-        stays. No local name holds a base array, so each is freed as soon as
-        the view replaces it.
-        """
-        res = self.n_resolution
-        copies = list(product(*([False, True] if r else [False] for r in self._reflected)))
-        dtype = _exact(2 * res, len(self))
-        coords = []
-        for axis in range(2):
-            k = np.empty(len(self), dtype=dtype)
-            rows = k.reshape(len(copies), len(self._base[0]))
-            rows[0] = self._base[axis]
-            for row, copy in zip(rows[1:], copies[1:]):
-                if copy[axis]:
-                    np.subtract(1 << res, rows[0], out=row)
-                else:
-                    row[...] = rows[0]
-            k.flags.writeable = False
-            coords.append(k)
-        if dtype == self._base[0].dtype:
-            object.__setattr__(self, "_base", tuple(k[: len(self._base[0])] for k in coords))
-        object.__setattr__(self, "_coords", tuple(coords))
 
     # -- views ------------------------------------------------------------
 
@@ -228,12 +199,20 @@ class PointMultiset:
         """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
         In the dtype of _exact(2 n_resolution, N), which bounds every sum of
-        coordinate products: int64, or object arrays of Python ints. A
-        symmetrization builds its union's arrays on the first call.
+        coordinate products: int64, or object arrays of Python ints. A plain
+        multiset returns its base; a symmetrization builds its union on every
+        call, in entry order base, Y, X, XY (base, Y), and keeps nothing.
         """
-        if self._coords is None:
-            self._build_union()
-        return self._coords
+        if not any(self._reflected):
+            return self._base
+        full = 1 << self.n_resolution
+        dtype = _exact(2 * self.n_resolution, len(self))
+        axes = ((k, full - k) if r else (k,) for k, r in zip(self._base, self._reflected))
+        # product varies y fastest: base, Y, X, XY
+        coords = tuple(np.concatenate(parts, dtype=dtype) for parts in zip(*product(*axes)))
+        for k in coords:
+            k.flags.writeable = False
+        return coords
 
     def multiset(self) -> Counter:
         """Counter over Point values; order-free equality for tests."""

@@ -26,6 +26,8 @@ from dyadisc import (
 )
 from dyadisc.classical import _count_rows, _power_differences
 
+from conftest import no_union_read, union_of
+
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
 
@@ -147,14 +149,9 @@ def test_l2_warnock_memory():
         assert peak < 32 * 8 * len(points._base[0]), symmetrize.__name__
 
 
-def union_of(points):
-    """The union of a symmetrization as a plain multiset (test oracle)."""
-    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution)
-
-
 def assert_l2_reads_base(points, even_route=False):
-    value = l2_warnock(points)
-    assert points._coords is None
+    with no_union_read():
+        value = l2_warnock(points)
     assert value == l2_warnock(union_of(points))
     if even_route:
         assert value == lp_exact_even(points, 2)
@@ -205,6 +202,31 @@ def test_l2_warnock_orbits_across_guard(res, symmetrize):
     half = 1 << (res - 1)
     x = half if symmetrize is symmetrize_full else 0
     assert_l2_reads_base(symmetrize(PointMultiset._from_scaled([x] * 8, [half] * 8, res)), True)
+
+
+@pytest.mark.parametrize("res", [0, 1, 2, 29, 40])
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+def test_local_discrepancy_counts_orbits(symmetrize, res):
+    # each base point's orbit is counted below the anchor; the union as a
+    # plain multiset counts every point. Res 29 with 8 points keeps an int64
+    # base at the guard's edge under an object union; res 40 is object
+    # throughout
+    rng = random.Random(res)
+    full = 1 << res
+    for size in (1, 2, 8):
+        points = symmetrize(edge_multiset(rng, size, res))
+        union = union_of(points)
+        ks = [0, full >> 1, full, rng.randint(0, full)] + points._base[0][:2].tolist()
+        anchors = [(dyadic(a, res), dyadic(b, res)) for a in ks for b in ks]
+        # between grid points, and on the reflections of a base point
+        anchors += [(dyadic(rng.randrange(4 * full + 1), res + 2), dyadic(full - k, res))
+                    for k in points._base[1].tolist()]
+        with no_union_read():
+            values = [local_discrepancy(points, anchor) for anchor in anchors]
+        assert values == [local_discrepancy(union, anchor) for anchor in anchors]
+        if (res, size) == (29, 8):
+            assert points._base[0].dtype == np.int64
+            assert union.scaled_coords()[0].dtype == object
 
 
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])

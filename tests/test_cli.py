@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dyadisc import HaarIndex, SignPattern, dyadic, hammersley_type, mu_discrepancy, symmetrize_full
+from dyadisc import cli
 from dyadisc.cli import RunConfig, _build_parser, _Emitter, main, run
 from dyadisc.haar import mu_all_at_level
 from dyadisc.pointsets import build_family
@@ -184,6 +185,15 @@ def test_classic_star_and_l2(capsys):
     assert rows[0][3] == "star"
 
 
+@pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity", "+inf", "1e999"])
+def test_classic_p_infinity_is_the_star_row(capsys, spelling):
+    # every spelling of +inf that float() reads, as norm --p takes them
+    _, star = capture(capsys, ["classic", "--n", "3", "--p", "star"])
+    code, out = capture(capsys, ["classic", "--n", "3", "--p", spelling])
+    assert code == 0
+    assert out == star
+
+
 def test_classic_odd_p_estimate(capsys):
     code, out = capture(capsys, ["classic", "--n", "2", "--p", "3"])
     assert code == 0
@@ -213,6 +223,7 @@ def test_classic_estimate_grid_limit():
         (["classic", "--p", "-2"], "--p -2"),
         (["classic", "--p", "abc"], "--p abc"),
         (["classic", "--p", "nan"], "--p nan"),
+        (["classic", "--p=-inf"], "--p -inf"),
         (["classic", "--p", "4000"], "--p 4000"),
         (["classic", "--p", "1e7"], "--p 1e7"),
         (["norm", "--p", "abc"], "--p abc"),
@@ -225,16 +236,17 @@ def test_classic_estimate_grid_limit():
         # {tmp} is a fresh empty directory
         (["gen", "--out", "{tmp}/missing/x.csv"], "--out {tmp}/missing/x.csv: No such file"),
         (["gen", "--out", "{tmp}"], "--out {tmp}: Is a directory"),
+        (["coeffs", "--out", "{tmp}"], "--out {tmp}: Is a directory"),
     ],
     ids=[
         "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "coeffs-jmax",
         "coeffs-jmax-limit",
         "qmc-corner",
         "qmc-monomial", "classic-p0",
-        "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-4000",
+        "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf", "classic-p-4000",
         "classic-p-1e7", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",
         "norm-p-nan", "norm-truncated-q-underflow", "sweep-truncated-p-nan",
-        "out-missing-dir", "out-directory",
+        "out-missing-dir", "out-directory", "coeffs-out-directory",
     ],
 )
 def test_input_errors_exit_with_message(argv, named, tmp_path):
@@ -378,6 +390,20 @@ def test_emitter_matches_csv_and_json_modules(data):
         expected = oracle_text(header, rows, fmt)
         assert emitted(by_row) == expected
         assert emitted(by_block) == expected
+        # the same blocks, each rendered in a step of emit, as coeffs renders levels
+        by_step = _Emitter(header, fmt)
+        out = io.StringIO()
+
+        def steps():
+            for lead, tails in blocks:
+                columns = [list(column) for column in zip(*tails)]
+                pre = by_step.fragments([[cell] for cell in lead])[0] if lead else None
+                by_step.block(by_step.fragments(columns, lead_width), pre)
+                yield
+
+        with redirect_stdout(out):
+            by_step.emit(None, steps())
+        assert out.getvalue() == expected
 
 
 def assert_same_text(out, expected):
@@ -400,6 +426,28 @@ def coeffs_rows(points, j_max):
                     rows.append([str(j1), str(j2), str(m1), str(m2), str(mu.mantissa),
                                  str(mu.exponent), repr(mu.to_float())])
     return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coeffs_writes_each_level_once_it_is_final(monkeypatch, fmt):
+    # the text written grows before every level after the first is computed,
+    # so no more than one level's rows are held
+    argv = ["coeffs", "--n", "3", "--jmax", "3", "--format", fmt]
+    expected = io.StringIO()
+    with redirect_stdout(expected):
+        main(argv)
+    out, written = io.StringIO(), []
+
+    def level(points, j1, j2):
+        written.append(len(out.getvalue()))
+        return mu_all_at_level(points, j1, j2)
+
+    monkeypatch.setattr(cli, "mu_all_at_level", level)
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    assert len(written) == 25  # levels -1..3 on each axis
+    assert all(a < b for a, b in zip(written[1:], written[2:]))
+    assert out.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

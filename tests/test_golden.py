@@ -42,6 +42,8 @@ CASES = {
     "classic-l6": ["classic", "--n", "8", "--p", "6"],
     "classic-l3": ["classic", "--n", "3", "--p", "3"],
     "gen": ["gen", "--family", "davenport", "--n", "3", "--sigma", "random", "--seed", "4"],
+    # the four-fold union's entry order: base, Y, X, XY
+    "gen-symmetrized": ["gen", "--n", "3", "--sigma", "alternating"],
     "coeffs": ["coeffs", "--n", "2", "--jmax", "3", "--sigma", "alternating"],
     "coeffs-hammersley": ["coeffs", "--family", "hammersley", "--n", "3", "--jmax", "3",
                           "--sigma", "random", "--seed", "5"],

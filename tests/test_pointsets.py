@@ -30,6 +30,8 @@ from dyadisc import (
     symmetrize_full,
 )
 
+from conftest import no_union_read, union_of
+
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
 
@@ -171,16 +173,6 @@ def test_net_property_small(preset):
         assert is_net(hammersley_type(n, sigma(preset, n)), n)
 
 
-def exact_copy(points):
-    """The same multiset held in arrays of Python ints, the dtype past the int64 guard."""
-    copy = PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution)
-    coords = tuple(k.astype(object) for k in points.scaled_coords())
-    # no reflected axes: the base is the coordinate arrays
-    for name in ("_base", "_coords"):
-        object.__setattr__(copy, name, coords)
-    return copy
-
-
 def test_net_property_counterexample():
     bad = PointMultiset([(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)], resolution=2)
     assert not is_net(bad, 2)
@@ -199,7 +191,7 @@ def test_net_property_counterexample():
     coarse = PointMultiset(
         [(dyadic(k, 2), dyadic(k * 3 % 4, 2)) for k in range(4)] * 2, resolution=2
     )
-    for points in (coarse, exact_copy(coarse)):
+    for points in (coarse, union_of(coarse, object)):
         assert not is_net(points, 3)
 
 
@@ -251,8 +243,8 @@ def test_union_repicks_dtype_past_guard(union, axes):
     pair = _pair_at(res)
     assert all(arr.dtype == np.int64 for arr in pair.scaled_coords())
     merged = union(pair)
-    besov_norm_exact(merged, BesovParams(2, 2, -0.3))
-    assert merged._coords is None  # the norm folds the base
+    with no_union_read():  # the norm folds the base
+        besov_norm_exact(merged, BesovParams(2, 2, -0.3))
     kx, ky = merged.scaled_coords()
     assert kx.dtype == ky.dtype == object  # 4 or 8 points: 2 res + 3 > 62
     assert all(type(k) is int for k in np.concatenate([kx, ky]))
@@ -275,35 +267,35 @@ def test_union_repicks_dtype_past_guard(union, axes):
     [(symmetrize_full, ("Y", "X", "XY")), (symmetrize_davenport, ("Y",))],
     ids=["full", "davenport"],
 )
-def test_union_is_built_once_and_only_when_read(union, axes):
+def test_union_is_built_only_when_read(union, axes):
     # the length, the level scans, the coefficient maps and grid, the norm,
-    # the built-in cubature and the L2 norm read the base and the reflection
-    # flags alone
+    # the built-in cubature, the L2 norm and the local discrepancy read the
+    # base and the reflection flags alone
     n = 8
     base = hammersley_type(n, sigma("random", n))
     parts = [base] + [reflect(base, axis) for axis in axes]
     points = union(base)
-    assert len(points) == len(parts) * len(base)
-    level_value_counts(points, 2, 3)
-    for j1 in range(-1, n + 2):
-        for j2 in range(-1, n + 2):
-            mu_all_at_level(points, j1, j2)
-    mu_grid(points, n)
-    besov_norm_exact(points, BesovParams(2, 2, -0.3))
-    for f in (corner_product(2, 3), monomial(0, 1)):
-        qmc_integrate(points, f)
-    l2_warnock(points)
-    assert points._coords is None
-    # then every point: the old concatenation of the base and its reflections,
-    # in its values, order and dtype, built once
+    with no_union_read():
+        assert len(points) == len(parts) * len(base)
+        level_value_counts(points, 2, 3)
+        for j1 in range(-1, n + 2):
+            for j2 in range(-1, n + 2):
+                mu_all_at_level(points, j1, j2)
+        mu_grid(points, n)
+        besov_norm_exact(points, BesovParams(2, 2, -0.3))
+        for f in (corner_product(2, 3), monomial(0, 1)):
+            qmc_integrate(points, f)
+        l2_warnock(points)
+        local_discrepancy(points, (dyadic(3, 3), dyadic(5, 4)))
+    # then every point: the concatenation of the base and its reflections, in
+    # its values, order and dtype, read-only and built anew on each read
     kx, ky = points.scaled_coords()
-    assert points.scaled_coords()[0] is kx
     for got, want in zip((kx, ky), zip(*(part.scaled_coords() for part in parts))):
         want = np.concatenate(want)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
-    # the union has the base's dtype, so the base is a view of its head, not a copy
-    assert all(np.shares_memory(b, k) for b, k in zip(points._base, (kx, ky)))
+        assert not got.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip(points.scaled_coords(), (kx, ky)))
     assert len(points) == len(kx)
 
 
