@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from operator import mul
 from typing import Iterator, List, Tuple
 
@@ -34,9 +34,9 @@ __all__ = [
 def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
     """Counting fraction of the half-open box [0, t) minus its area, exact.
 
-    Counts each base point's reflection orbit: per axis the test k < b, and
-    on a reflected axis also 2^res - k < b (as k > 2^res - b); the count sums
-    the points that pass one test on each axis, over every pair of tests.
+    Counts over the base's reflection orbits (PointMultiset.axis_orbits):
+    per base point, the orbit entries below the anchor on one axis times
+    those on the other.
     """
     n = len(points)
     if n == 0:
@@ -46,14 +46,10 @@ def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
     for c in (t1, t2):
         if c < 0 or c > 1:
             raise ValueError(f"anchor coordinate {c} outside [0, 1]")
-    res = points.n_resolution
-    tx = _strict_bound(t1, res)
-    ty = _strict_bound(t2, res)
-    full = 1 << res
-    tests = [[k < b, k > full - b] if r else [k < b]
-             for k, b, r in zip(points._base, (tx, ty), points._reflected)]
-    count = sum(int(np.count_nonzero(a & c)) for a, c in product(*tests))
-    return dyadic(count, nu) - t1 * t2
+    bounds = (_strict_bound(t, points.n_resolution) for t in (t1, t2))
+    below = [np.sum([k < b for k in orbit], axis=0, dtype=np.int64)
+             for orbit, b in zip(points.axis_orbits(), bounds)]
+    return dyadic(int(np.dot(*below)), nu) - t1 * t2
 
 
 def _strict_bound(t: DyadicRational, res: int) -> int:
@@ -111,44 +107,36 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     min(1-x, 1-x') min(1-y, 1-y') and is evaluated as a dominance sum in
     O(M log M) exact integer array passes over the M base points.
 
-    Both sums factor over the axes, so a symmetrization sums each base
-    point's reflection orbit and never builds its union. At scale R = 2^res,
-    on a reflected axis the single factor is (R^2 - k^2) + (R^2 - (R - k)^2)
-    and the four reflected pairs of k and k' give
-    sum min(u, u') = R + 2 min(f, f') = 2 min(R/2 + f, R/2 + f'), where
-    u = R - k and f = min(k, R - k). So the pair sum is one
-    `_min_product_pair_sum` over the base, with input R/2 + f on a reflected
-    axis and R - k on a plain one, times 2 per reflected axis; every input
-    is at most R. The half offset R/2 needs res >= 1, so a base at
-    resolution 0 is first lifted to resolution 1 (k -> 2k).
+    Both sums factor over the axes, so they run over the base's orbits
+    (PointMultiset.axis_orbits). At scale R = 2^res a single factor is the
+    orbit sum of R^2 - k^2. On a reflected axis the four pairs from the
+    orbits of k and k' give sum min(u, u') = R + 2 min(f, f') =
+    2 min(R/2 + f, R/2 + f'), for u = R - k and f the orbit's minimum. So
+    the pair sum is one `_min_product_pair_sum` over the base, of R/2 + f on
+    a reflected axis and R - k on a plain one, times 2 per reflected axis;
+    every input is at most R. R/2 needs res >= 1, so a base at resolution 0
+    is lifted to resolution 1 first (k -> 2k in each orbit).
     """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
     res = points.n_resolution
-    base = points._base
+    orbits = points.axis_orbits()
     if res == 0:
-        base, res = tuple(k << 1 for k in base), 1
+        orbits, res = tuple(tuple(k << 1 for k in orbit) for orbit in orbits), 1
     full = 1 << res
     sq = full * full
-    singles, pair_inputs = [], []
-    for k, reflected in zip(base, points._reflected):
-        if reflected:
-            # (R^2 - k^2) + (R^2 - (R - k)^2), at most 3/2 R^2
-            singles.append(sq + 2 * k * (full - k))
-            pair_inputs.append((full >> 1) + np.minimum(k, full - k))
-        else:
-            singles.append(sq - k * k)
-            pair_inputs.append(full - k)
+    singles = [sum(sq - k * k for k in orbit) for orbit in orbits]
+    pair_inputs = [(full >> 1) + np.minimum(*o) if len(o) == 2 else full - o[0] for o in orbits]
+    del orbits  # the mirrors need not outlive the pair sum's peak
 
     # each factor fits the base's dtype; only products need Python ints
     single = int(np.dot(singles[0].astype(object), singles[1].astype(object)))
     pair = _min_product_pair_sum(*pair_inputs) << sum(points._reflected)
 
-    r4 = full**4
     return (
         Fraction(1, 9)
-        - Fraction(single, 2 * n * r4)
+        - Fraction(single, 2 * n * full**4)
         + Fraction(pair, n * n * full * full)
     )
 

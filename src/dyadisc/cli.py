@@ -358,6 +358,9 @@ _FLAGS = {
     "--mode": dict(choices=("exact", "truncated")),
     "--format": dict(choices=("csv", "json"), dest="fmt"),
 }
+# argparse reads a value that starts with "-" as a flag unless it is a plain
+# negative decimal, so main joins these flags to such a value (--r=-1e-1)
+_NUMERIC_FLAGS = ("--p", "--q", "--r", "--n", "--n-max", "--seed", "--jmax")
 _POINT_FLAGS = ("--family", "--n", "--sigma", "--seed")
 _NORM_FLAGS = _POINT_FLAGS + ("--p", "--q", "--r", "--mode", "--jmax")
 
@@ -394,12 +397,22 @@ def run(config: RunConfig) -> int:
         raise SystemExit("--n must be >= 1")
     if config.n_max is not None and config.n_max < config.n:
         raise SystemExit("--n-max must be >= --n")
-    return _COMMANDS[config.subcommand][0](config)
+    try:
+        return _COMMANDS[config.subcommand][0](config)
+    except MemoryError as exc:
+        sizes = f"--n {config.n}" + ("" if config.n_max is None else f" --n-max {config.n_max}")
+        raise SystemExit(f"{config.subcommand} {sizes}: out of memory") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    given = vars(parser.parse_args(argv))
+    args: List[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if args and args[-1] in _NUMERIC_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
+    given = vars(parser.parse_args(args))
     if "seed" in given and given.get("sigma", RunConfig.sigma) not in ("random", "all"):
         parser.error(f"--seed {given['seed']}: only --sigma random (or verify's all) reads it")
     try:

@@ -25,28 +25,25 @@ their counts; DyadicRational values are built only when a caller reads
 them. A summary is built on every call and not kept: a multiset caches
 only its latest sorted row.
 
-The symmetrizations are scanned through their folded base. Reflecting
-x -> 1 - x keeps a point's tent on every level j >= 0 and moves it from
-position m to 2^j - 1 - m. So a box sum of a union is fixed by the base
-points folded to min(k, 2^res - k) on the reflected axes, with the
-mirror's factor added on the levels where a point and its mirror share a
-box (-1 and 0, see _tents). Every factor stays within 2^res, so the fold
-is scanned in the dtype its own size needs, not the union's (see
-_level_row). Every level scan reads the base folded on the axes its
-multiset reflects; a plain multiset, which reflects none, is its own
-base. The same scan of the union as a plain multiset is the fold's oracle.
+Every route sums over the base's reflection orbits (PointMultiset.axis_orbits);
+only level_counting_sums builds a union. The level scans fold each orbit to
+its minimum: reflecting x -> 1 - x keeps a point's tent on every level
+j >= 0 and moves it from position m to 2^j - 1 - m, so a box sum of a union
+is fixed by the folded base, with the mirror's factor added on levels -1
+and 0, where a point and its mirror share a box (see _tents). The same
+scan of the union as a plain multiset is the fold's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .dyadic import DyadicRational, ZERO, dyadic
-from .pointsets import PointMultiset, SignPattern, _as_dyadic, _pow2_log
+from .pointsets import PointMultiset, SignPattern, _as_dyadic, _exact, _pow2_log
 
 __all__ = [
     "HaarIndex",
@@ -265,13 +262,13 @@ def oracle_mu(points: PointMultiset, idx: HaarIndex) -> DyadicRational:
 
 
 def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> DyadicRational:
-    # the factor products summed at scale 2^(2 res), in the dtype of
-    # scaled_coords(), whose guard bounds the sum
-    scale = _count_scale(points)
+    # orbit sums of the factors at scale 2^res in _exact(2 res, N), which
+    # bounds the sum of their products
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
-    products = numerator(idx.j1, idx.m1, kx, res) * numerator(idx.j2, idx.m2, ky, res)
-    return _coefficients([int(products.sum())], scale, idx.j1, idx.j2)[0]
+    ox, oy = points.axis_orbits(_exact(2 * res, len(points)))
+    fx = reduce(np.add, (numerator(idx.j1, idx.m1, k, res) for k in ox))
+    fy = reduce(np.add, (numerator(idx.j2, idx.m2, k, res) for k in oy))
+    return _coefficients([int((fx * fy).sum())], _count_scale(points), idx.j1, idx.j2)[0]
 
 
 # -- level-wise scans ---------------------------------------------------------
@@ -281,8 +278,8 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
 # therefore receives contributions of one sign only, which makes "occupied"
 # equivalent to "coefficient differs from the empty-box value", and a box
 # sum of 0 equivalent to "no point contributes".
-# The coordinate arrays come from the base (see _level_row), whose dtype
-# (int64 or exact Python ints) bounds every product sum below.
+# The coordinate arrays are the base's folded orbits (see _level_row), whose
+# dtype (int64 or exact Python ints) bounds every product sum below.
 
 
 def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
@@ -300,10 +297,8 @@ def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
 def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
 
-    Reads the base, points._base, with each coordinate k on an axis of
-    points._reflected folded to min(k, 2^res - k): the M = N / 2^a base
-    points of a symmetrization with a reflected axes, or every point of a
-    plain multiset; a union is never built. Every factor of _tents is at
+    Reads the M base points' axis orbits folded to their minimum,
+    min(k, 2^res - k) on a reflected axis. Every factor of _tents is at
     most 2^res in magnitude, so M products of at most 2^(2 res) bound every
     box sum of the union, and the base's dtype _exact(2 res, M) holds them.
 
@@ -318,10 +313,8 @@ def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, 
     if cached is not None and cached[0] == j1:
         return cached[1]
     res = points.n_resolution
-    reflected = points._reflected
-    full = 1 << res
-    kx, ky = (np.minimum(k, full - k) if r else k for k, r in zip(points._base, reflected))
-    n1, m1 = _tents(kx, j1, res, reflected[0])
+    kx, ky = (reduce(np.minimum, orbit) for orbit in points.axis_orbits())
+    n1, m1 = _tents(kx, j1, res, points._reflected[0])
     keep = np.flatnonzero(n1 != 0)
     order = keep[np.argsort((m1[keep] << (res + 1)) + ky[keep], kind="stable")]
     row = (m1[order], ky[order], n1[order])
@@ -351,7 +344,7 @@ def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np
         raise ValueError("levels must be >= -1")
     res = points.n_resolution
     if j1 >= res or j2 >= res:
-        empty = points._base[0][:0]
+        empty = points.axis_orbits()[0][0][:0]
         return empty, empty  # interval interiors at or beyond the resolution are empty
     m1, ky, n1 = _level_row(points, j1)
     n2, m2 = _tents(ky, j2, res, points._reflected[1])
@@ -474,17 +467,17 @@ def _level_rows(j: int) -> slice:
     return slice(0, 1) if j == -1 else slice(1 << j, 2 << j)
 
 
-def _factor_matrix(ks: np.ndarray, j_max: int, res: int) -> np.ndarray:
-    """Antiderivative factors times 2^res, one row per (j, m), one column per point.
+def _factor_matrix(orbit, j_max: int, res: int) -> np.ndarray:
+    """Antiderivative factors times 2^res, one row per (j, m), one column per base point.
 
-    Each level's block is _antiderivative_numerator over a column of its
-    positions and the row ks, in the dtype of ks.
+    Each level's block is the orbit sum of _antiderivative_numerator over a
+    column of its positions and the rows of the axis orbit, in their dtype.
     """
     blocks = []
     for j in range(-1, j_max + 1):
-        m = np.arange(1 if j == -1 else 1 << j, dtype=ks.dtype)[:, None]
-        block = _antiderivative_numerator(j, m, ks, res)
-        blocks.append(np.broadcast_to(block, (len(m), len(ks))))
+        m = np.arange(1 if j == -1 else 1 << j, dtype=orbit[0].dtype)[:, None]
+        block = reduce(np.add, (_antiderivative_numerator(j, m, k, res) for k in orbit))
+        blocks.append(np.broadcast_to(block, (len(m), len(orbit[0]))))
     return np.concatenate(blocks)
 
 
@@ -505,14 +498,13 @@ def mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational
 def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
     """oracle_mu for every index with levels in [-1, j_max], batched.
 
-    Multiplies two antiderivative factor matrices, in the dtype that
-    PointMultiset.scaled_coords() holds, independent of the level scans
-    behind :func:`mu_grid`.
+    Multiplies two antiderivative factor matrices of orbit sums, in
+    _exact(2 res, N), independent of the level scans behind :func:`mu_grid`.
     """
     scale = _count_scale(points)
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
-    sums = _factor_matrix(kx, j_max, res) @ _factor_matrix(ky, j_max, res).T
+    ox, oy = points.axis_orbits(_exact(2 * res, len(points)))
+    sums = _factor_matrix(ox, j_max, res) @ _factor_matrix(oy, j_max, res).T
     values: List[DyadicRational] = []
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):

@@ -10,7 +10,8 @@ always counts multiplicity and coordinates exactly equal to 1 can occur.
 Coordinates are stored as integers k with value k / 2**n_resolution, in one
 read-only pair of numpy arrays, which keeps every downstream computation
 exact and deterministic. A symmetrization stores the pair of its base and
-the axes it reflects, and builds its union's pair on each read.
+the axes it reflects, and its sums read the base's reflection orbits; see
+PointMultiset.
 """
 
 from __future__ import annotations
@@ -130,10 +131,12 @@ class PointMultiset:
     base's reflections on every combination of those axes, M 2^a points for
     M base points and a reflected axes. The two symmetrizations record
     (True, True) and (False, True); every other multiset records
-    (False, False), and its base is its coordinate arrays. The level scans,
-    the norms, the built-in cubature, L2 and the local discrepancy read the
-    base and the flags; scaled_coords() builds the union for every other
-    reader of all points and keeps nothing.
+    (False, False), and its base is its coordinate arrays. Every per-point
+    sum reads the base through axis_orbits(). scaled_coords() builds the
+    union, and keeps nothing, for the readers that need each point on its
+    own: gen, iteration, reflect and the symmetrizations of a
+    symmetrization, is_net, the count sweep behind star and even L_p,
+    level_counting_sums and custom integrands.
     """
 
     __slots__ = ("n_resolution", "_base", "_cache", "_reflected")
@@ -195,21 +198,34 @@ class PointMultiset:
     def entries(self) -> Tuple[Point, ...]:
         return tuple(self)
 
+    def axis_orbits(self, dtype=None) -> Tuple[Tuple[np.ndarray, ...], ...]:
+        """Per axis (x, y), the base's orbit: (k,), or (k, 2^res - k) if reflected.
+
+        The arrays run over the M base points, cast to dtype if one is given.
+        The N points take one entry of each tuple at one base point, so for
+        any fx, fy, the sum over the N points of fx(x) fy(y) is the sum over
+        the M base points of (sum of fx over the x tuple) (sum of fy over the
+        y tuple). Every per-point sum reads the base so; it regroups the
+        union's terms, so their bound, such as _exact(2 res, N), holds too.
+        """
+        full = 1 << self.n_resolution
+        base = self._base if dtype is None else (k.astype(dtype, copy=False) for k in self._base)
+        return tuple((k, full - k) if r else (k,) for k, r in zip(base, self._reflected))
+
     def scaled_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
         In the dtype of _exact(2 n_resolution, N), which bounds every sum of
         coordinate products: int64, or object arrays of Python ints. A plain
-        multiset returns its base; a symmetrization builds its union on every
-        call, in entry order base, Y, X, XY (base, Y), and keeps nothing.
+        multiset returns its base; a symmetrization builds its union from
+        axis_orbits() on every call, in entry order base, Y, X, XY (base, Y),
+        and keeps nothing.
         """
         if not any(self._reflected):
             return self._base
-        full = 1 << self.n_resolution
-        dtype = _exact(2 * self.n_resolution, len(self))
-        axes = ((k, full - k) if r else (k,) for k, r in zip(self._base, self._reflected))
+        orbits = self.axis_orbits(_exact(2 * self.n_resolution, len(self)))
         # product varies y fastest: base, Y, X, XY
-        coords = tuple(np.concatenate(parts, dtype=dtype) for parts in zip(*product(*axes)))
+        coords = tuple(map(np.concatenate, zip(*product(*orbits))))
         for k in coords:
             k.flags.writeable = False
         return coords

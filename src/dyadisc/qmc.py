@@ -90,15 +90,10 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
     """Equal-weight average of f over the multiset.
 
     Exact (a Fraction) for the built-in polynomial family at dyadic nodes:
-    the numerator is one numpy sum over the integer coordinates at scale
-    2^res, in the dtype of pointsets._exact(max(a + b, 1) res, N). A
-    symmetrization is summed over its M base points, each point's
-    reflection orbit at once: on a reflected axis with exponent e the
-    orbit factor is k^e + (2^res - k)^e, after the corner's k -> 2^res - k.
-    It is at most 2^(e res) for e >= 1 and 2 for e = 0, so the M products
-    are bounded as the N terms of the union are, every term at most
-    2^((a + b) res): int64, or object arrays of Python ints. Custom
-    integrands give a float average over every point.
+    the numerator is one numpy sum at scale 2^res over the base's orbits
+    (PointMultiset.axis_orbits) of k^e, or of (2^res - k)^e for a corner,
+    in pointsets._exact(max(a + b, 1) res, N): int64, or object arrays of
+    Python ints. Custom integrands give a float average over every point.
     """
     n = len(points)
     if n == 0:
@@ -108,14 +103,9 @@ def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]
     if f.kind in (CORNER, MONOMIAL):
         # max(..., 1): the coordinates themselves must fit as well
         dtype = _exact(max(f.a + f.b, 1) * res, n)
-        factors = []
-        for k, e, reflected in zip(points._base, (f.a, f.b), points._reflected):
-            k = k.astype(dtype, copy=False)
-            if f.kind == CORNER:
-                k = full - k
-            factors.append(k**e + (full - k) ** e if reflected else k**e)
-        total = int((factors[0] * factors[1]).sum())
-        return Fraction(total, n * full ** (f.a + f.b))
+        fx, fy = (sum((full - k if f.kind == CORNER else k) ** e for k in orbit)
+                  for orbit, e in zip(points.axis_orbits(dtype), (f.a, f.b)))
+        return Fraction(int((fx * fy).sum()), n * full ** (f.a + f.b))
     kx, ky = (arr.tolist() for arr in points.scaled_coords())
     scale = 1.0 / full
     return math.fsum(f.func(x * scale, y * scale) for x, y in zip(kx, ky)) / n

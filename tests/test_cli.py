@@ -224,6 +224,8 @@ def test_classic_estimate_grid_limit():
         (["classic", "--p", "abc"], "--p abc"),
         (["classic", "--p", "nan"], "--p nan"),
         (["classic", "--p=-inf"], "--p -inf"),
+        (["classic", "--p", "-inf"], "classic --p -inf: p must satisfy 0 < p < inf, got -inf"),
+        (["norm", "--q", "-inf"], "q must satisfy 1 <= q <= inf, got -inf"),
         (["classic", "--p", "4000"], "--p 4000"),
         (["classic", "--p", "1e7"], "--p 1e7"),
         (["norm", "--p", "abc"], "--p abc"),
@@ -243,7 +245,8 @@ def test_classic_estimate_grid_limit():
         "coeffs-jmax-limit",
         "qmc-corner",
         "qmc-monomial", "classic-p0",
-        "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf", "classic-p-4000",
+        "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf",
+        "classic-p-neg-inf-spaced", "norm-q-neg-inf-spaced", "classic-p-4000",
         "classic-p-1e7", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",
         "norm-p-nan", "norm-truncated-q-underflow", "sweep-truncated-p-nan",
         "out-missing-dir", "out-directory", "coeffs-out-directory",
@@ -253,6 +256,30 @@ def test_input_errors_exit_with_message(argv, named, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main([arg.format(tmp=tmp_path) for arg in argv] + ["--n", "2"])
     assert named.format(tmp=tmp_path) in str(excinfo.value.code)
+
+
+@pytest.mark.parametrize("sub", ["norm", "sweep"])
+def test_numeric_flags_take_values_that_start_with_a_dash(capsys, sub):
+    # argparse alone reads -1e-1 after a flag as another flag
+    argv = [sub, "--n", "3", "--r"]
+    assert capture(capsys, argv + ["-1e-1"]) == capture(capsys, argv + ["-0.1"])
+    with pytest.raises(SystemExit) as excinfo:  # --out parses as before
+        main([sub, "--n", "3", "--out", "-x"])
+    assert excinfo.value.code == 2
+
+
+def test_out_of_memory_exits_naming_the_size(monkeypatch):
+    # the constructor is patched: a real allocation of 2^40 points could be
+    # granted by an overcommitting host and then killed, not refused
+    def refuse(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_family", refuse)
+    for argv, named in ((["norm", "--n", "40", "--family", "hammersley"], "norm --n 40: "),
+                        (["sweep", "--n", "3", "--n-max", "40"], "sweep --n 3 --n-max 40: ")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code) == named + "out of memory"
 
 
 def test_verify_exit_code_and_rows(capsys):

@@ -543,6 +543,39 @@ def test_grids_match_across_guard(res):
         assert mu_grid(points, 3) == oracle_mu_grid(points, 3)
 
 
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+@pytest.mark.parametrize("res, bits", [(0, None), (29, 62), (29, 63)])
+def test_orbit_sums_cross_their_guard(symmetrize, res, bits):
+    # mu_discrepancy, oracle_mu and oracle_mu_grid sum the base's orbits in
+    # _exact(2 res, N): int64 while 2 res + bitlen(N) <= 62, Python ints one
+    # bit past it. The union, as a plain multiset in its own dtype and in
+    # Python ints, is their oracle on every index up to level 3 and on the
+    # boxes of its points further up.
+    rng = random.Random(res + (bits or 0))
+    copies = 4 if symmetrize is symmetrize_full else 2
+    if res == 0:
+        coords = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(2)]
+        base = PointMultiset(coords, resolution=0)
+    else:
+        base = random_multiset(rng, res, (1 << (bits - 2 * res - 1)) // copies)
+    points = symmetrize(base)
+    unions = (union_of(points), union_of(points, object))
+    assert unions[0].scaled_coords()[0].dtype == (object if bits == 63 else np.int64)
+    grid = oracle_mu_grid(points, 3)
+    assert all(grid == oracle_mu_grid(union, 3) for union in unions)
+    indices = list(grid)
+    for kx, ky in zip(*unions[0].scaled_coords()):
+        for j1, j2 in ((5, 17), (28, 4), (res - 1, res - 1)):
+            if 0 <= j1 < res and 0 <= j2 < res:
+                m1, m2 = (min(k >> (res - j), (1 << j) - 1) for k, j in ((kx, j1), (ky, j2)))
+                indices.append(HaarIndex(j1, j2, m1, m2))
+    for idx in indices:
+        for route in (mu_discrepancy, oracle_mu):
+            value = route(points, idx)
+            assert all(value == route(union, idx) for union in unions), (route, idx)
+        assert grid.get(idx, value) == value
+
+
 def test_reflection_symmetry_of_coefficients():
     rt = symmetrize_full(hammersley_type(4, sigma("random", 4)))
     for j1, j2 in [(1, 2), (2, 0), (3, 3)]:

@@ -9,6 +9,7 @@ import pytest
 
 from dyadisc import (
     BesovParams,
+    HaarIndex,
     Point,
     PointMultiset,
     SignPattern,
@@ -23,7 +24,10 @@ from dyadisc import (
     local_discrepancy,
     monomial,
     mu_all_at_level,
+    mu_discrepancy,
     mu_grid,
+    oracle_mu,
+    oracle_mu_grid,
     qmc_integrate,
     reflect,
     symmetrize_davenport,
@@ -268,9 +272,9 @@ def test_union_repicks_dtype_past_guard(union, axes):
     ids=["full", "davenport"],
 )
 def test_union_is_built_only_when_read(union, axes):
-    # the length, the level scans, the coefficient maps and grid, the norm,
-    # the built-in cubature, the L2 norm and the local discrepancy read the
-    # base and the reflection flags alone
+    # the length, the level scans, the coefficient maps, both grids, the
+    # per-index coefficients, the norm, the built-in cubature, the L2 norm and
+    # the local discrepancy read the base's orbits alone
     n = 8
     base = hammersley_type(n, sigma("random", n))
     parts = [base] + [reflect(base, axis) for axis in axes]
@@ -282,6 +286,11 @@ def test_union_is_built_only_when_read(union, axes):
             for j2 in range(-1, n + 2):
                 mu_all_at_level(points, j1, j2)
         mu_grid(points, n)
+        oracle_mu_grid(points, 3)
+        for idx in (HaarIndex(-1, -1, 0, 0), HaarIndex(-1, 0, 0, 0), HaarIndex(0, 0, 0, 0),
+                    HaarIndex(0, 3, 0, 5), HaarIndex(4, -1, 11, 0), HaarIndex(2, 6, 1, 40)):
+            mu_discrepancy(points, idx)
+            oracle_mu(points, idx)
         besov_norm_exact(points, BesovParams(2, 2, -0.3))
         for f in (corner_product(2, 3), monomial(0, 1)):
             qmc_integrate(points, f)
