@@ -53,6 +53,8 @@ from .pointsets import (
     PointMultiset,
     SignPattern,
     build_family,
+    family_reflections,
+    hammersley_moments,
     hammersley_type,
     is_net,
     reflect,
@@ -65,6 +67,7 @@ from .qmc import (
     RateFit,
     corner_product,
     error_table,
+    family_integral,
     fit_rate,
     monomial,
     qmc_integrate,

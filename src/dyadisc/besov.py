@@ -76,7 +76,7 @@ def validate(params: BesovParams) -> Admissibility:
         problems.append("q > 1 is required when p = inf")
     if math.isnan(r) or math.isinf(r):
         problems.append(f"r must be finite, got {r}")
-    else:
+    elif 1 <= p:  # the r window derives from 1/p, which means nothing for p out of range
         lower = params.inv_p - 1.0
         upper = min(params.inv_p, 1.0)
         if not r > lower:

@@ -137,12 +137,12 @@ class _Emitter:
         self.block(self.fragments([[str(value)] for value in values]))
 
     def emit(self, out: Optional[str], steps: Iterable[object] = ()) -> None:
-        """Write the table to the file named out, or to stdout.
+        """Write the table to the file named out, or to stdout if out is None or "-".
 
         The file is opened first; each item taken from steps renders more
         blocks, which are written before the next is taken.
         """
-        if not out:
+        if not out or out == "-":
             return self._write(sys.stdout, steps)
         try:
             with open(out, "w", encoding="utf-8", newline="") as handle:
@@ -327,6 +327,10 @@ def _cmd_qmc(config: RunConfig) -> int:
         ["family", "sigma", "integrand", "n", "N", "error", "slope_so_far"], config.fmt
     )
     for i, row in enumerate(rows):
+        error = float(row.error)
+        if row.error and error < sys.float_info.min:  # 0.0 or subnormal: a wrong number
+            raise SystemExit(f"qmc: the error at n = {row.n} is nonzero, and its float"
+                             f" {error!r} is not normal, so floats cannot hold it")
         prefix = rows[: i + 1]
         try:
             fit = qmc.fit_rate(prefix)
@@ -335,7 +339,7 @@ def _cmd_qmc(config: RunConfig) -> int:
             slope = ""
         emitter.row(
             config.family, config.sigma, integrand.name, row.n, row.cardinality,
-            _fmt_float(float(row.error)), slope,
+            _fmt_float(error), slope,
         )
     emitter.emit(config.out)
     return 0
@@ -357,6 +361,7 @@ _FLAGS = {
     "--jmax": dict(type=int, dest="j_max"),
     "--mode": dict(choices=("exact", "truncated")),
     "--format": dict(choices=("csv", "json"), dest="fmt"),
+    "--out": dict(help="file to write; '-' (or no --out) writes to stdout"),
 }
 # argparse reads a value that starts with "-" as a flag unless it is a plain
 # negative decimal, so main joins these flags to such a value (--r=-1e-1)

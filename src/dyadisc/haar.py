@@ -433,14 +433,17 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     sorted row stays in points._cache.
     """
     scale = _count_scale(points)
+    boxes = 1 << (max(j1, 0) + max(j2, 0))
+    if min(j1, j2) >= -1 and max(j1, j2) >= points.n_resolution:
+        # _scan_level's empty row, in the dtypes np.unique would give it
+        accs = points.axis_orbits()[0][0][:0]
+        return LevelSummary(j1, j2, accs, np.zeros(0, np.int64), scale, 0, boxes)
     reflected = points._reflected
     _, sums = _scan_level(points, j1, j2)
     accs, counts = np.unique(sums, return_counts=True)
     counts = counts << sum(r and j > 0 for r, j in zip(reflected, (j1, j2)))
     occupied = int(counts.sum())
-    return LevelSummary(
-        j1, j2, accs, counts, scale, occupied, (1 << (max(j1, 0) + max(j2, 0))) - occupied
-    )
+    return LevelSummary(j1, j2, accs, counts, scale, occupied, boxes - occupied)
 
 
 # -- batch per-index tables ----------------------------------------------------

@@ -20,7 +20,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from math import comb
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,12 +37,21 @@ __all__ = [
     "symmetrize_davenport",
     "is_net",
     "build_family",
+    "family_reflections",
+    "hammersley_moments",
     "SIGMA_PRESETS",
     "FAMILIES",
 ]
 
 SIGMA_PRESETS = ("identity", "all-flip", "alternating", "random")
-FAMILIES = ("hammersley", "davenport", "symmetrized")
+# family -> the axes (x, y) that its union reflects; build_family and the
+# digit transfer of the built-in cubature both read it
+_FAMILY_REFLECTIONS = {
+    "hammersley": (False, False),
+    "davenport": (False, True),
+    "symmetrized": (True, True),
+}
+FAMILIES = tuple(_FAMILY_REFLECTIONS)
 
 
 @dataclass(frozen=True)
@@ -305,13 +315,58 @@ def is_net(points: PointMultiset, n: int) -> bool:
     return True
 
 
+def family_reflections(family: str) -> Tuple[bool, bool]:
+    """The axes (x, y) that the family's union reflects, for any n and pattern."""
+    if family not in _FAMILY_REFLECTIONS:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _FAMILY_REFLECTIONS[family]
+
+
 def build_family(family: str, n: int, sigma: SignPattern) -> PointMultiset:
     """Base set, its single-axis symmetrization, or the full symmetrization."""
+    reflected = family_reflections(family)
     base = hammersley_type(n, sigma)
-    if family == "hammersley":
+    if not any(reflected):
         return base
-    if family == "davenport":
-        return symmetrize_davenport(base)
-    if family == "symmetrized":
-        return symmetrize_full(base)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return PointMultiset._from_scaled(*base.scaled_coords(), n, reflected)
+
+
+def hammersley_moments(sigma: SignPattern, a: int, b: int) -> List[List[int]]:
+    """M[s][t], the sum of kx^s ky^t over hammersley_type(n, sigma), for s <= a, t <= b.
+
+    kx and ky are the integer coordinates at scale 2^n. Both are linear in
+    the n digits of the counter v: digit i adds bit 2^i to kx and
+    (bit XOR flip_i) 2^(n-1-i) to ky. So the moments follow by a transfer
+    over the digits, from the empty prefix (M[0][0] = 1), without building
+    a point: each digit sums, over its two bits, the prefix's moments
+    shifted by the two steps, where a shift by d takes the power sums m[u]
+    of one coordinate to sum over u <= s of C(s, u) d^(s-u) m[u].
+    Python ints throughout, so every moment is exact at any n.
+    """
+    n = sigma.n
+    moments = [[int(s == t == 0) for t in range(b + 1)] for s in range(a + 1)]
+    for i, flip in enumerate(sigma.flips):
+        step = 1 << (n - 1 - i)
+        # bit 0 moves y only when the digit flips; bit 1 moves x, and y when it does not
+        low = _shift_y(moments, step if flip else 0)
+        high = _shift_y(_shift_x(moments, 1 << i), 0 if flip else step)
+        moments = [[p + q for p, q in zip(u, w)] for u, w in zip(low, high)]
+    return moments
+
+
+def _shift_table(d: int, degree: int) -> List[List[int]]:
+    """Row s holds C(s, u) d^(s-u) for u <= s: power sums of x + d from those of x."""
+    return [[comb(s, u) * d ** (s - u) for u in range(s + 1)] for s in range(degree + 1)]
+
+
+def _shift_x(moments: List[List[int]], d: int) -> List[List[int]]:
+    table = _shift_table(d, len(moments) - 1)
+    return [[sum(c * m for c, m in zip(coefs, column)) for column in zip(*moments)]
+            for coefs in table]
+
+
+def _shift_y(moments: List[List[int]], d: int) -> List[List[int]]:
+    if not d:
+        return moments
+    table = _shift_table(d, len(moments[0]) - 1)
+    return [[sum(c * m for c, m in zip(coefs, row)) for coefs in table] for row in moments]

@@ -56,6 +56,14 @@ def test_validate_window():
     assert not validate(BesovParams(2, 2, -0.5)).admissible  # boundary excluded
 
 
+@pytest.mark.parametrize("p", [-INF, math.nan, 0.5, -1.0])
+def test_validate_names_only_p_when_p_is_out_of_range(p):
+    # the r window derives from 1/p, so it is not checked against a p outside [1, inf]
+    report = validate(BesovParams(p, 2, 0.0))
+    assert not report.admissible
+    assert report.violations == (f"p must satisfy 1 <= p <= inf, got {p}",)
+
+
 def test_level_term_zero_at_constant_index():
     assert level_term(rt(3), -1, -1, BesovParams(2, 2, 0.0)) == 0.0
 

@@ -226,6 +226,7 @@ def test_classic_estimate_grid_limit():
         (["classic", "--p=-inf"], "--p -inf"),
         (["classic", "--p", "-inf"], "classic --p -inf: p must satisfy 0 < p < inf, got -inf"),
         (["norm", "--q", "-inf"], "q must satisfy 1 <= q <= inf, got -inf"),
+        (["norm", "--p=-inf"], "inadmissible parameters: p must satisfy 1 <= p <= inf, got -inf"),
         (["classic", "--p", "4000"], "--p 4000"),
         (["classic", "--p", "1e7"], "--p 1e7"),
         (["norm", "--p", "abc"], "--p abc"),
@@ -246,7 +247,7 @@ def test_classic_estimate_grid_limit():
         "qmc-corner",
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf",
-        "classic-p-neg-inf-spaced", "norm-q-neg-inf-spaced", "classic-p-4000",
+        "classic-p-neg-inf-spaced", "norm-q-neg-inf-spaced", "norm-p-neg-inf", "classic-p-4000",
         "classic-p-1e7", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",
         "norm-p-nan", "norm-truncated-q-underflow", "sweep-truncated-p-nan",
         "out-missing-dir", "out-directory", "coeffs-out-directory",
@@ -315,6 +316,23 @@ def test_qmc_exact_report(capsys):
     )
     _, rows = parse_csv(out)
     assert all(r[6] == "exact" for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_dash_writes_to_stdout(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--n", "1", "--format", fmt]
+    code, expected = capture(capsys, argv)
+    assert code == 0 and expected
+    assert capture(capsys, argv + ["--out", "-"]) == (0, expected)
+    assert os.listdir(tmp_path) == []
+
+
+def test_qmc_exits_when_an_error_underflows():
+    # corner:1,1 errs by exactly 2^-(n+2) on the two-fold set: subnormal from n = 1021 on
+    with pytest.raises(SystemExit) as excinfo:
+        main(["qmc", "--family", "davenport", "--n", "1030", "--integrand", "corner:1,1"])
+    assert str(excinfo.value.code).startswith("qmc: the error at n = 1030 is nonzero")
 
 
 def test_out_file(tmp_path, capsys):

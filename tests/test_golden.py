@@ -54,6 +54,9 @@ CASES = {
                    "--integrand", "corner:2,3"],
     "qmc-monomial": ["qmc", "--n", "1", "--n-max", "5", "--sigma", "random", "--seed", "9",
                      "--integrand", "monomial:1,2"],
+    # every row's sum needs more than 62 bits: 5 res + bitlen(N) > 62
+    "qmc-object": ["qmc", "--family", "symmetrized", "--n", "14", "--n-max", "20",
+                   "--integrand", "monomial:3,2", "--sigma", "alternating"],
 }
 
 

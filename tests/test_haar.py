@@ -478,6 +478,33 @@ def test_fold_crosses_its_guard(symmetrize, bits):
             assert [a.tolist() for a in points._cache["row"][1]] == lexsort_row(points, j1)
 
 
+@pytest.mark.parametrize("symmetrize", [None, symmetrize_davenport, symmetrize_full])
+@pytest.mark.parametrize("res", [4, 31])
+def test_levels_past_the_resolution_skip_grouping(symmetrize, res):
+    # a level with an axis at res or finer has no occupied box, and its
+    # summary is built without grouping; every field, dtypes included, must
+    # equal the np.unique route over _scan_level's empty row. At res 31 the
+    # base is an object array.
+    points = random_multiset(random.Random(res), res, 8)
+    if symmetrize is not None:
+        points = symmetrize(points)
+    base_dtype = points.axis_orbits()[0][0].dtype
+    assert base_dtype == (np.dtype(object) if res == 31 else np.dtype(np.int64))
+    far = range(res, res + 3)
+    levels = [(j1, j2) for j1 in far for j2 in range(-1, res + 3)]
+    for j1, j2 in levels + [(j2, j1) for j1, j2 in levels]:
+        summary = level_value_counts(points, j1, j2)
+        accs, counts = np.unique(_scan_level(points, j1, j2)[1], return_counts=True)
+        assert (summary.accs.dtype, summary.counts.dtype) == (accs.dtype, counts.dtype)
+        assert accs.dtype == base_dtype and counts.dtype == np.dtype(np.int64)
+        assert (summary.j1, summary.j2) == (j1, j2)
+        boxes = 1 << (max(j1, 0) + max(j2, 0))
+        expected = (accs.tolist(), counts.tolist(), _count_scale(points), 0, boxes)
+        assert summary_fields(summary) == expected, (j1, j2)
+    with pytest.raises(ValueError):
+        level_value_counts(points, -2, res)
+
+
 def interior(k, j, res):
     """Whether grid coordinate k is strictly inside its tent on level j (below 1 on level -1)."""
     if j == -1:

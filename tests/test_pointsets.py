@@ -15,6 +15,7 @@ from dyadisc import (
     SignPattern,
     besov_norm_exact,
     build_family,
+    family_reflections,
     corner_product,
     dyadic,
     hammersley_type,
@@ -213,6 +214,19 @@ def test_build_family():
     assert len(build_family("symmetrized", 3, sg)) == 32
     with pytest.raises(ValueError):
         build_family("lattice", 3, sg)
+    with pytest.raises(ValueError):
+        family_reflections("lattice")
+
+
+def test_build_family_reads_the_reflection_map():
+    sg = SignPattern.alternating(3)
+    base = hammersley_type(3, sg)
+    made = {"hammersley": base, "davenport": symmetrize_davenport(base),
+            "symmetrized": symmetrize_full(base)}
+    for family, expected in made.items():
+        points = build_family(family, 3, sg)
+        assert points._reflected == family_reflections(family)
+        assert points.entries == expected.entries
 
 
 def test_entries_are_points():

@@ -7,13 +7,17 @@ from fractions import Fraction
 import pytest
 
 from dyadisc import (
+    FAMILIES,
     ErrorRow,
     PointMultiset,
     SignPattern,
     corner_product,
     dyadic,
+    build_family,
     error_table,
+    family_integral,
     fit_rate,
+    hammersley_moments,
     hammersley_type,
     monomial,
     qmc_integrate,
@@ -102,6 +106,43 @@ def test_qmc_integrate_across_guard(res, size):
                     assert qmc_integrate(points, f) == brute, (f.name, res, len(points))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_integral_matches_the_built_points(family):
+    # the digit transfer builds no point; qmc_integrate on the built family is its oracle
+    for preset in PRESETS:
+        for n in (1, 2, 3, 5, 8, 10):
+            pattern = sigma(preset, n)
+            points = build_family(family, n, pattern)
+            for make in (corner_product, monomial):
+                for a in (0, 1, 2, 8):
+                    for b in (0, 1, 2, 8):
+                        f = make(a, b)
+                        expected = (len(points), qmc_integrate(points, f))
+                        assert family_integral(family, pattern, f) == expected, (preset, n, f.name)
+
+
+def test_hammersley_moments_against_brute_force():
+    for n in (1, 2, 4, 6):
+        for preset in PRESETS:
+            pattern = sigma(preset, n)
+            kx, ky = (k.tolist() for k in hammersley_type(n, pattern).scaled_coords())
+            moments = hammersley_moments(pattern, 3, 5)
+            assert moments == [[sum(x**s * y**t for x, y in zip(kx, ky)) for t in range(6)]
+                               for s in range(4)], (n, preset)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_error_table_exact_identities_up_to_n_64(preset):
+    # exact facts of the two symmetrizations, far past any point construction
+    f = corner_product(1, 1)
+    full = error_table("symmetrized", preset, f, range(1, 65))
+    assert [(row.n, row.cardinality, row.error) for row in full] == [
+        (n, 1 << (n + 2), 0) for n in range(1, 65)]
+    davenport = error_table("davenport", preset, f, range(1, 65))
+    assert [(row.n, row.cardinality, row.error) for row in davenport] == [
+        (n, 1 << (n + 1), Fraction(1, 1 << (n + 2))) for n in range(1, 65)]
+
+
 def test_single_point_monomial():
     assert qmc_integrate(PointMultiset([(0.0, 0.0)]), monomial(1, 1)) == 0
 
@@ -164,3 +205,7 @@ def test_error_table_guards():
     bare = Integrand(name="opaque", kind=CUSTOM, func=lambda x, y: x)
     with pytest.raises(ValueError):
         error_table("symmetrized", "identity", bare, [2])
+    with pytest.raises(ValueError):
+        family_integral("symmetrized", sigma("identity", 2), bare)
+    with pytest.raises(ValueError):
+        family_integral("lattice", sigma("identity", 2), corner_product(1, 1))
