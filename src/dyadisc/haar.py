@@ -30,8 +30,10 @@ only level_counting_sums builds a union. The level scans fold each orbit to
 its minimum: reflecting x -> 1 - x keeps a point's tent on every level
 j >= 0 and moves it from position m to 2^j - 1 - m, so a box sum of a union
 is fixed by the folded base, with the mirror's factor added on levels -1
-and 0, where a point and its mirror share a box (see _tents). The same
-scan of the union as a plain multiset is the fold's oracle.
+and 0, where a point and its mirror share a box (see _tents). _scan_level
+alone decides which levels are empty and which folded sums also stand for
+a mirror box; the level views read its flags. The same scan of the union
+as a plain multiset is the fold's oracle.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ def _volume(j1: int, j2: int) -> Tuple[int, int]:
 def mu_volume(idx: HaarIndex) -> DyadicRational:
     """Haar coefficient of f(t) = t1 * t2."""
     return dyadic(*_volume(idx.j1, idx.j2))
+
+
+def _empty_value(j1: int, j2: int) -> DyadicRational:
+    """The coefficient of a box on the level that no point hits: minus the volume term."""
+    return -dyadic(*_volume(j1, j2))
 
 
 def _value_scale(j1: int, j2: int, scale: int, exponent: int = 0) -> Tuple[int, int, int]:
@@ -327,30 +334,35 @@ def _count_scale(points: PointMultiset) -> int:
     return 2 * points.n_resolution + _pow2_log(len(points))
 
 
-def _scan_level(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, np.ndarray]:
+def _scan_level(
+    points: PointMultiset, j1: int, j2: int
+) -> Tuple[np.ndarray, np.ndarray, Tuple[bool, bool]]:
     """Per-position sums of the signed factor products over the folded base.
 
-    Returns ascending keys m1 * 2^max(j2, 0) + m2 and the integer sums
+    Returns ascending keys m1 * 2^max(j2, 0) + m2, the integer sums
     Sum_z f1 * f2 at scale 2^(2 res) over the rows of _level_row, with the
-    mirror's factor of _tents on each reflected axis; only positions with
-    at least one nonzero contribution appear. The whole sorted row is
-    grouped first and the zero sums are dropped after: every nonzero
-    product on a level has one sign, so a box sums to 0 exactly when no
-    point contributes to it. A folded coordinate is at most 2^(res - 1), a
-    box edge on every level j >= 1, so on a reflected axis above level 0
-    every key lies in the lower half of the level.
+    mirror's factor of _tents on each reflected axis, and one flag per axis
+    (x, y). Only positions with a nonzero contribution appear: the sorted
+    row is grouped first and the zero sums are dropped after, as every
+    nonzero product on a level has one sign. A folded coordinate is at most
+    2^(res - 1), a box edge on every level j >= 1, so on a reflected axis
+    above level 0 every key lies in the lower half of the level and its
+    mirror box holds the same sum: that axis's flag. Interval interiors at
+    or past the resolution are empty, so a level with such an axis returns
+    empty arrays in the base's dtype without a scan.
     """
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
     res = points.n_resolution
+    mirrored = tuple(r and j > 0 for r, j in zip(points._reflected, (j1, j2)))
     if j1 >= res or j2 >= res:
         empty = points.axis_orbits()[0][0][:0]
-        return empty, empty  # interval interiors at or beyond the resolution are empty
+        return empty, empty, mirrored
     m1, ky, n1 = _level_row(points, j1)
     n2, m2 = _tents(ky, j2, res, points._reflected[1])
     keys, sums = _group_sums((m1 << max(j2, 0)) + m2, n1 * n2)
     hit = sums != 0
-    return keys[hit], sums[hit]
+    return keys[hit], sums[hit], mirrored
 
 
 @dataclass(frozen=True)
@@ -384,7 +396,7 @@ class LevelSummary:
 
     @property
     def empty_value(self) -> DyadicRational:
-        return -dyadic(*_volume(self.j1, self.j2))
+        return _empty_value(self.j1, self.j2)
 
     def numerators(self, exponent: int = 0) -> Tuple[List[int], int, int]:
         """Occupied and empty values as integer numerators over one 2^top.
@@ -406,44 +418,37 @@ def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficient
     """Every coefficient on the level, sparsely.
 
     Positions missed by all points share the value -mu_volume; positions in
-    the map carry their individually accumulated exact coefficient. On a
-    reflected axis above level 0 a folded sum of _scan_level is also the
-    sum of its mirror box, in the other half of the level.
+    the map carry their individually accumulated exact coefficient. A sum
+    that _scan_level flags for an axis also fills its mirror on that axis.
     """
-    scale = _count_scale(points)
-    keys, sums = _scan_level(points, j1, j2)
+    keys, sums, (mirror1, mirror2) = _scan_level(points, j1, j2)
     last1, last2 = (1 << max(j1, 0)) - 1, (1 << max(j2, 0)) - 1
     boxes = zip((keys >> max(j2, 0)).tolist(), (keys & last2).tolist())
-    occupied = dict(zip(boxes, _coefficients(sums.tolist(), scale, j1, j2)))
-    if points._reflected[0] and j1 > 0:
+    occupied = dict(zip(boxes, _coefficients(sums.tolist(), _count_scale(points), j1, j2)))
+    if mirror1:
         occupied.update({(last1 - m1, m2): value for (m1, m2), value in occupied.items()})
-    if points._reflected[1] and j2 > 0:
+    if mirror2:
         occupied.update({(m1, last2 - m2): value for (m1, m2), value in occupied.items()})
-    empty = -dyadic(*_volume(j1, j2))
-    return LevelCoefficients(j1, j2, occupied, empty, (last1 + 1) * (last2 + 1))
+    return LevelCoefficients(j1, j2, occupied, _empty_value(j1, j2), (last1 + 1) * (last2 + 1))
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     """Grouped coefficient values on the level, built afresh on each call.
 
-    The folded sums of _scan_level already hold the mirror's factor on
-    levels -1 and 0 (see _tents). On a reflected axis above level 0 a
-    folded sum is shared by a box and its mirror, so its count doubles.
-    No summary is kept: a norm reads each level once, and only the latest
-    sorted row stays in points._cache.
+    Groups the folded sums of _scan_level, and doubles the counts once for
+    each axis it flags, since such a sum stands for a box and its mirror.
+    An empty scan skips np.unique. No summary is kept: a norm reads each
+    level once, and only the latest sorted row stays in points._cache.
     """
-    scale = _count_scale(points)
-    boxes = 1 << (max(j1, 0) + max(j2, 0))
-    if min(j1, j2) >= -1 and max(j1, j2) >= points.n_resolution:
-        # _scan_level's empty row, in the dtypes np.unique would give it
-        accs = points.axis_orbits()[0][0][:0]
-        return LevelSummary(j1, j2, accs, np.zeros(0, np.int64), scale, 0, boxes)
-    reflected = points._reflected
-    _, sums = _scan_level(points, j1, j2)
-    accs, counts = np.unique(sums, return_counts=True)
-    counts = counts << sum(r and j > 0 for r, j in zip(reflected, (j1, j2)))
+    _, sums, mirrored = _scan_level(points, j1, j2)
+    if sums.size:
+        accs, counts = np.unique(sums, return_counts=True)
+        counts <<= sum(mirrored)
+    else:
+        accs, counts = sums, np.zeros(0, np.int64)
     occupied = int(counts.sum())
-    return LevelSummary(j1, j2, accs, counts, scale, occupied, boxes - occupied)
+    boxes = 1 << (max(j1, 0) + max(j2, 0))
+    return LevelSummary(j1, j2, accs, counts, _count_scale(points), occupied, boxes - occupied)
 
 
 # -- batch per-index tables ----------------------------------------------------

@@ -256,11 +256,14 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
 
     The first coordinate of the point generated from counter value v equals
     v / 2**n exactly; the second applies the sign pattern digit-wise.
+    Raises MemoryError before allocating past numpy's largest array (n >= 60).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if sigma.n != n:
         raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
+    if (1 << n) * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"2^{n} points exceed the largest numpy array")
     v = np.arange(1 << n, dtype=np.int64)
     ky = np.zeros_like(v)
     for i, flip in enumerate(sigma.flips):
@@ -282,14 +285,19 @@ def reflect(points: PointMultiset, axis: str) -> PointMultiset:
     return PointMultiset._from_scaled(kx, ky, res)
 
 
+def _reflected_union(points: PointMultiset, reflected: Tuple[bool, bool]) -> PointMultiset:
+    """points followed by its reflections on every combination of the reflected axes."""
+    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution, reflected)
+
+
 def symmetrize_full(points: PointMultiset) -> PointMultiset:
     """Multiset union with all three reflections; cardinality 4 |P|."""
-    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution, (True, True))
+    return _reflected_union(points, (True, True))
 
 
 def symmetrize_davenport(points: PointMultiset) -> PointMultiset:
     """Multiset union with the y-reflection only; cardinality 2 |P|."""
-    return PointMultiset._from_scaled(*points.scaled_coords(), points.n_resolution, (False, True))
+    return _reflected_union(points, (False, True))
 
 
 def is_net(points: PointMultiset, n: int) -> bool:
@@ -324,11 +332,7 @@ def family_reflections(family: str) -> Tuple[bool, bool]:
 
 def build_family(family: str, n: int, sigma: SignPattern) -> PointMultiset:
     """Base set, its single-axis symmetrization, or the full symmetrization."""
-    reflected = family_reflections(family)
-    base = hammersley_type(n, sigma)
-    if not any(reflected):
-        return base
-    return PointMultiset._from_scaled(*base.scaled_coords(), n, reflected)
+    return _reflected_union(hammersley_type(n, sigma), family_reflections(family))
 
 
 def hammersley_moments(sigma: SignPattern, a: int, b: int) -> List[List[int]]:
@@ -348,25 +352,17 @@ def hammersley_moments(sigma: SignPattern, a: int, b: int) -> List[List[int]]:
     for i, flip in enumerate(sigma.flips):
         step = 1 << (n - 1 - i)
         # bit 0 moves y only when the digit flips; bit 1 moves x, and y when it does not
-        low = _shift_y(moments, step if flip else 0)
-        high = _shift_y(_shift_x(moments, 1 << i), 0 if flip else step)
+        low = _shift(moments, step if flip else 0, 1)
+        high = _shift(_shift(moments, 1 << i, 0), 0 if flip else step, 1)
         moments = [[p + q for p, q in zip(u, w)] for u, w in zip(low, high)]
     return moments
 
 
-def _shift_table(d: int, degree: int) -> List[List[int]]:
-    """Row s holds C(s, u) d^(s-u) for u <= s: power sums of x + d from those of x."""
-    return [[comb(s, u) * d ** (s - u) for u in range(s + 1)] for s in range(degree + 1)]
-
-
-def _shift_x(moments: List[List[int]], d: int) -> List[List[int]]:
-    table = _shift_table(d, len(moments) - 1)
-    return [[sum(c * m for c, m in zip(coefs, column)) for column in zip(*moments)]
-            for coefs in table]
-
-
-def _shift_y(moments: List[List[int]], d: int) -> List[List[int]]:
+def _shift(moments: List[List[int]], d: int, axis: int) -> List[List[int]]:
+    """The moments of the set moved by d along axis 0 (x) or 1 (y); d = 0 returns them."""
     if not d:
         return moments
-    table = _shift_table(d, len(moments[0]) - 1)
-    return [[sum(c * m for c, m in zip(coefs, row)) for coefs in table] for row in moments]
+    lines = moments if axis else list(zip(*moments))
+    table = [[comb(s, u) * d ** (s - u) for u in range(s + 1)] for s in range(len(lines[0]))]
+    shifted = [[sum(c * m for c, m in zip(coefs, line)) for coefs in table] for line in lines]
+    return shifted if axis else [list(line) for line in zip(*shifted)]

@@ -16,6 +16,7 @@ zero) from the single-axis one (error exactly 2^-(n+2)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -68,32 +69,21 @@ class Integrand:
         return self.func(x, y)
 
 
-def _check_exponents(a: int, b: int):
+def _polynomial(kind: str, a: int, b: int) -> Integrand:
+    """The built-in integrand of the kind with exponents a, b in 0..8, and its integral."""
     if not (0 <= a <= 8 and 0 <= b <= 8):
         raise ValueError("exponents are limited to 0..8")
+    return Integrand(f"{kind}:{a},{b}", kind, a, b, exact_integral=Fraction(1, (a + 1) * (b + 1)))
 
 
 def corner_product(a: int, b: int) -> Integrand:
     """(1-x)^a (1-y)^b, vanishing on the upper and right boundary lines."""
-    _check_exponents(a, b)
-    return Integrand(
-        name=f"corner:{a},{b}",
-        kind=CORNER,
-        a=a,
-        b=b,
-        exact_integral=Fraction(1, (a + 1) * (b + 1)),
-    )
+    return _polynomial(CORNER, a, b)
 
 
 def monomial(a: int, b: int) -> Integrand:
-    _check_exponents(a, b)
-    return Integrand(
-        name=f"monomial:{a},{b}",
-        kind=MONOMIAL,
-        a=a,
-        b=b,
-        exact_integral=Fraction(1, (a + 1) * (b + 1)),
-    )
+    """x^a y^b."""
+    return _polynomial(MONOMIAL, a, b)
 
 
 def qmc_integrate(points: PointMultiset, f: Integrand) -> Union[Fraction, float]:
@@ -204,6 +194,14 @@ class RateFit:
     n_used: int
 
 
+def _log2(err: Union[Fraction, float]) -> float:
+    """log2 of a positive error: of its float where that is normal, else of its exact ratio."""
+    if float(err) >= sys.float_info.min:
+        return math.log2(float(err))
+    num, den = err.as_integer_ratio()
+    return math.log2(num) - math.log2(den)
+
+
 def fit_rate(rows: Sequence[ErrorRow]) -> RateFit:
     usable = [(row.cardinality, row.error) for row in rows if row.error != 0]
     if not usable:
@@ -213,7 +211,7 @@ def fit_rate(rows: Sequence[ErrorRow]) -> RateFit:
     if len(usable) < 3:
         raise ValueError(f"need at least 3 nonzero errors to fit, got {len(usable)}")
     xs = [math.log2(count) for count, _ in usable]
-    ys = [math.log2(float(err)) for _, err in usable]
+    ys = [_log2(err) for _, err in usable]
     n = len(xs)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n

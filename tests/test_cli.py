@@ -75,14 +75,19 @@ def test_gen_json_mirrors_csv(capsys):
     assert list(objs[0].keys()) == header
 
 
-def test_module_entry_point_matches_in_process(capsys):
+def run_module(argv, check=False):
+    """`python -m dyadisc argv` in a fresh interpreter that imports this checkout."""
     src = os.path.join(ROOT, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dyadisc", "gen", "--n", "2"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, "-m", "dyadisc", *argv],
+        capture_output=True, text=True, env=env, timeout=60, check=check,
     )
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    proc = run_module(["gen", "--n", "2"], check=True)
     _, expected = capture(capsys, ["gen", "--n", "2"])
     assert proc.stdout == expected
 
@@ -281,6 +286,15 @@ def test_out_of_memory_exits_naming_the_size(monkeypatch):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert str(excinfo.value.code) == named + "out of memory"
+
+
+@pytest.mark.parametrize("argv", [["gen", "--n", "63"], ["classic", "--n", "63", "--p", "star"]])
+def test_point_sets_past_numpy_exit_naming_the_size(argv):
+    # 2^63 int64 entries exceed numpy's largest array, so the constructor
+    # refuses them before allocating, through the out-of-memory exit
+    proc = run_module(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [f"{argv[0]} --n 63: out of memory"]
 
 
 def test_verify_exit_code_and_rows(capsys):

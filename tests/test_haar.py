@@ -94,7 +94,8 @@ def summary_fields(summary):
 def generic_fields(union, j1, j2):
     """The fields of level_value_counts, from the scan of every point of a plain multiset."""
     assert union._reflected == (False, False)
-    _, sums = _scan_level(union, j1, j2)
+    _, sums, mirrored = _scan_level(union, j1, j2)
+    assert mirrored == (False, False)
     accs, counts = np.unique(sums, return_counts=True)
     occupied = int(counts.sum())
     boxes = 1 << (max(j1, 0) + max(j2, 0))
@@ -450,6 +451,38 @@ def test_fold_is_lazy_and_only_for_recorded_unions():
     assert set(mirrored._cache) == set(full._cache) == {"row"}
 
 
+@pytest.mark.parametrize("symmetrize", [None, symmetrize_davenport, symmetrize_full])
+def test_scan_flags_unfold_to_the_union_scan(symmetrize):
+    # a folded sum that _scan_level flags for an axis stands for two boxes,
+    # itself and its mirror on that axis; unfolding by the flags alone must
+    # give the scan of the union as a plain multiset, box for box
+    for n in range(1, 9):
+        base = hammersley_type(n, sigma("random", n))
+        points = base if symmetrize is None else symmetrize(base)
+        union = union_of(points)
+        for j1 in range(-1, n + 2):
+            for j2 in range(-1, n + 2):
+                width2 = 1 << max(j2, 0)
+                last1, last2 = (1 << max(j1, 0)) - 1, width2 - 1
+                keys, sums, mirrored = _scan_level(points, j1, j2)
+                boxes = {divmod(k, width2): s for k, s in zip(keys.tolist(), sums.tolist())}
+                if mirrored[0]:
+                    boxes.update({(last1 - m1, m2): s for (m1, m2), s in boxes.items()})
+                if mirrored[1]:
+                    boxes.update({(m1, last2 - m2): s for (m1, m2), s in boxes.items()})
+                assert len(boxes) == len(keys) << sum(mirrored), (n, j1, j2)
+                keys, sums, _ = _scan_level(union, j1, j2)
+                expected = {divmod(k, width2): s for k, s in zip(keys.tolist(), sums.tolist())}
+                assert boxes == expected, (n, j1, j2)
+    # the flags follow the reflected axes above level 0, past the resolution too
+    full = symmetrize_full(hammersley_type(3, sigma("identity", 3)))
+    flags = {levels: _scan_level(full, *levels)[2] for levels in ((-1, 0), (0, 1), (2, 0), (1, 5))}
+    assert flags == {(-1, 0): (False, False), (0, 1): (False, True), (2, 0): (True, False),
+                     (1, 5): (True, True)}
+    davenport = symmetrize_davenport(hammersley_type(3, sigma("identity", 3)))
+    assert _scan_level(davenport, 2, 2)[2] == (False, True)
+
+
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 @pytest.mark.parametrize("bits", [62, 63])
 def test_fold_crosses_its_guard(symmetrize, bits):
@@ -792,7 +825,7 @@ def test_counting_sums_against_brute_fine_resolution(res):
                 for keys, _ in level:
                     assert keys.tolist() == sorted(held)
                 # the product sums are the level scan's, and 0 on boxes it does not list
-                scan = dict(zip(*(arr.tolist() for arr in _scan_level(points, j1, j2))))
+                scan = dict(zip(*(arr.tolist() for arr in _scan_level(points, j1, j2)[:2])))
                 assert set(scan) <= held
                 assert level[2][1].tolist() == [scan.get(key, 0) for key in sorted(held)]
                 for axis, (keys, sums) in enumerate(level):

@@ -97,6 +97,14 @@ def test_sign_pattern_validation():
         SignPattern.from_preset("random", 4)  # seed required
 
 
+@pytest.mark.parametrize("n", [60, 62, 63, 64, 70])
+def test_point_sets_past_numpy_raise_memory_error(n):
+    # 2^n int64 entries exceed numpy's largest array from n = 60 on a 64-bit
+    # build (sooner on a 32-bit one); the check comes before any allocation
+    with pytest.raises(MemoryError, match=rf"2\^{n} points"):
+        hammersley_type(n, SignPattern.identity(n))
+
+
 def test_reflections():
     p = PointMultiset([(0.0, 0.0)])
     assert as_fractions(reflect(p, "Y")) == Counter([(Fraction(0), Fraction(1))])

@@ -189,6 +189,14 @@ def test_fit_rate_synthetic():
     assert -1 < fit.slope < -0.8
 
 
+def test_fit_rate_below_the_float_range():
+    # 2^-(n+2) on the two-fold set is subnormal up to n = 1072 and below the
+    # smallest subnormal after, so these log2s come from the exact ratios
+    rows = error_table("davenport", "identity", corner_product(1, 1), range(1070, 1080))
+    fit = fit_rate(rows)
+    assert (fit.slope, fit.residual, fit.exact, fit.n_used) == (-1.0, 0.0, False, 10)
+
+
 def test_fit_rate_guards():
     with pytest.raises(ValueError):
         fit_rate([])
