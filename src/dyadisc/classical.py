@@ -20,7 +20,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from .dyadic import DyadicRational, dyadic
-from .pointsets import PointMultiset, _as_dyadic, _pow2_log
+from .pointsets import PointMultiset, _as_dyadic, _exact, _pow2_log
 
 __all__ = [
     "local_discrepancy",
@@ -114,14 +114,14 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     2 min(R/2 + f, R/2 + f'), for u = R - k and f the orbit's minimum. So
     the pair sum is one `_min_product_pair_sum` over the base, of R/2 + f on
     a reflected axis and R - k on a plain one, times 2 per reflected axis;
-    every input is at most R. R/2 needs res >= 1, so a base at resolution 0
-    is lifted to resolution 1 first (k -> 2k in each orbit).
+    every input is at most R, in _exact(2 res, M). R/2 needs res >= 1, so a
+    base at resolution 0 is lifted to resolution 1 first (k -> 2k in each orbit).
     """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
     res = points.n_resolution
-    orbits = points.axis_orbits()
+    orbits = points.axis_orbits(_exact(2 * max(res, 1), len(points._base[0])))
     if res == 0:
         orbits, res = tuple(tuple(k << 1 for k in orbit) for orbit in orbits), 1
     full = 1 << res
@@ -130,7 +130,7 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     pair_inputs = [(full >> 1) + np.minimum(*o) if len(o) == 2 else full - o[0] for o in orbits]
     del orbits  # the mirrors need not outlive the pair sum's peak
 
-    # each factor fits the base's dtype; only products need Python ints
+    # each factor fits the orbits' dtype; only products need Python ints
     single = int(np.dot(singles[0].astype(object), singles[1].astype(object)))
     pair = _min_product_pair_sum(*pair_inputs) << sum(points._reflected)
 
@@ -152,7 +152,7 @@ def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:
     bit b clear and i has it set. Each bit costs one stable sort and a few
     grouped cumulative sums.
 
-    The inputs are M nonnegative values at most 2^res, in the base's dtype
+    The inputs are M nonnegative values at most 2^res, in
     `pointsets._exact(2 res, M)`. For int64 every per-point sum stays below
     2 M max(u) max(v) <= 2^(2 res + 1) M < 2^63; only the total over all
     points can exceed it, so the last reduction is exact.
@@ -217,7 +217,7 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
             f"p = {p} is not supported exactly; use lp_estimate for odd powers"
         )
     if p > _MAX_EXACT_P:
-        raise ValueError(f"p = {p} exceeds the limit of {_MAX_EXACT_P} for exact even powers")
+        raise ValueError(f"p exceeds the limit of {_MAX_EXACT_P} for exact even powers")
     n = len(points)
     res = points.n_resolution
     xs, ys, rows = _count_rows(points)

@@ -285,8 +285,8 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Dyadic
 # therefore receives contributions of one sign only, which makes "occupied"
 # equivalent to "coefficient differs from the empty-box value", and a box
 # sum of 0 equivalent to "no point contributes".
-# The coordinate arrays are the base's folded orbits (see _level_row), whose
-# dtype (int64 or exact Python ints) bounds every product sum below.
+# The coordinate arrays are the base's folded orbits (see _level_row), in
+# the base's dtype; each sum below casts to the dtype of its own bound.
 
 
 def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
@@ -305,16 +305,14 @@ def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, 
     """Positions m1, y-coordinates and x-factors of one j1 row, sorted.
 
     Reads the M base points' axis orbits folded to their minimum,
-    min(k, 2^res - k) on a reflected axis. Every factor of _tents is at
-    most 2^res in magnitude, so M products of at most 2^(2 res) bound every
-    box sum of the union, and the base's dtype _exact(2 res, M) holds them.
-
-    Keeps only the points whose x-factor from _tents is nonzero, ordered by
-    (m1, ky) with one stable argsort of the key (m1 << (res + 1)) + ky:
-    ky <= 2^res and m1 < 2^(res - 1) on the rows that _scan_level reads, so
-    the key is below 2^(2 res) and fits the base's dtype. Every j2 of the
-    row then finds its box keys m1 * 2^j2 + (ky >> (res - j2)) already
-    non-decreasing. Only the latest row is cached, so memory stays O(M).
+    min(k, 2^res - k) on a reflected axis, in the base's dtype: every
+    position, coordinate and factor is at most 2^res. Keeps only the points
+    whose x-factor from _tents is nonzero, ordered by (m1, ky) with one
+    stable argsort of the key (m1 << (res + 1)) + ky: ky <= 2^res and
+    m1 < 2^(res - 1) on the rows that _scan_level reads, so the key is
+    below 2^(2 res), in _exact(2 res, 1), and a temporary of the sort.
+    Every j2 of the row then finds its box keys m1 * 2^j2 + (ky >> (res - j2))
+    already non-decreasing. Only the latest row is cached, so memory stays O(M).
     """
     cached = points._cache.get("row")
     if cached is not None and cached[0] == j1:
@@ -323,7 +321,8 @@ def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, 
     kx, ky = (reduce(np.minimum, orbit) for orbit in points.axis_orbits())
     n1, m1 = _tents(kx, j1, res, points._reflected[0])
     keep = np.flatnonzero(n1 != 0)
-    order = keep[np.argsort((m1[keep] << (res + 1)) + ky[keep], kind="stable")]
+    order = keep[np.argsort(
+        (m1[keep].astype(_exact(2 * res, 1), copy=False) << (res + 1)) + ky[keep], kind="stable")]
     row = (m1[order], ky[order], n1[order])
     points._cache["row"] = (j1, row)
     return row
@@ -342,7 +341,10 @@ def _scan_level(
     Returns ascending keys m1 * 2^max(j2, 0) + m2, the integer sums
     Sum_z f1 * f2 at scale 2^(2 res) over the rows of _level_row, with the
     mirror's factor of _tents on each reflected axis, and one flag per axis
-    (x, y). Only positions with a nonzero contribution appear: the sorted
+    (x, y). A factor on level j is at most 2^(res - j+), j+ = max(j, 0), so
+    the sums over the M base points take _exact(2 res - j1+ - j2+, M) and
+    the keys, below 2^(j1+ + j2+), _exact(j1+ + j2+, 1), each level's own
+    bound. Only positions with a nonzero contribution appear: the sorted
     row is grouped first and the zero sums are dropped after, as every
     nonzero product on a level has one sign. A folded coordinate is at most
     2^(res - 1), a box edge on every level j >= 1, so on a reflected axis
@@ -360,7 +362,10 @@ def _scan_level(
         return empty, empty, mirrored
     m1, ky, n1 = _level_row(points, j1)
     n2, m2 = _tents(ky, j2, res, points._reflected[1])
-    keys, sums = _group_sums((m1 << max(j2, 0)) + m2, n1 * n2)
+    j1p, j2p = max(j1, 0), max(j2, 0)
+    wide = _exact(2 * res - j1p - j2p, len(points._base[0]))
+    keys, sums = _group_sums((m1.astype(_exact(j1p + j2p, 1), copy=False) << j2p) + m2,
+                             n1.astype(wide, copy=False) * n2)
     hit = sums != 0
     return keys[hit], sums[hit], mirrored
 

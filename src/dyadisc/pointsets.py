@@ -141,12 +141,13 @@ class PointMultiset:
     base's reflections on every combination of those axes, M 2^a points for
     M base points and a reflected axes. The two symmetrizations record
     (True, True) and (False, True); every other multiset records
-    (False, False), and its base is its coordinate arrays. Every per-point
-    sum reads the base through axis_orbits(). scaled_coords() builds the
-    union, and keeps nothing, for the readers that need each point on its
-    own: gen, iteration, reflect and the symmetrizations of a
-    symmetrization, is_net, the count sweep behind star and even L_p,
-    level_counting_sums and custom integrands.
+    (False, False), and its base is its coordinate arrays. The base is as
+    wide as a coordinate, at most 2^res: _exact(res, 1). Every per-point
+    sum reads it through axis_orbits() in the dtype of its own bound.
+    scaled_coords() builds the union, and keeps nothing, for the readers
+    that need each point on its own: gen, iteration, reflect and the
+    symmetrizations of a symmetrization, is_net, the count sweep behind
+    star and even L_p, level_counting_sums and custom integrands.
     """
 
     __slots__ = ("n_resolution", "_base", "_cache", "_reflected")
@@ -184,7 +185,7 @@ class PointMultiset:
         return obj
 
     def _store(self, kx, ky, resolution: int, reflected=(False, False)) -> None:
-        dtype = _exact(2 * resolution, len(kx))
+        dtype = _exact(resolution, 1)  # a coordinate, at most 2^res; each sum casts to its bound
         base = (np.asarray(kx, dtype=dtype), np.asarray(ky, dtype=dtype))
         for k in base:
             k.flags.writeable = False
@@ -225,17 +226,17 @@ class PointMultiset:
     def scaled_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
-        In the dtype of _exact(2 n_resolution, N), which bounds every sum of
-        coordinate products: int64, or object arrays of Python ints. A plain
-        multiset returns its base; a symmetrization builds its union from
-        axis_orbits() on every call, in entry order base, Y, X, XY (base, Y),
-        and keeps nothing.
+        In _exact(2 n_resolution, N), which bounds every sum of N coordinate
+        products: int64, or object arrays of Python ints. A plain multiset
+        casts its base; a symmetrization builds its union from axis_orbits()
+        on every call, in entry order base, Y, X, XY (base, Y), keeping nothing.
         """
-        if not any(self._reflected):
-            return self._base
-        orbits = self.axis_orbits(_exact(2 * self.n_resolution, len(self)))
-        # product varies y fastest: base, Y, X, XY
-        coords = tuple(map(np.concatenate, zip(*product(*orbits))))
+        dtype = _exact(2 * self.n_resolution, len(self))
+        if any(self._reflected):
+            # product varies y fastest: base, Y, X, XY
+            coords = tuple(map(np.concatenate, zip(*product(*self.axis_orbits(dtype)))))
+        else:
+            coords = tuple(k.astype(dtype, copy=False) for k in self._base)
         for k in coords:
             k.flags.writeable = False
         return coords

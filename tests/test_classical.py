@@ -189,8 +189,9 @@ def edge_multiset(rng, size, res):
 @pytest.mark.parametrize("res", [1, 2, 29, 31, 40])
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_l2_warnock_orbits_across_guard(res, symmetrize):
-    # res 29 with 8 points: 58 + bitlen(8) = 62 keeps an int64 base at the
-    # guard's edge under an object union; res 31 and 40 are object throughout
+    # res 29 with 8 points: 58 + bitlen(8) = 62 keeps the pair sum's orbits
+    # in int64 at the guard's edge under an object union; at res 31 and 40
+    # they are object, over an int64 base
     rng = random.Random(res)
     for size in (1, 2, 3, 8):
         points = symmetrize(edge_multiset(rng, size, res))
@@ -208,9 +209,8 @@ def test_l2_warnock_orbits_across_guard(res, symmetrize):
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_local_discrepancy_counts_orbits(symmetrize, res):
     # each base point's orbit is counted below the anchor; the union as a
-    # plain multiset counts every point. Res 29 with 8 points keeps an int64
-    # base at the guard's edge under an object union; res 40 is object
-    # throughout
+    # plain multiset counts every point. Res 29 with 8 points and res 40
+    # keep an int64 base under an object union
     rng = random.Random(res)
     full = 1 << res
     for size in (1, 2, 8):
@@ -311,7 +311,7 @@ def test_lp_exact_even_power_limit():
     points = symmetrize_full(hammersley_type(1, SignPattern.identity(1)))
     assert lp_exact_even(points, 64) == brute_lp_even(points, 64)
     for p in (66, 4000, 10**7):
-        with pytest.raises(ValueError, match=f"p = {p} exceeds the limit of 64"):
+        with pytest.raises(ValueError, match="^p exceeds the limit of 64 for exact even powers$"):
             lp_exact_even(points, p)
 
 

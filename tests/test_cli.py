@@ -234,6 +234,8 @@ def test_classic_estimate_grid_limit():
         (["norm", "--p=-inf"], "inadmissible parameters: p must satisfy 1 <= p <= inf, got -inf"),
         (["classic", "--p", "4000"], "--p 4000"),
         (["classic", "--p", "1e7"], "--p 1e7"),
+        (["classic", "--p", "1e300"],
+         "classic --p 1e300: p exceeds the limit of 64 for exact even powers"),
         (["norm", "--p", "abc"], "--p abc"),
         (["norm", "--q", "1000"], "p = 2.0, q = 1000.0: the core content 0.0 "),
         (["sweep", "--q", "1000", "--n-max", "3"], "p = 2.0, q = 1000.0: the core content 0.0 "),
@@ -253,7 +255,7 @@ def test_classic_estimate_grid_limit():
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf",
         "classic-p-neg-inf-spaced", "norm-q-neg-inf-spaced", "norm-p-neg-inf", "classic-p-4000",
-        "classic-p-1e7", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",
+        "classic-p-1e7", "classic-p-1e300", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",
         "norm-p-nan", "norm-truncated-q-underflow", "sweep-truncated-p-nan",
         "out-missing-dir", "out-directory", "coeffs-out-directory",
     ],

@@ -43,6 +43,7 @@ from dyadisc import besov
 from dyadisc.haar import (
     _antiderivative_numerator,
     _count_scale,
+    _level_row,
     _oracle_axis_factor,
     _scan_level,
     _tent_numerator,
@@ -336,7 +337,8 @@ def test_level_map_matches_per_index():
 @pytest.mark.parametrize("res", [20, 31, 40, 64])
 def test_level_map_matches_oracle_across_guard(res):
     # 2 res + log2(N) + 1 passes 62 between res = 20 and res = 31: int64
-    # scans below, exact Python-int scans above
+    # scans below, exact Python-int scans above on every level whose own
+    # bound passes it
     rng = random.Random(res)
     levels = (-1, 0, 1, 2, res - 2, res - 1)
     for size in (1, 2, 4, 8):
@@ -486,43 +488,100 @@ def test_scan_flags_unfold_to_the_union_scan(symmetrize):
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 @pytest.mark.parametrize("bits", [62, 63])
 def test_fold_crosses_its_guard(symmetrize, bits):
-    # the folded base of M points is scanned in int64 while 2 res + bitlen(M)
-    # <= 62, whatever the union's dtype; one bit past that, in Python ints.
+    # each level sums M folded base points of factors at most
+    # 2^(res - max(j, 0)) per axis, so its sums take
+    # _exact(2 res - j1+ - j2+, M): at res 29 with 2 res + bitlen(M) = bits,
+    # int64 on every level at 62; at 63 Python ints on the four levels with
+    # j1+ = j2+ = 0 and int64 on every other, whatever the union's dtype.
     # Both sides must match the scan of the union as a plain multiset on
-    # every level, the summaries and the coefficient maps alike.
+    # every level, the summaries and the coefficient maps alike. The row
+    # stays in the base's int64.
     res = 29
     size = 1 << (bits - 2 * res - 1)
     rng = random.Random(bits)
     points = symmetrize(random_multiset(rng, res, size))
     union = union_of(points)
     assert union.scaled_coords()[0].dtype == object
-    row_dtype = np.dtype(np.int64) if bits == 62 else np.dtype(object)
+    assert points._base[0].dtype == np.int64
     for j1 in range(-1, res + 1):
         for j2 in range(-1, res + 1):
             expected = generic_fields(union, j1, j2)
             assert summary_fields(level_value_counts(points, j1, j2)) == expected, (j1, j2)
             expected = level_fields(mu_all_at_level(union, j1, j2))
             assert level_fields(mu_all_at_level(points, j1, j2)) == expected, (j1, j2)
+            if j1 < res and j2 < res:
+                wide = bits == 63 and max(j1, 0) + max(j2, 0) == 0
+                sums = _scan_level(points, j1, j2)[1]
+                assert sums.dtype == (object if wide else np.int64), (j1, j2)
             if j1 < res:
                 assert points._cache["row"][0] == j1
-                assert row_dtypes(points) == {row_dtype}, (j1, j2)
+                assert row_dtypes(points) == {np.dtype(np.int64)}, (j1, j2)
         if j1 < res:
             # the one stable sort gives np.lexsort's order of the folded base
             assert [a.tolist() for a in points._cache["row"][1]] == lexsort_row(points, j1)
 
 
+@pytest.mark.parametrize("res", [30, 31, 33])
+def test_row_key_takes_its_own_bound(res, monkeypatch):
+    # the sort key (m1 << (res + 1)) + y of a row is below 2^(2 res): int64
+    # through res 30, Python ints past it (at res 33 an int64 key would
+    # wrap), over the base's int64 on every side; the sorted row is
+    # np.lexsort's order of the folded base
+    points = symmetrize_full(random_multiset(random.Random(res), res, 16))
+    assert points._base[0].dtype == np.int64
+    key_dtypes = set()
+    argsort = np.argsort
+
+    def spy(keys, *args, **kwargs):
+        key_dtypes.add(keys.dtype)
+        return argsort(keys, *args, **kwargs)
+
+    for j1 in (-1, 0, 1, res - 2, res - 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", spy)
+            row = _level_row(points, j1)
+        assert [a.tolist() for a in row] == lexsort_row(points, j1), j1
+        assert {a.dtype for a in row} == {np.dtype(np.int64)}
+    assert key_dtypes == {np.dtype(np.int64) if res == 30 else np.dtype(object)}
+
+
+@pytest.mark.parametrize("res", [61, 62])
+def test_store_is_as_wide_as_its_coordinates(res):
+    # a coordinate is at most 2^res: the base is int64 through res 61 and
+    # Python ints from 62; every sum casts to its own bound, so the scans,
+    # the per-index coefficients and the orbit sums of the four-fold set
+    # match its union held in Python ints
+    rng = random.Random(res)
+    base = random_multiset(rng, res, 4)
+    assert base._base[0].dtype == (np.int64 if res == 61 else object)
+    points = symmetrize_full(base)
+    union = union_of(points, object)
+    assert points.scaled_coords()[0].dtype == object
+    assert all(np.array_equal(a, b) for a, b in zip(points.scaled_coords(), union._base))
+    levels = (-1, 0, 1, 2, res - 2, res - 1)
+    for j1 in levels:
+        for j2 in levels:
+            expected = generic_fields(union, j1, j2)
+            assert summary_fields(level_value_counts(points, j1, j2)) == expected, (j1, j2)
+            expected = level_fields(mu_all_at_level(union, j1, j2))
+            assert level_fields(mu_all_at_level(points, j1, j2)) == expected, (j1, j2)
+    assert oracle_mu_grid(points, 2) == oracle_mu_grid(union, 2)
+    f = corner_product(2, 1)
+    assert qmc_integrate(points, f) == qmc_integrate(union, f)
+
+
 @pytest.mark.parametrize("symmetrize", [None, symmetrize_davenport, symmetrize_full])
-@pytest.mark.parametrize("res", [4, 31])
+@pytest.mark.parametrize("res", [4, 31, 62])
 def test_levels_past_the_resolution_skip_grouping(symmetrize, res):
     # a level with an axis at res or finer has no occupied box, and its
     # summary is built without grouping; every field, dtypes included, must
-    # equal the np.unique route over _scan_level's empty row. At res 31 the
-    # base is an object array.
+    # equal the np.unique route over _scan_level's empty row, which is in
+    # the base's dtype: int64 through res 61, object at res 62.
     points = random_multiset(random.Random(res), res, 8)
     if symmetrize is not None:
         points = symmetrize(points)
     base_dtype = points.axis_orbits()[0][0].dtype
-    assert base_dtype == (np.dtype(object) if res == 31 else np.dtype(np.int64))
+    assert base_dtype == (np.dtype(object) if res == 62 else np.dtype(np.int64))
     far = range(res, res + 3)
     levels = [(j1, j2) for j1 in far for j2 in range(-1, res + 3)]
     for j1, j2 in levels + [(j2, j1) for j1, j2 in levels]:

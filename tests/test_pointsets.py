@@ -253,6 +253,20 @@ def test_scaled_coords_are_read_only():
     assert points.entries[0] == Point(dyadic(0), dyadic(0))
 
 
+@pytest.mark.parametrize("res", [30, 31])
+def test_plain_scaled_coords_are_read_only_across_their_guard(res):
+    # the base of two points is int64 on both sides; scaled_coords() casts
+    # to _exact(2 res, 2): int64 at res 30 (60 + 2 = 62), Python ints at 31
+    points = _pair_at(res)
+    assert points._base[0].dtype == np.int64
+    coords = points.scaled_coords()
+    assert all(k.dtype == (np.int64 if res == 30 else object) for k in coords)
+    assert [k.tolist() for k in coords] == [k.tolist() for k in points._base]
+    for k in coords:
+        with pytest.raises(ValueError):
+            k[0] = 7
+
+
 def _pair_at(res):
     # 2 res + N.bit_length() = 62 for two points at res 30: still int64
     entries = [(dyadic(1, res), dyadic(3, res)), (dyadic(5, 3), dyadic(1, 1))]
