@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
-from .haar import _value_scale, level_value_counts
+from .haar import level_value_counts
 from .pointsets import PointMultiset
 
 import numpy as np  # after the package modules, which import it first: a lower peak RSS
@@ -133,26 +133,6 @@ def _level_operand(summary, params: BesovParams) -> float:
     return _array_operand(summary, params)
 
 
-def _level_numerators(summary) -> Tuple[np.ndarray, int]:
-    """The level's value numerators over one 2^top, as one array.
-
-    Returns the numerators (acc << shift) + empty of the occupied values,
-    in the order of accs, then the empty value, and top (see _value_scale).
-    The array is int64 while |acc| << shift plus |empty| stays below 2^62,
-    judged from the two ends of the ascending accs, and object, for Python
-    ints, past that.
-    """
-    shift, empty, top = _value_scale(summary.j1, summary.j2, summary.scale)
-    accs = summary.accs
-    hi = max(abs(int(accs[0])), abs(int(accs[-1]))) if accs.size else 0
-    dtype = np.int64 if ((hi << shift) + abs(empty)).bit_length() <= 62 else object
-    nums = np.zeros(accs.size + 1, dtype)
-    nums[:-1] = accs
-    nums <<= shift
-    nums += empty
-    return nums, top
-
-
 def _array_operand(summary, params: BesovParams) -> float:
     """_level_operand in one array pass over the level's distinct values.
 
@@ -166,7 +146,7 @@ def _array_operand(summary, params: BesovParams) -> float:
     to math.log2 and float **, so they stay out. The arrays are reused in
     place, so a level holds few temporaries.
     """
-    nums, top = _level_numerators(summary)
+    nums, top = summary.numerator_array()
     counts = summary.counts.tolist()
     counts.append(summary.empty_boxes)
     keep = nums != 0

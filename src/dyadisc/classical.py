@@ -67,9 +67,9 @@ def _strict_bound(t: DyadicRational, res: int) -> int:
 def _count_rows(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
     """Break grid spanned by the point coordinates (plus 0 and 1), swept in x.
 
-    Returns the x and y breaks, scaled by 2^res in the dtype of
-    `PointMultiset.scaled_coords`, and an iterator that yields, for each x
-    break a in ascending order, the cumulative count row
+    Returns the x and y breaks, scaled by 2^res in the store's dtype,
+    _exact(res, 1), of `PointMultiset.scaled_coords`, and an iterator that
+    yields, for each x break a in ascending order, the cumulative count row
     row[b] = #{z : x_z <= xs[a], y_z <= ys[b]}. On the open cell right of
     breaks (a, b) the counting part of the local discrepancy equals
     row[b] / N. Only one row is held at a time.
@@ -337,11 +337,13 @@ def star_discrepancy(points: PointMultiset) -> DyadicRational:
     xs, ys, rows = _count_rows(points)
     nu = _pow2_log(n)
     # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|,
-    # bounded by N 2^(2 res): the breaks carry the dtype for that bound
+    # bounded by N 2^(2 res): the y breaks and the counts take that bound
+    dtype = _exact(2 * res, n)
+    ys = ys.astype(dtype, copy=False)
     scale = 1 << (2 * res)
     best = 0
     for x_low, x_high, row in zip(xs[:-1].tolist(), xs[1:].tolist(), rows):
-        counts = row[:-1].astype(xs.dtype, copy=False) * scale
+        counts = row[:-1].astype(dtype, copy=False) * scale
         low = n * x_low * ys[:-1]
         high = n * x_high * ys[1:]
         cand = np.maximum(np.abs(counts - low), np.abs(counts - high)).max()

@@ -161,12 +161,23 @@ class _Emitter:
 # -- subcommands -----------------------------------------------------------
 
 
+# points per block of gen, rendered and written before the next
+_GEN_BLOCK = 1 << 16
+
+
 def _cmd_gen(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     emitter = _Emitter(["num_x", "num_y", "den"], config.fmt)
-    kx, ky = (list(map(str, arr.tolist())) for arr in points.scaled_coords())
-    emitter.block(emitter.fragments([kx, ky, [str(1 << points.n_resolution)] * len(kx)]))
-    emitter.emit(config.out)
+    coords = points.scaled_coords()
+    den = str(1 << points.n_resolution)
+
+    def blocks():
+        for start in range(0, len(points), _GEN_BLOCK):
+            kx, ky = (list(map(str, k[start : start + _GEN_BLOCK].tolist())) for k in coords)
+            emitter.block(emitter.fragments([kx, ky, [den] * len(kx)]))
+            yield
+
+    emitter.emit(config.out, blocks())
     return 0
 
 
@@ -175,8 +186,9 @@ def _cmd_coeffs(config: RunConfig) -> int:
     if j_max < -1:
         raise SystemExit(f"--jmax {j_max}: levels start at -1")
     if j_max > 10:  # 4^(jmax + 1) rows: --jmax 10 writes 4.2 million, 0.65 GB of JSON
-        raise SystemExit(f"--jmax {j_max}: {4 ** (j_max + 1):,} rows, "
-                         f"over the limit of {4 ** 11:,} (--jmax 10)")
+        given = "--jmax defaults to --n" if config.j_max is None else "--jmax"
+        raise SystemExit(f"{given} {j_max}: {4 ** (j_max + 1):,} rows, over the limit of "
+                         f"{4 ** 11:,}; pass --jmax 10")
     points = build_family(config.family, config.n, _sigma(config, config.n))
     emitter = _Emitter(["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"], config.fmt)
     labels = [str(m) for m in range(1 << max(j_max, 0))]
@@ -401,7 +413,7 @@ def run(config: RunConfig) -> int:
     if config.n < 1:
         raise SystemExit("--n must be >= 1")
     if config.n_max is not None and config.n_max < config.n:
-        raise SystemExit("--n-max must be >= --n")
+        raise SystemExit(f"--n-max {config.n_max} must be >= --n {config.n}")
     try:
         return _COMMANDS[config.subcommand][0](config)
     except MemoryError as exc:

@@ -412,11 +412,28 @@ class LevelSummary:
         shift, empty, top = _value_scale(self.j1, self.j2, self.scale, exponent)
         return [(acc << shift) + empty for acc in self.accs.tolist()], empty, top
 
+    def numerator_array(self) -> Tuple[np.ndarray, int]:
+        """numerators() as one array, the empty numerator last, and top.
+
+        Each entry (acc << shift) + empty sums two terms no larger than the
+        larger of |empty| and |acc| << shift, taken at the two ends of the
+        ascending accs; the array takes _exact of that: int64, or object
+        for Python ints.
+        """
+        shift, empty, top = _value_scale(self.j1, self.j2, self.scale)
+        accs = self.accs
+        hi = max(abs(int(accs[0])), abs(int(accs[-1]))) if accs.size else 0
+        nums = np.zeros(accs.size + 1, _exact(max(hi << shift, abs(empty)).bit_length(), 2))
+        nums[:-1] = accs
+        nums <<= shift
+        nums += empty
+        return nums, top
+
     @cached_property
     def occupied_values(self) -> Tuple[Tuple[DyadicRational, int], ...]:
         """(value, multiplicity) per distinct occupied value, ascending."""
-        values = _coefficients(self.accs.tolist(), self.scale, self.j1, self.j2)
-        return tuple(zip(values, self.counts.tolist()))
+        occupied, _, top = self.numerators()
+        return tuple(zip((dyadic(num, top) for num in occupied), self.counts.tolist()))
 
 
 def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficients:
@@ -637,7 +654,8 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     res = points.n_resolution
     if not (0 <= j1 <= res and 0 <= j2 <= res):
         raise ValueError(f"box levels must lie in [0, {res}]")
-    kx, ky = points.scaled_coords()
+    # tent products and their box sums over the N points: _exact(2 res, N)
+    kx, ky = (k.astype(_exact(2 * res, len(points)), copy=False) for k in points.scaled_coords())
     inside = (kx < 1 << res) & (ky < 1 << res)  # coordinate 1 lies in no half-open box
     nx, m1 = _tents(kx[inside], j1, res)
     ny, m2 = _tents(ky[inside], j2, res)

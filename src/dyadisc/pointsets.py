@@ -144,10 +144,10 @@ class PointMultiset:
     (False, False), and its base is its coordinate arrays. The base is as
     wide as a coordinate, at most 2^res: _exact(res, 1). Every per-point
     sum reads it through axis_orbits() in the dtype of its own bound.
-    scaled_coords() builds the union, and keeps nothing, for the readers
-    that need each point on its own: gen, iteration, reflect and the
-    symmetrizations of a symmetrization, is_net, the count sweep behind
-    star and even L_p, level_counting_sums and custom integrands.
+    scaled_coords() builds the union, in the same dtype and keeping nothing,
+    for the readers that need each point on its own: star, is_net and
+    level_counting_sums cast it to their own bounds; the others
+    (gen, iteration, reflect, L_p, custom integrands) copy or list it.
     """
 
     __slots__ = ("n_resolution", "_base", "_cache", "_reflected")
@@ -212,12 +212,12 @@ class PointMultiset:
     def axis_orbits(self, dtype=None) -> Tuple[Tuple[np.ndarray, ...], ...]:
         """Per axis (x, y), the base's orbit: (k,), or (k, 2^res - k) if reflected.
 
-        The arrays run over the M base points, cast to dtype if one is given.
-        The N points take one entry of each tuple at one base point, so for
-        any fx, fy, the sum over the N points of fx(x) fy(y) is the sum over
-        the M base points of (sum of fx over the x tuple) (sum of fy over the
-        y tuple). Every per-point sum reads the base so; it regroups the
-        union's terms, so their bound, such as _exact(2 res, N), holds too.
+        The arrays run over the M base points, in the store's dtype or cast
+        to dtype if one is given. The N points take one entry of each tuple
+        at one base point, so for any fx, fy, the sum over the N points of
+        fx(x) fy(y) is the sum over the M base points of (sum of fx over the
+        x tuple) (sum of fy over the y tuple). Every per-point sum reads the
+        base so; it regroups the union's terms, so their bound holds too.
         """
         full = 1 << self.n_resolution
         base = self._base if dtype is None else (k.astype(dtype, copy=False) for k in self._base)
@@ -226,17 +226,15 @@ class PointMultiset:
     def scaled_coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only integer coordinate arrays at denominator 2**n_resolution.
 
-        In _exact(2 n_resolution, N), which bounds every sum of N coordinate
-        products: int64, or object arrays of Python ints. A plain multiset
-        casts its base; a symmetrization builds its union from axis_orbits()
+        In the store's dtype, _exact(res, 1), like axis_orbits(): a reader
+        that sums over them casts to its own bound. A plain multiset returns
+        its base itself; a symmetrization builds its union from axis_orbits()
         on every call, in entry order base, Y, X, XY (base, Y), keeping nothing.
         """
-        dtype = _exact(2 * self.n_resolution, len(self))
-        if any(self._reflected):
-            # product varies y fastest: base, Y, X, XY
-            coords = tuple(map(np.concatenate, zip(*product(*self.axis_orbits(dtype)))))
-        else:
-            coords = tuple(k.astype(dtype, copy=False) for k in self._base)
+        if not any(self._reflected):
+            return self._base
+        # product varies y fastest: base, Y, X, XY
+        coords = tuple(map(np.concatenate, zip(*product(*self.axis_orbits()))))
         for k in coords:
             k.flags.writeable = False
         return coords
@@ -307,13 +305,13 @@ def is_net(points: PointMultiset, n: int) -> bool:
     Checks all shapes (j1, j2) with j1 + j2 = n, j_i >= 0. A coordinate
     exactly equal to 1 lies in no half-open box, which forces a failure.
     The box index of k / 2^res on level j is (k << j) >> res, on either
-    side of j = res; it stays below 2^(res + n) <= 2^61 under the int64
-    guard of scaled_coords(), since N = 2^n.
+    side of j = res; the shifted coordinate k << j is at most 2^(res + n),
+    so the coordinates are cast to _exact(res + n, 1).
     """
     if len(points) != 1 << n:
         raise ValueError(f"expected 2^{n} points, got {len(points)}")
     res = points.n_resolution
-    kx, ky = points.scaled_coords()
+    kx, ky = (k.astype(_exact(res + n, 1), copy=False) for k in points.scaled_coords())
     if not ((kx < 1 << res) & (ky < 1 << res)).all():
         return False
     for j1 in range(n + 1):

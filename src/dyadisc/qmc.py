@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .pointsets import (
     PointMultiset,
     SignPattern,

@@ -42,7 +42,6 @@ __all__ = [
     "SUITES",
 ]
 
-SUITES = ("coefficients", "davenport-rows", "counting-sums", "net")
 _EXTRA_LEVELS = 2  # levels past n that the coefficients suite checks on each axis
 
 
@@ -124,9 +123,8 @@ def check_davenport_rows(n: int, sigma: SignPattern, label: str = "") -> CheckRe
     report = CheckReport("davenport-rows", n, label or "custom")
     points = symmetrize_davenport(hammersley_type(n, sigma))
     for k in range(-1, n):
-        j1, j2 = (-1, k) if k >= 0 else (-1, -1)
-        prediction = predict_davenport(n, sigma, HaarIndex(j1, j2, 0, 0))
-        summary = level_value_counts(points, j1, j2)
+        prediction = predict_davenport(n, sigma, HaarIndex(-1, k, 0, 0))
+        summary = level_value_counts(points, -1, k)
         _level_matches(report, summary, prediction, f"row (-1,{k})")
     return report
 
@@ -177,6 +175,7 @@ _CHECKS = {
     "counting-sums": check_counting_sums,
     "net": check_net_property,
 }
+SUITES = tuple(_CHECKS)
 
 
 def run_suites(

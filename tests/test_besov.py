@@ -287,8 +287,8 @@ def grid_multiset(rng, res, size):
 
 
 def test_level_numerators_cross_int64():
-    # the numerators (acc << shift) + empty take int64 while they stay
-    # below 2^62 and Python ints past it, whatever the dtype of the accs:
+    # the numerators (acc << shift) + empty take int64 while both terms
+    # stay below 2^60 and Python ints past it, whatever the dtype of the accs:
     # at res 29 eight base points scan in int64, and the numerators of
     # their symmetrizations outgrow it on the low levels; a single point at
     # res 31 scans in Python ints, and its mid levels fit int64 again
@@ -304,7 +304,7 @@ def test_level_numerators_cross_int64():
         for j1 in levels:
             for j2 in levels:
                 summary = level_value_counts(points, j1, j2)
-                nums, top = besov._level_numerators(summary)
+                nums, top = summary.numerator_array()
                 exact, empty, exact_top = summary.numerators()
                 assert (nums.tolist(), top) == (exact + [empty], exact_top)
                 fits = all(abs(num) < 1 << 62 for num in exact + [empty])

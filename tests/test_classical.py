@@ -24,7 +24,9 @@ from dyadisc import (
     symmetrize_davenport,
     symmetrize_full,
 )
+from dyadisc import classical
 from dyadisc.classical import _count_rows, _power_differences
+from dyadisc.pointsets import _exact
 
 from conftest import no_union_read, union_of
 
@@ -127,13 +129,29 @@ def test_l2_warnock_with_ties():
             assert value == brute_lp_even(points, 2)
 
 
+def pair_sum_dtypes(points, monkeypatch):
+    """l2_warnock's value and the dtypes of the arrays its pair sum reads."""
+    dtypes = set()
+    pair_sum = classical._min_product_pair_sum
+
+    def spy(us, vs):
+        dtypes.update((us.dtype, vs.dtype))
+        return pair_sum(us, vs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classical, "_min_product_pair_sum", spy)
+        value = l2_warnock(points)
+    return value, dtypes
+
+
 @pytest.mark.parametrize("res", [26, 27, 28])
-def test_l2_warnock_fine_resolution(res):
-    # 2 res + 9 = 61 keeps int64 arrays at res 26, where the pair sum over
-    # 256 points is about 2^68; res 27 and 28 take the object arrays
+def test_l2_warnock_fine_resolution(res, monkeypatch):
+    # 2 res + 9 = 61 keeps the pair sum's arrays in int64 at res 26, where
+    # the pair sum over 256 points is about 2^68; res 27 and 28 take object arrays
     points = random_multiset(random.Random(res), 256, res)
-    assert points.scaled_coords()[0].dtype == (np.int64 if res == 26 else object)
-    assert l2_warnock(points) == lp_exact_even(points, 2)
+    value, dtypes = pair_sum_dtypes(points, monkeypatch)
+    assert dtypes == {np.dtype(np.int64) if res == 26 else np.dtype(object)}
+    assert value == lp_exact_even(points, 2)
 
 
 def test_l2_warnock_memory():
@@ -188,17 +206,18 @@ def edge_multiset(rng, size, res):
 
 @pytest.mark.parametrize("res", [1, 2, 29, 31, 40])
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
-def test_l2_warnock_orbits_across_guard(res, symmetrize):
+def test_l2_warnock_orbits_across_guard(res, symmetrize, monkeypatch):
     # res 29 with 8 points: 58 + bitlen(8) = 62 keeps the pair sum's orbits
-    # in int64 at the guard's edge under an object union; at res 31 and 40
-    # they are object, over an int64 base
+    # in int64 at the guard's edge, where a sum over the union would take
+    # Python ints; at res 31 and 40 they are object, over an int64 base
     rng = random.Random(res)
     for size in (1, 2, 3, 8):
         points = symmetrize(edge_multiset(rng, size, res))
         assert_l2_reads_base(points, even_route=True)
         if (res, size) == (29, 8):
             assert points._base[0].dtype == np.int64
-            assert points.scaled_coords()[0].dtype == object
+            assert _exact(2 * res, len(points)) is object
+            assert pair_sum_dtypes(points, monkeypatch)[1] == {np.dtype(np.int64)}
     # every pair input at its largest, 2^res, on 8 base points
     half = 1 << (res - 1)
     x = half if symmetrize is symmetrize_full else 0
@@ -210,7 +229,8 @@ def test_l2_warnock_orbits_across_guard(res, symmetrize):
 def test_local_discrepancy_counts_orbits(symmetrize, res):
     # each base point's orbit is counted below the anchor; the union as a
     # plain multiset counts every point. Res 29 with 8 points and res 40
-    # keep an int64 base under an object union
+    # keep an int64 base and union where a product sum over the union,
+    # _exact(2 res, N), would take Python ints
     rng = random.Random(res)
     full = 1 << res
     for size in (1, 2, 8):
@@ -225,8 +245,8 @@ def test_local_discrepancy_counts_orbits(symmetrize, res):
             values = [local_discrepancy(points, anchor) for anchor in anchors]
         assert values == [local_discrepancy(union, anchor) for anchor in anchors]
         if (res, size) == (29, 8):
-            assert points._base[0].dtype == np.int64
-            assert union.scaled_coords()[0].dtype == object
+            assert points._base[0].dtype == union.scaled_coords()[0].dtype == np.int64
+            assert _exact(2 * res, len(union)) is object
 
 
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])
@@ -411,6 +431,22 @@ def test_star_against_brute_fine_resolution(res):
         assert lp_exact_even(points, 2) == l2_warnock(points)
         assert lp_exact_even(points, 4) == brute_lp_even(points, 4)
         assert lp_exact_even(points, 6) == brute_lp_even(points, 6)
+
+
+@pytest.mark.parametrize("res", [29, 30, 31])
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+def test_star_takes_its_own_bound(symmetrize, res):
+    # the candidates |c 2^(2 res) - N x y| of a union's star discrepancy
+    # are bounded by N 2^(2 res): _exact(2 res, N) is int64 at res 29 for
+    # the four or eight points of a symmetrized pair (58 + 4 <= 62) and
+    # Python ints from res 30, over the union's int64 coordinates; at res
+    # 31 a count of 2 or more times 2^62 would wrap in int64
+    rng = random.Random(res)
+    for _ in range(4):
+        points = symmetrize(random_multiset(rng, 2, res))
+        assert points.scaled_coords()[0].dtype == np.int64
+        assert _exact(2 * res, len(points)) is (np.int64 if res == 29 else object)
+        assert star_discrepancy(points).as_fraction() == brute_star(points)
 
 
 def test_monotone_norm_chain():

@@ -222,6 +222,9 @@ def test_classic_estimate_grid_limit():
         (["sweep", "--jmax", "3", "--n-max", "3"], "--jmax 3"),
         (["coeffs", "--jmax", "-2"], "--jmax -2"),
         (["coeffs", "--jmax", "11"], "--jmax 11: 16,777,216 rows, over the limit of 4,194,304"),
+        (["verify", "--n-max", "1"], "--n-max 1 must be >= --n 2"),
+        (["sweep", "--n-max", "1"], "--n-max 1 must be >= --n 2"),
+        (["qmc", "--n-max", "1"], "--n-max 1 must be >= --n 2"),
         (["qmc", "--integrand", "corner:9,1"], "corner:9,1"),
         (["qmc", "--integrand", "monomial:0,9"], "monomial:0,9"),
         (["classic", "--p", "0"], "--p 0"),
@@ -250,7 +253,7 @@ def test_classic_estimate_grid_limit():
     ],
     ids=[
         "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "coeffs-jmax",
-        "coeffs-jmax-limit",
+        "coeffs-jmax-limit", "verify-n-max", "sweep-n-max", "qmc-n-max",
         "qmc-corner",
         "qmc-monomial", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf",
@@ -264,6 +267,14 @@ def test_input_errors_exit_with_message(argv, named, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main([arg.format(tmp=tmp_path) for arg in argv] + ["--n", "2"])
     assert named.format(tmp=tmp_path) in str(excinfo.value.code)
+
+
+def test_coeffs_limit_names_the_default_jmax():
+    # without --jmax the level limit comes from --n, which the message names
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coeffs", "--n", "11"])
+    assert str(excinfo.value.code) == (
+        "--jmax defaults to --n 11: 16,777,216 rows, over the limit of 4,194,304; pass --jmax 10")
 
 
 @pytest.mark.parametrize("sub", ["norm", "sweep"])
@@ -524,6 +535,32 @@ def test_large_coeffs_and_gen_match_module_rendering(capsys, fmt):
     rows = [[str(x), str(y), den] for x, y in zip(*(a.tolist() for a in points.scaled_coords()))]
     _, out = capture(capsys, ["gen", "--n", "10", "--format", fmt])
     assert_same_text(out, oracle_text(["num_x", "num_y", "den"], rows, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_writes_each_block_before_rendering_the_next(monkeypatch, fmt):
+    # 2^17 points in two blocks of 2^16: the second block is rendered only
+    # after the first is written, and the text is the modules' rendering
+    points = build_family("symmetrized", 15, SignPattern.identity(15))
+    header = ["num_x", "num_y", "den"]
+    den = str(1 << points.n_resolution)
+    rows = [[str(x), str(y), den] for x, y in zip(*(a.tolist() for a in points.scaled_coords()))]
+    out, written = io.StringIO(), []
+    fragments = _Emitter.fragments
+
+    def spy(emitter, columns, start=0):
+        written.append(out.getvalue())
+        return fragments(emitter, columns, start)
+
+    monkeypatch.setattr(_Emitter, "fragments", spy)
+    with redirect_stdout(out):
+        assert main(["gen", "--n", "15", "--format", fmt]) == 0
+    expected = oracle_text(header, rows, fmt)
+    assert_same_text(out.getvalue(), expected)
+    first, second = written[-2:]  # csv renders its header first
+    assert first == ""
+    assert expected.startswith(second)
+    assert second.count("{" if fmt == "json" else "\n") == 1 << 16
 
 
 def test_perfbench_span_bindings_resolve():

@@ -49,6 +49,7 @@ from dyadisc.haar import (
     _tent_numerator,
     _tents,
 )
+from dyadisc.pointsets import _exact
 
 from conftest import no_union_read, union_of
 
@@ -381,11 +382,12 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
     bases = [random_multiset(rng, res, size) for size in (1, 4, 8, 64)]
     bases.append(endpoint_multiset(res))
     if res == 29:
-        # 8 base points fit int64 (58 + 4 <= 62), their unions do not, and
-        # the folded scan of a union runs in its base's int64
-        assert bases[2].scaled_coords()[0].dtype == np.int64
+        # product sums over 8 base points fit int64 (58 + 4 <= 62), over
+        # their unions they do not, and the folded scan of a union runs in
+        # its base's int64
+        assert _exact(2 * res, len(bases[2])) is np.int64
         for union in (symmetrize_davenport(bases[2]), symmetrize_full(bases[2])):
-            assert union.scaled_coords()[0].dtype == object
+            assert _exact(2 * res, len(union)) is object
             level_value_counts(union, 0, 1)
             assert row_dtypes(union) == {np.dtype(np.int64)}
     sets = [
@@ -492,7 +494,7 @@ def test_fold_crosses_its_guard(symmetrize, bits):
     # 2^(res - max(j, 0)) per axis, so its sums take
     # _exact(2 res - j1+ - j2+, M): at res 29 with 2 res + bitlen(M) = bits,
     # int64 on every level at 62; at 63 Python ints on the four levels with
-    # j1+ = j2+ = 0 and int64 on every other, whatever the union's dtype.
+    # j1+ = j2+ = 0 and int64 on every other, whatever the union's bound.
     # Both sides must match the scan of the union as a plain multiset on
     # every level, the summaries and the coefficient maps alike. The row
     # stays in the base's int64.
@@ -501,7 +503,7 @@ def test_fold_crosses_its_guard(symmetrize, bits):
     rng = random.Random(bits)
     points = symmetrize(random_multiset(rng, res, size))
     union = union_of(points)
-    assert union.scaled_coords()[0].dtype == object
+    assert _exact(2 * res, len(union)) is object
     assert points._base[0].dtype == np.int64
     for j1 in range(-1, res + 1):
         for j2 in range(-1, res + 1):
@@ -548,15 +550,15 @@ def test_row_key_takes_its_own_bound(res, monkeypatch):
 @pytest.mark.parametrize("res", [61, 62])
 def test_store_is_as_wide_as_its_coordinates(res):
     # a coordinate is at most 2^res: the base is int64 through res 61 and
-    # Python ints from 62; every sum casts to its own bound, so the scans,
-    # the per-index coefficients and the orbit sums of the four-fold set
-    # match its union held in Python ints
+    # Python ints from 62, and so is the union of its four-fold set; every
+    # sum casts to its own bound, so the scans, the per-index coefficients
+    # and the orbit sums of that set match its union held in Python ints
     rng = random.Random(res)
     base = random_multiset(rng, res, 4)
     assert base._base[0].dtype == (np.int64 if res == 61 else object)
     points = symmetrize_full(base)
     union = union_of(points, object)
-    assert points.scaled_coords()[0].dtype == object
+    assert points.scaled_coords()[0].dtype == base._base[0].dtype
     assert all(np.array_equal(a, b) for a, b in zip(points.scaled_coords(), union._base))
     levels = (-1, 0, 1, 2, res - 2, res - 1)
     for j1 in levels:
@@ -658,7 +660,7 @@ def test_grids_match_across_guard(res):
     rng = random.Random(res)
     for size in (1, 4, 8):
         points = random_multiset(rng, res, size)
-        assert points.scaled_coords()[0].dtype == (np.int64 if res == 20 else object)
+        assert _exact(2 * res, len(points)) is (np.int64 if res == 20 else object)
         assert mu_grid(points, 3) == oracle_mu_grid(points, 3)
 
 
@@ -679,7 +681,7 @@ def test_orbit_sums_cross_their_guard(symmetrize, res, bits):
         base = random_multiset(rng, res, (1 << (bits - 2 * res - 1)) // copies)
     points = symmetrize(base)
     unions = (union_of(points), union_of(points, object))
-    assert unions[0].scaled_coords()[0].dtype == (object if bits == 63 else np.int64)
+    assert _exact(2 * res, len(points)) is (object if bits == 63 else np.int64)
     grid = oracle_mu_grid(points, 3)
     assert all(grid == oracle_mu_grid(union, 3) for union in unions)
     indices = list(grid)
@@ -892,3 +894,26 @@ def test_counting_sums_against_brute_fine_resolution(res):
                     assert set(found) <= set(brute)
                     for box, expected in brute.items():
                         assert found.get(box, 0) / scales[axis] == expected[axis]
+
+
+@pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
+@pytest.mark.parametrize("res", [29, 30, 32])
+def test_counting_sums_take_their_own_bound(symmetrize, res):
+    # the product sums over the N points of a union take _exact(2 res, N):
+    # for the four or eight points of a symmetrized pair, int64 at res 29
+    # (58 + 4 <= 62) and Python ints from res 30, over the union's int64
+    # coordinates. At res 32 one product of two level-0 tents reaches 2^62,
+    # so an int64 sum would wrap. The union held in Python ints is the oracle.
+    rng = random.Random(res)
+    half = 1 << (res - 1)
+    bases = [random_multiset(rng, res, 2),
+             PointMultiset._from_scaled([half - 1, half - 3], [half - 5, half - 7], res)]
+    for points in map(symmetrize, bases):
+        assert points.scaled_coords()[0].dtype == np.int64
+        union = union_of(points, object)
+        for j1, j2 in ((0, 0), (0, 1), (1, 0), (2, res - 1), (res, res)):
+            level = level_counting_sums(points, j1, j2)
+            expected = level_counting_sums(union, j1, j2)
+            assert [(k.tolist(), v.tolist()) for k, v in level] == \
+                [(k.tolist(), v.tolist()) for k, v in expected], (j1, j2)
+            assert {v.dtype for _, v in level} == {np.dtype(_exact(2 * res, len(points)))}

@@ -21,6 +21,7 @@ from dyadisc import (
     hammersley_type,
     is_net,
     l2_warnock,
+    level_counting_sums,
     level_value_counts,
     local_discrepancy,
     monomial,
@@ -34,6 +35,7 @@ from dyadisc import (
     symmetrize_davenport,
     symmetrize_full,
 )
+from dyadisc.pointsets import _exact
 
 from conftest import no_union_read, union_of
 
@@ -191,10 +193,11 @@ def test_net_property_counterexample():
     assert not is_net(bad, 2)
     with pytest.raises(ValueError):
         is_net(bad, 3)
-    # a Hammersley net on a 2^-40 grid crosses the int64 guard
+    # a Hammersley net on a 2^-40 grid: its box keys, below 2^43, stay in
+    # int64, where a product sum over its points would take Python ints
     base = hammersley_type(3, sigma("alternating", 3))
     fine = PointMultiset(base, resolution=40)
-    assert fine.scaled_coords()[0].dtype == object
+    assert _exact(40 + 3, 1) is np.int64 and _exact(2 * 40, len(fine)) is object
     assert is_net(fine, 3)
     entries = list(fine)
     entries[5] = (dyadic(1), entries[5].y)
@@ -206,6 +209,30 @@ def test_net_property_counterexample():
     )
     for points in (coarse, union_of(coarse, object)):
         assert not is_net(points, 3)
+
+
+@pytest.mark.parametrize("res", [58, 59, 61])
+def test_net_keys_take_their_own_bound(res, monkeypatch):
+    # the shifted coordinate k << j1 of is_net reaches 2^(res + n): for
+    # n = 3 its keys are int64 through res 58 (58 + 3 + 1 = 62) and Python
+    # ints from res 59, over int64 coordinates; at res 61 an int64 key
+    # would wrap. Both a net and the same set with two x boxes merged are
+    # judged as at resolution 3.
+    base = hammersley_type(3, sigma("alternating", 3))
+    merged = [(x, y) if x != dyadic(1, 3) else (dyadic(0), y) for x, y in base]
+    key_dtypes = set()
+    sort = np.sort
+
+    def spy(keys, *args, **kwargs):
+        key_dtypes.add(keys.dtype)
+        return sort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    for entries, net in ((base, True), (merged, False)):
+        points = PointMultiset(entries, resolution=res)
+        assert points.scaled_coords()[0].dtype == np.int64
+        assert is_net(points, 3) is net
+    assert key_dtypes == {np.dtype(np.int64) if res == 58 else np.dtype(object)}
 
 
 def test_point_on_coarser_grid_rejected():
@@ -255,12 +282,14 @@ def test_scaled_coords_are_read_only():
 
 @pytest.mark.parametrize("res", [30, 31])
 def test_plain_scaled_coords_are_read_only_across_their_guard(res):
-    # the base of two points is int64 on both sides; scaled_coords() casts
-    # to _exact(2 res, 2): int64 at res 30 (60 + 2 = 62), Python ints at 31
+    # a product sum over two points takes _exact(2 res, 2): int64 at res 30
+    # (60 + 2 = 62), Python ints at 31; scaled_coords() returns the int64
+    # base itself on both sides, and each such sum casts it
     points = _pair_at(res)
-    assert points._base[0].dtype == np.int64
+    assert _exact(2 * res, 2) is (np.int64 if res == 30 else object)
     coords = points.scaled_coords()
-    assert all(k.dtype == (np.int64 if res == 30 else object) for k in coords)
+    assert all(k is base for k, base in zip(coords, points._base))
+    assert all(k.dtype == np.int64 for k in coords)
     assert [k.tolist() for k in coords] == [k.tolist() for k in points._base]
     for k in coords:
         with pytest.raises(ValueError):
@@ -286,8 +315,12 @@ def test_union_repicks_dtype_past_guard(union, axes):
     with no_union_read():  # the norm folds the base
         besov_norm_exact(merged, BesovParams(2, 2, -0.3))
     kx, ky = merged.scaled_coords()
-    assert kx.dtype == ky.dtype == object  # 4 or 8 points: 2 res + 3 > 62
-    assert all(type(k) is int for k in np.concatenate([kx, ky]))
+    assert kx.dtype == ky.dtype == np.int64  # the store's dtype
+    # 4 or 8 points: 2 res + 3 > 62, so the product sums over the union
+    # take Python ints
+    assert _exact(2 * res, len(merged)) is object
+    sums = level_counting_sums(merged, 0, 0)[2][1]
+    assert sums.dtype == object and all(type(k) is int for k in sums)
     one = dyadic(1)
     expected = PointMultiset(
         [
@@ -346,8 +379,10 @@ def test_union_is_built_only_when_read(union, axes):
 
 @pytest.mark.parametrize("axis", ["X", "Y", "XY"])
 def test_reflect_keeps_dtype(axis):
-    pair = _pair_at(30)
-    for source, dtype in ((pair, np.int64), (symmetrize_full(pair), object)):
+    # the store's dtype: int64 through res 61, Python ints from 62
+    sources = [(pair, dtype) for res, dtype in ((30, np.int64), (62, object))
+               for pair in (_pair_at(res), symmetrize_full(_pair_at(res)))]
+    for source, dtype in sources:
         assert source.scaled_coords()[0].dtype == dtype
         assert all(arr.dtype == dtype for arr in reflect(source, axis).scaled_coords())
 
@@ -361,7 +396,8 @@ def test_local_discrepancy_past_guard():
 
     entries = [(grid_value(res), grid_value(res)) for _ in range(size)]
     points = PointMultiset(entries, resolution=res)
-    assert points.scaled_coords()[0].dtype == object
+    assert points.scaled_coords()[0].dtype == np.int64
+    assert _exact(2 * res, size) is object  # a product sum over the points would not be
     kx, ky = (arr.tolist() for arr in points.scaled_coords())
     # anchors on the grid, between grid points, on a point and at the corner
     anchors = [(grid_value(res + 2), grid_value(res)) for _ in range(20)]
