@@ -57,6 +57,7 @@ from .pointsets import (
     hammersley_moments,
     hammersley_type,
     is_net,
+    is_transpose_invariant,
     reflect,
     symmetrize_davenport,
     symmetrize_full,

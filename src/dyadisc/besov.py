@@ -16,6 +16,16 @@ remainder splits into closed geometric sums: the quadrant of nonnegative
 level pairs outside [0, n-1]^2 collapses to a function of j1 + j2, and the
 two boundary rows are plain geometric series in the level. The truncated
 mode sums levels explicitly instead and doubles as the oracle for the tail.
+
+Transposing a set swaps the axes of every coefficient: D_{P^T}(t2, t1) =
+D_P(t1, t2), so mu_{(j2,j1),(m2,m1)}(P^T) = mu_{(j1,j2),(m1,m2)}(P). On a
+set equal to its transpose, level (j2, j1) holds the same multiset of
+values as (j1, j2), and both norms scan only j1 <= j2 and copy each
+operand to the mirrored pair (_level_operands). hammersley_type(n, sigma)
+transposed is hammersley_type(n, reversed sigma), so the hammersley and
+symmetrized families qualify for a palindromic sigma: identity, all-flip,
+alternating at odd n. Davenport's union reflects y only and never does.
+level_term scans the level it is asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .haar import level_value_counts
-from .pointsets import PointMultiset
+from .pointsets import PointMultiset, is_transpose_invariant
 
 import numpy as np  # after the package modules, which import it first: a lower peak RSS
 
@@ -204,13 +214,20 @@ def _operand(level: int, log2s, params: BesovParams) -> float:
 
 
 def _level_operands(points: PointMultiset, j_max: int, params: BesovParams):
-    """(j1, j2, operand) for every level pair in [-1, j_max]^2, lexicographically."""
+    """(j1, j2, operand) for every level pair in [-1, j_max]^2, lexicographically.
+
+    A multiset that is_transpose_invariant has the same summary on (j2, j1)
+    as on (j1, j2), and an operand reads only the summary and j1 + j2, so
+    each pair j1 > j2 copies the operand of (j2, j1), which comes first.
+    """
     levels = range(-1, j_max + 1)
-    return [
-        (j1, j2, _level_operand(level_value_counts(points, j1, j2), params))
-        for j1 in levels
-        for j2 in levels
-    ]
+    mirror = is_transpose_invariant(points)
+    operands = {}
+    for j1 in levels:
+        for j2 in levels:
+            operands[j1, j2] = (operands[j2, j1] if mirror and j2 < j1 else
+                                _level_operand(level_value_counts(points, j1, j2), params))
+    return [(j1, j2, operand) for (j1, j2), operand in operands.items()]
 
 
 def level_term(points: PointMultiset, j1: int, j2: int, params: BesovParams) -> float:

@@ -479,9 +479,14 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
 # row-major order, and zip them with one shared table of keys.
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _grid_indices(j_max: int) -> Tuple[HaarIndex, ...]:
-    """Every index with levels in [-1, j_max], in grid order."""
+    """Every index with levels in [-1, j_max], in grid order.
+
+    The table holds 4^(j_max + 1) indices, about 29 MB at j_max = 8, so
+    only the latest one is kept: mu_grid and oracle_mu_grid of one j_max
+    share it.
+    """
     levels = range(-1, j_max + 1)
     return tuple(
         HaarIndex(j1, j2, m1, m2)

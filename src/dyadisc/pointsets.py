@@ -36,6 +36,7 @@ __all__ = [
     "symmetrize_full",
     "symmetrize_davenport",
     "is_net",
+    "is_transpose_invariant",
     "build_family",
     "family_reflections",
     "hammersley_moments",
@@ -320,6 +321,26 @@ def is_net(points: PointMultiset, n: int) -> bool:
         if (keys[1:] == keys[:-1]).any():
             return False
     return True
+
+
+def is_transpose_invariant(points: PointMultiset) -> bool:
+    """True if the multiset is sure to equal its mirror image across the diagonal.
+
+    Checks that both axes or neither are reflected, and that the base
+    multiset {(kx, ky)} equals {(ky, kx)}: the sorted keys (kx << (res + 1))
+    + ky and (ky << (res + 1)) + kx agree, O(M log M) for M base points.
+    Then the union, which reflects both axes alike, is its own transpose
+    too. A key is below 2^(2 res + 2), so the coordinates are cast to
+    _exact(2 res + 1, 1). False for every other multiset, including some
+    that do equal their transpose. hammersley_type(n, sigma) transposed is
+    hammersley_type(n, reversed sigma), so its base qualifies exactly when
+    sigma is a palindrome. Keeps nothing.
+    """
+    if points._reflected[0] != points._reflected[1]:
+        return False
+    res = points.n_resolution
+    kx, ky = (k.astype(_exact(2 * res + 1, 1), copy=False) for k in points._base)
+    return bool((np.sort((kx << (res + 1)) + ky) == np.sort((ky << (res + 1)) + kx)).all())
 
 
 def family_reflections(family: str) -> Tuple[bool, bool]:

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: a multiset's union as a plain multiset,
-and a guard that fails any read of a symmetrization's union."""
+a guard that fails any read of a symmetrization's union, and the fields of a
+level summary."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -35,3 +36,14 @@ def no_union_read():
 
     with mock.patch.object(PointMultiset, "scaled_coords", guarded):
         yield
+
+
+def summary_fields(summary):
+    """The fields of a LevelSummary other than its levels, as comparable values."""
+    return (
+        summary.accs.tolist(),
+        summary.counts.tolist(),
+        summary.scale,
+        summary.occupied_boxes,
+        summary.empty_boxes,
+    )

@@ -16,6 +16,7 @@ from dyadisc import (
     build_family,
     dyadic,
     hammersley_type,
+    is_transpose_invariant,
     level_term,
     level_value_counts,
     scaling_ratio,
@@ -24,6 +25,8 @@ from dyadisc import (
     validate,
 )
 from dyadisc import besov
+
+from conftest import summary_fields
 
 INF = math.inf
 
@@ -276,6 +279,59 @@ def test_level_operand_matches_per_value_route(family):
                     assert besov._array_operand(summary, params) == expected, (n, j1, j2, params)
                     assert besov._level_operand(summary, params) == expected, (n, j1, j2, params)
     assert routes == {False, True}
+
+
+def transpose_invariant_cases():
+    """(family, n, sigma) for every preset sign pattern that is a palindrome, n = 1..10."""
+    for n in range(1, 11):
+        patterns = [SignPattern.identity(n), SignPattern.all_flip(n)]
+        if n % 2:
+            patterns.append(SignPattern.alternating(n))
+        for family in ("hammersley", "symmetrized"):
+            for sg in patterns:
+                yield family, n, sg
+
+
+def test_transposed_levels_reuse_bit_equal_operands():
+    # for a set equal to its transpose the norm scans j1 <= j2 only; every
+    # per_level entry, copied or not, equals level_term computed directly on
+    # its own level, and the engine's scans of (j1, j2) and (j2, j1) agree
+    for family, n, sg in transpose_invariant_cases():
+        points = build_family(family, n, sg)
+        assert is_transpose_invariant(points), (family, n, sg)
+        for j1 in range(-1, n + 2):
+            for j2 in range(-1, j1):
+                assert (summary_fields(level_value_counts(points, j2, j1))
+                        == summary_fields(level_value_counts(points, j1, j2))), (family, n, j1, j2)
+        for params in ORACLE_PARAMS:
+            for breakdown in (besov_norm_exact(points, params),
+                              besov_norm_truncated(points, params, n + 1)):
+                for j1, j2, term in breakdown.per_level:
+                    expected = level_term(points, j1, j2, params)
+                    assert term == expected, (family, n, sg, params, j1, j2)
+        assert set(points._cache) == {"row"}
+
+
+def test_norm_scans_each_transposed_pair_once(monkeypatch):
+    # at n = 6 the exact norm reads (n+1)^2 = 49 level pairs; a set equal
+    # to its transpose scans the (n+1)(n+2)/2 = 28 with j1 <= j2
+    n, params = 6, BesovParams(2, 2, -0.3)
+    random_sg = SignPattern.seeded_random(n, 5)
+    assert random_sg.flips != random_sg.flips[::-1]
+    cases = [("symmetrized", SignPattern.identity(n), 28),
+             ("davenport", SignPattern.identity(n), 49),
+             ("symmetrized", random_sg, 49),
+             ("hammersley", random_sg, 49)]
+    calls = []
+    scan = besov.level_value_counts
+    monkeypatch.setattr(besov, "level_value_counts",
+                        lambda points, j1, j2: calls.append((j1, j2)) or scan(points, j1, j2))
+    for family, sg, expected in cases:
+        calls.clear()
+        besov_norm_exact(build_family(family, n, sg), params)
+        assert len(calls) == len(set(calls)) == expected, (family, sg)
+        if expected == 28:
+            assert all(j1 <= j2 for j1, j2 in calls)
 
 
 def grid_multiset(rng, res, size):

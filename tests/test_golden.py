@@ -27,6 +27,13 @@ CASES = {
     "norm-qinf": ["norm", "--n", "6", "--p", "1", "--q", "inf", "--r", "0.5"],
     "norm-pinf": ["norm", "--family", "hammersley", "--n", "6", "--sigma", "alternating",
                   "--p", "inf", "--q", "2", "--r", "-0.5"],
+    # a non-palindromic sigma (1010111): every level pair is scanned
+    "norm-random": ["norm", "--n", "7", "--sigma", "random", "--seed", "5",
+                    "--p", "2", "--q", "2", "--r", "-0.3"],
+    # a palindromic sigma (0001000): the set equals its transpose, so each
+    # level (j2, j1) reuses the operand of (j1, j2)
+    "norm-random-palindrome": ["norm", "--n", "7", "--sigma", "random", "--seed", "4",
+                               "--p", "2", "--q", "2", "--r", "-0.3"],
     "norm-truncated": ["norm", "--family", "davenport", "--n", "3", "--mode", "truncated",
                        "--jmax", "6", "--p", "3", "--q", "1.5", "--r", "0.1"],
     "sweep": ["sweep", "--n", "2", "--n-max", "8", "--p", "2", "--q", "2", "--r", "-0.3"],

@@ -1,7 +1,9 @@
 """Haar coefficient engine: factors, coefficients, predictions, sums."""
 
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -43,6 +45,7 @@ from dyadisc import besov
 from dyadisc.haar import (
     _antiderivative_numerator,
     _count_scale,
+    _grid_indices,
     _level_row,
     _oracle_axis_factor,
     _scan_level,
@@ -51,7 +54,7 @@ from dyadisc.haar import (
 )
 from dyadisc.pointsets import _exact
 
-from conftest import no_union_read, union_of
+from conftest import no_union_read, summary_fields, union_of
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -81,16 +84,6 @@ def endpoint_multiset(res):
     """Points on x = 0, y = 0 and coordinate 1, plus interval midpoints."""
     half, quarter = dyadic(1, 1), dyadic(1, 2)
     return PointMultiset([(0, 0), (1, quarter), (half, 1), (0, 1)], resolution=res)
-
-
-def summary_fields(summary):
-    return (
-        summary.accs.tolist(),
-        summary.counts.tolist(),
-        summary.scale,
-        summary.occupied_boxes,
-        summary.empty_boxes,
-    )
 
 
 def generic_fields(union, j1, j2):
@@ -652,6 +645,30 @@ def test_grids_match_per_index_ops():
     assert grid == oracle_grid
     for idx, value in grid.items():
         assert value == mu_discrepancy(points, idx)
+
+
+def test_grids_keep_one_index_table():
+    # the two grids of one j_max share a table of 4^(j_max + 1) indices, and
+    # a grid of another j_max drops it: after grids at j_max = 6 and then 1
+    # only the small table stays alive
+    points = symmetrize_full(hammersley_type(3, sigma("identity", 3)))
+    _grid_indices.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mu_grid(points, 6)
+        oracle_mu_grid(points, 6)
+        gc.collect()
+        table = tracemalloc.get_traced_memory()[0] - before
+        mu_grid(points, 1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _grid_indices.cache_info().hits == 1
+    assert table > 4 ** 7 * 64, table  # 16384 indices of at least 64 B each
+    assert retained < table // 16, (retained, table)
 
 
 @pytest.mark.parametrize("res", [20, 31, 40])

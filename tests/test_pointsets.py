@@ -20,6 +20,7 @@ from dyadisc import (
     dyadic,
     hammersley_type,
     is_net,
+    is_transpose_invariant,
     l2_warnock,
     level_counting_sums,
     level_value_counts,
@@ -406,3 +407,73 @@ def test_local_discrepancy_past_guard():
         a, b = t1.as_fraction(), t2.as_fraction()
         count = sum(Fraction(x, 1 << res) < a and Fraction(y, 1 << res) < b for x, y in zip(kx, ky))
         assert local_discrepancy(points, (t1, t2)).as_fraction() == Fraction(count, size) - a * b
+
+
+def every_sigma(n_max):
+    for n in range(1, n_max + 1):
+        for bits in range(1 << n):
+            yield SignPattern(n, tuple(bool(bits >> i & 1) for i in range(n)))
+
+
+def test_transpose_reverses_the_sign_pattern():
+    # swapping x and y in hammersley_type(n, sigma) gives the multiset of
+    # hammersley_type(n, reversed sigma), for every sigma up to n = 8
+    for sg in every_sigma(8):
+        kx, ky = (k.tolist() for k in hammersley_type(sg.n, sg).scaled_coords())
+        reversed_sg = SignPattern(sg.n, sg.flips[::-1])
+        rx, ry = (k.tolist() for k in hammersley_type(sg.n, reversed_sg).scaled_coords())
+        assert sorted(zip(ky, kx)) == sorted(zip(rx, ry)), sg
+
+
+def test_transpose_invariance_is_the_palindromic_sigma():
+    # davenport reflects y only, so its transpose reflects x: never invariant
+    for sg in every_sigma(8):
+        palindrome = sg.flips == sg.flips[::-1]
+        for family, expected in (("hammersley", palindrome), ("symmetrized", palindrome),
+                                 ("davenport", False)):
+            assert is_transpose_invariant(build_family(family, sg.n, sg)) is expected, (family, sg)
+
+
+def _swapped_scrambled(rng, res, size):
+    """Random points on the 2^-res grid with their transposes, in a scrambled order.
+
+    Includes a diagonal point and a coordinate equal to 1.
+    """
+    pairs = [(rng.randint(0, 1 << res), rng.randint(0, 1 << res)) for _ in range(size)]
+    pairs += [(k, k) for k, _ in pairs[:1]] + [(1 << res, 0)]
+    entries = pairs + [(ky, kx) for kx, ky in pairs]
+    rng.shuffle(entries)
+    return entries
+
+
+def _step(k):
+    """A grid neighbour of k that stays in [0, 2^res]."""
+    return k - 1 if k else 1
+
+
+def _grid_set(entries, res):
+    return PointMultiset([(dyadic(kx, res), dyadic(ky, res)) for kx, ky in entries], resolution=res)
+
+
+@pytest.mark.parametrize("res", [6, 30, 31, 62])
+def test_transpose_invariance_of_hand_built_sets(res):
+    # a set equal to its transpose in scrambled order is invariant, and so
+    # is its full symmetrization; moving one point by one grid step, the
+    # smallest move, which a float would not see at res 62, breaks it. The
+    # sort keys take int64 up to res 30 and Python ints from 31; the store
+    # takes Python ints from 62
+    rng = random.Random(res)
+    entries = _swapped_scrambled(rng, res, 12)
+    points = _grid_set(entries, res)
+    assert _exact(2 * res + 1, 1) is (np.int64 if res <= 30 else object)
+    assert points._base[0].dtype == (np.int64 if res < 62 else object)
+    assert is_transpose_invariant(points)
+    assert is_transpose_invariant(symmetrize_full(points))
+    assert not is_transpose_invariant(symmetrize_davenport(points))
+    assert points._cache == {}
+    for i in (0, len(entries) // 2, len(entries) - 1):
+        kx, ky = entries[i]
+        for moved in ((_step(kx), ky), (kx, _step(ky))):
+            broken = _grid_set(entries[:i] + [moved] + entries[i + 1:], res)
+            assert not is_transpose_invariant(broken), (i, moved)
+            assert not is_transpose_invariant(symmetrize_full(broken)), (i, moved)
