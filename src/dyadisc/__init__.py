@@ -28,7 +28,6 @@ from .dyadic import ONE, ZERO, DyadicRational, dyadic
 from .haar import (
     CoefficientPrediction,
     HaarIndex,
-    LevelCoefficients,
     LevelSummary,
     axis_factor,
     counting_sums,

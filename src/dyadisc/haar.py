@@ -20,10 +20,11 @@ DyadicRational values only when they return.
 Level scans work on integer numerators at the fixed scale 2^(2 res). Each
 coefficient depends only on the points inside its box, so the points of a
 j1 row are sorted once by (m1, y) and every j2 of that row groups them
-without sorting again. Level summaries keep the distinct numerators and
-their counts; DyadicRational values are built only when a caller reads
-them. A summary is built on every call and not kept: a multiset caches
-only its latest sorted row.
+without sorting again. One LevelSummary holds a level's scan and reads it
+by value, for the norms and checks, or by position, for grids and dumps;
+level_value_counts and mu_all_at_level are one function that builds it
+afresh on each call. DyadicRational values are built only when a caller
+reads them, and a multiset caches only its latest sorted row.
 
 Every route sums over the base's reflection orbits (PointMultiset.axis_orbits);
 only level_counting_sums builds a union. The level scans fold each orbit to
@@ -32,14 +33,14 @@ j >= 0 and moves it from position m to 2^j - 1 - m, so a box sum of a union
 is fixed by the folded base, with the mirror's factor added on levels -1
 and 0, where a point and its mirror share a box (see _tents). _scan_level
 alone decides which levels are empty and which folded sums also stand for
-a mirror box; the level views read its flags. The same scan of the union
+a mirror box; LevelSummary's views read its flags. The same scan of the union
 as a plain multiset is the fold's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,6 @@ from .pointsets import PointMultiset, SignPattern, _as_dyadic, _exact, _pow2_log
 __all__ = [
     "HaarIndex",
     "CoefficientPrediction",
-    "LevelCoefficients",
     "LevelSummary",
     "haar_eval",
     "mu_volume",
@@ -139,11 +139,6 @@ def _volume(j1: int, j2: int) -> Tuple[int, int]:
 def mu_volume(idx: HaarIndex) -> DyadicRational:
     """Haar coefficient of f(t) = t1 * t2."""
     return dyadic(*_volume(idx.j1, idx.j2))
-
-
-def _empty_value(j1: int, j2: int) -> DyadicRational:
-    """The coefficient of a box on the level that no point hits: minus the volume term."""
-    return -dyadic(*_volume(j1, j2))
 
 
 def _value_scale(j1: int, j2: int, scale: int, exponent: int = 0) -> Tuple[int, int, int]:
@@ -370,38 +365,52 @@ def _scan_level(
     return keys[hit], sums[hit], mirrored
 
 
-@dataclass(frozen=True)
-class LevelCoefficients:
-    """All coefficients on one level: sparse map plus shared empty value."""
-
-    j1: int
-    j2: int
-    occupied: Dict[Tuple[int, int], DyadicRational]
-    empty_value: DyadicRational
-    box_count: int
-
-
-@dataclass(frozen=True, eq=False)
 class LevelSummary:
-    """Value multiplicities on one level, for norm assembly and checks.
+    """Every coefficient on one level, from one _scan_level.
 
-    The occupied boxes hold the exact values acc / 2^scale - volume, one
-    for each integer numerator in the ascending array accs, each shared by
-    the matching entry of counts; every other box holds -volume. Exact
-    values are built as DyadicRational only when occupied_values is read.
+    keys, sums and mirrored are the scan's: ascending folded box keys
+    m1 * 2^j2+ + m2, their integer sums and one mirror flag per axis. The
+    box of a key, and its mirror on each flagged axis, holds the value
+    sum / 2^scale - volume; every other box holds empty_value, -volume.
+    Two views are built on their first read and kept: accs, the distinct
+    sums ascending, with their box counts in counts; and occupied, the map
+    from box (m1, m2) to its DyadicRational value.
     """
 
-    j1: int
-    j2: int
-    accs: np.ndarray
-    counts: np.ndarray
-    scale: int
-    occupied_boxes: int
-    empty_boxes: int
+    def __init__(self, j1: int, j2: int, keys: np.ndarray, sums: np.ndarray,
+                 mirrored: Tuple[bool, bool], scale: int):
+        self.j1, self.j2, self.keys, self.sums, self.mirrored, self.scale = (
+            j1, j2, keys, sums, mirrored, scale)
+        self.box_count = 1 << (max(j1, 0) + max(j2, 0))
+        self.occupied_boxes = len(sums) << sum(mirrored)
+        self.empty_boxes = self.box_count - self.occupied_boxes
+
+    def __getattr__(self, name: str):
+        # reached only on a view's first read; cached_property would take a
+        # lock on that read on Python 3.11
+        if name in ("accs", "counts"):
+            if self.sums.size:
+                self.accs, self.counts = np.unique(self.sums, return_counts=True)
+                self.counts <<= sum(self.mirrored)  # a flagged sum counts its mirror box too
+            else:  # an empty scan skips np.unique
+                self.accs, self.counts = self.sums, np.zeros(0, np.int64)
+        elif name == "occupied":
+            j2p = max(self.j2, 0)
+            last1, last2 = (1 << max(self.j1, 0)) - 1, (1 << j2p) - 1
+            boxes = zip((self.keys >> j2p).tolist(), (self.keys & last2).tolist())
+            values = _coefficients(self.sums.tolist(), self.scale, self.j1, self.j2)
+            occupied = self.occupied = dict(zip(boxes, values))
+            if self.mirrored[0]:
+                occupied.update({(last1 - m1, m2): v for (m1, m2), v in occupied.items()})
+            if self.mirrored[1]:
+                occupied.update({(m1, last2 - m2): v for (m1, m2), v in occupied.items()})
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
 
     @property
     def empty_value(self) -> DyadicRational:
-        return _empty_value(self.j1, self.j2)
+        return -dyadic(*_volume(self.j1, self.j2))
 
     def numerators(self, exponent: int = 0) -> Tuple[List[int], int, int]:
         """Occupied and empty values as integer numerators over one 2^top.
@@ -429,48 +438,23 @@ class LevelSummary:
         nums += empty
         return nums, top
 
-    @cached_property
+    @property
     def occupied_values(self) -> Tuple[Tuple[DyadicRational, int], ...]:
-        """(value, multiplicity) per distinct occupied value, ascending."""
+        """(value, box count) per distinct occupied value, ascending, built on each read."""
         occupied, _, top = self.numerators()
         return tuple(zip((dyadic(num, top) for num in occupied), self.counts.tolist()))
 
 
-def mu_all_at_level(points: PointMultiset, j1: int, j2: int) -> LevelCoefficients:
-    """Every coefficient on the level, sparsely.
-
-    Positions missed by all points share the value -mu_volume; positions in
-    the map carry their individually accumulated exact coefficient. A sum
-    that _scan_level flags for an axis also fills its mirror on that axis.
-    """
-    keys, sums, (mirror1, mirror2) = _scan_level(points, j1, j2)
-    last1, last2 = (1 << max(j1, 0)) - 1, (1 << max(j2, 0)) - 1
-    boxes = zip((keys >> max(j2, 0)).tolist(), (keys & last2).tolist())
-    occupied = dict(zip(boxes, _coefficients(sums.tolist(), _count_scale(points), j1, j2)))
-    if mirror1:
-        occupied.update({(last1 - m1, m2): value for (m1, m2), value in occupied.items()})
-    if mirror2:
-        occupied.update({(m1, last2 - m2): value for (m1, m2), value in occupied.items()})
-    return LevelCoefficients(j1, j2, occupied, _empty_value(j1, j2), (last1 + 1) * (last2 + 1))
-
-
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
-    """Grouped coefficient values on the level, built afresh on each call.
+    """The LevelSummary of one level, scanned afresh on each call.
 
-    Groups the folded sums of _scan_level, and doubles the counts once for
-    each axis it flags, since such a sum stands for a box and its mirror.
-    An empty scan skips np.unique. No summary is kept: a norm reads each
-    level once, and only the latest sorted row stays in points._cache.
+    No summary is kept: a norm reads each level once, and only the latest
+    sorted row stays in points._cache. mu_all_at_level is the same function.
     """
-    _, sums, mirrored = _scan_level(points, j1, j2)
-    if sums.size:
-        accs, counts = np.unique(sums, return_counts=True)
-        counts <<= sum(mirrored)
-    else:
-        accs, counts = sums, np.zeros(0, np.int64)
-    occupied = int(counts.sum())
-    boxes = 1 << (max(j1, 0) + max(j2, 0))
-    return LevelSummary(j1, j2, accs, counts, _count_scale(points), occupied, boxes - occupied)
+    return LevelSummary(j1, j2, *_scan_level(points, j1, j2), _count_scale(points))
+
+
+mu_all_at_level = level_value_counts
 
 
 # -- batch per-index tables ----------------------------------------------------

@@ -208,6 +208,8 @@ def fit_rate(rows: Sequence[ErrorRow]) -> RateFit:
         return RateFit(slope=None, residual=None, exact=True, n_used=0)
     if len(usable) < 3:
         raise ValueError(f"need at least 3 nonzero errors to fit, got {len(usable)}")
+    if len({count for count, _ in usable}) == 1:
+        raise ValueError(f"every nonzero error is at N = {usable[0][0]}; a rate needs two N")
     xs = [math.log2(count) for count, _ in usable]
     ys = [_log2(err) for _, err in usable]
     n = len(xs)

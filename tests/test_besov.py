@@ -1,14 +1,17 @@
 """Sequence-norm assembly: admissibility, level terms, tails, ratios."""
 
 import gc
+import io
 import math
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 from dyadisc import (
     BesovParams,
+    DyadicRational,
     PointMultiset,
     SignPattern,
     besov_norm_exact,
@@ -24,7 +27,8 @@ from dyadisc import (
     symmetrize_full,
     validate,
 )
-from dyadisc import besov
+from dyadisc import besov, haar
+from dyadisc.cli import main
 
 from conftest import summary_fields
 
@@ -332,6 +336,24 @@ def test_norm_scans_each_transposed_pair_once(monkeypatch):
         assert len(calls) == len(set(calls)) == expected, (family, sg)
         if expected == 28:
             assert all(j1 <= j2 for j1, j2 in calls)
+
+
+def test_norms_build_no_dyadic_value(monkeypatch):
+    # a norm reads each level's integer numerators; building the occupied
+    # map or any DyadicRational on the way would show here
+    assert haar.mu_all_at_level is haar.level_value_counts
+    built = []
+    init = DyadicRational.__init__
+    monkeypatch.setattr(DyadicRational, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    n, params = 8, BesovParams(2, 2, -0.3)
+    for family in ("hammersley", "davenport", "symmetrized"):
+        points = build_family(family, n, SignPattern.identity(n))
+        besov_norm_exact(points, params)
+        besov_norm_truncated(points, params, n + 1)
+        with redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--family", family, "--n", str(n), "--n-max", str(n)]) == 0
+    assert built == []
 
 
 def grid_multiset(rng, res, size):

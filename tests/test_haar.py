@@ -98,7 +98,7 @@ def generic_fields(union, j1, j2):
 
 
 def level_fields(level):
-    """The occupied map, empty value and box count of a mu_all_at_level result."""
+    """The occupied map, empty value and box count of a LevelSummary."""
     return level.occupied, level.empty_value, level.box_count
 
 
@@ -361,10 +361,10 @@ def test_level_map_matches_oracle_across_guard(res):
 
 @pytest.mark.parametrize("res", [20, 29, 31, 40, 64])
 def test_level_operand_matches_dyadic_route_across_guard(res):
-    # the integer numerators of level_value_counts must give the operand
-    # float for float equal to the one taken from the DyadicRational values
-    # of mu_all_at_level, on int64 scans (res = 20) and exact ones above;
-    # both read the folded base of the two symmetrizations
+    # the integer numerators of a LevelSummary must give the operand float
+    # for float equal to the one taken from the DyadicRational values of its
+    # occupied map, on int64 scans (res = 20) and exact ones above; both
+    # views read the folded base of the two symmetrizations
     rng = random.Random(res)
     levels = (-1, 0, 1, 2, res // 2, res - 1)
     params = (
@@ -392,12 +392,11 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
         for j1 in levels:
             for j2 in levels:
                 summary = level_value_counts(points, j1, j2)
-                level = mu_all_at_level(points, j1, j2)
-                occupied = Counter(level.occupied.values())
-                empty = level.box_count - len(level.occupied)
+                occupied = Counter(summary.occupied.values())
+                empty = summary.box_count - len(summary.occupied)
                 assert Counter(dict(summary.occupied_values)) == occupied
                 assert summary.empty_boxes == empty
-                values = occupied + Counter({level.empty_value: empty})
+                values = occupied + Counter({summary.empty_value: empty})
                 log2s = [
                     (besov._log2_abs(value.mantissa, value.exponent), count)
                     for value, count in values.items()
@@ -435,7 +434,7 @@ def test_fold_is_lazy_and_only_for_recorded_unions():
     assert (base._reflected, full._reflected) == ((False, False), (True, True))
     assert symmetrize_davenport(base)._reflected == (False, True)
     with no_union_read():
-        mu_all_at_level(full, 1, 2)
+        mu_all_at_level(full, 1, 2).occupied
         qmc_integrate(full, corner_product(1, 1))
     # the mirrored union holds the same points, but records no reflections
     mirrored = reflect(full, "X")
@@ -629,6 +628,24 @@ def test_level_map_single_point_example():
     level = mu_all_at_level(points, 0, 0)
     assert level.occupied == {(0, 0): ZERO}
     assert fr(level.empty_value) == Fraction(-1, 16)
+
+
+@pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])
+def test_value_view_matches_oracle_grid(family):
+    # the values a norm reads, counted by LevelSummary without positions,
+    # against the antiderivative route of oracle_mu_grid, box by box
+    for n in range(1, 6):
+        points = build_family(family, n, sigma("random", n))
+        oracle = {}
+        for idx, value in oracle_mu_grid(points, n + 1).items():
+            oracle.setdefault(idx.levels, Counter())[value] += 1
+        for j1 in range(-1, n + 2):
+            for j2 in range(-1, n + 2):
+                summary = level_value_counts(points, j1, j2)
+                values = Counter(dict(summary.occupied_values))
+                values += Counter({summary.empty_value: summary.empty_boxes})
+                assert values == oracle[j1, j2], (n, j1, j2)
+                assert summary.box_count == sum(oracle[j1, j2].values()), (n, j1, j2)
 
 
 def test_level_map_empty_high_levels():

@@ -354,7 +354,7 @@ def test_union_is_built_only_when_read(union, axes):
         level_value_counts(points, 2, 3)
         for j1 in range(-1, n + 2):
             for j2 in range(-1, n + 2):
-                mu_all_at_level(points, j1, j2)
+                mu_all_at_level(points, j1, j2).occupied
         mu_grid(points, n)
         oracle_mu_grid(points, 3)
         for idx in (HaarIndex(-1, -1, 0, 0), HaarIndex(-1, 0, 0, 0), HaarIndex(0, 0, 0, 0),

@@ -205,6 +205,10 @@ def test_fit_rate_guards():
     mixed = [ErrorRow(3, 8, Fraction(0)), ErrorRow(4, 16, Fraction(1, 4))]
     with pytest.raises(ValueError):
         fit_rate(mixed)
+    # no spread in log2 N: the fit's slope would divide by zero
+    same_n = [ErrorRow(4, 16, Fraction(1, k)) for k in (2, 3, 4)]
+    with pytest.raises(ValueError, match="N = 16"):
+        fit_rate(same_n)
 
 
 def test_error_table_guards():
