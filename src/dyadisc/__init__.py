@@ -31,6 +31,7 @@ from .haar import (
     LevelSummary,
     axis_factor,
     counting_sums,
+    grid_indices,
     haar_eval,
     level_counting_sums,
     level_value_counts,

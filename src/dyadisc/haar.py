@@ -39,9 +39,10 @@ as a plain multiset is the fold's oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "oracle_mu",
     "mu_all_at_level",
     "level_value_counts",
+    "grid_indices",
     "mu_grid",
     "oracle_mu_grid",
     "predict_symmetrized",
@@ -80,16 +82,24 @@ class HaarIndex:
     m2: int
 
     def __post_init__(self):
-        for j, m in ((self.j1, self.m1), (self.j2, self.m2)):
-            if j < -1:
-                raise ValueError(f"level {j} below -1")
-            limit = 1 if j == -1 else 1 << j
-            if not 0 <= m < limit:
-                raise ValueError(f"position {m} out of range for level {j}")
+        # stored as Python ints, so a numpy integer reaches every route as one
+        fields = (*_position(self.j1, self.m1), *_position(self.j2, self.m2))
+        for name, value in zip(("j1", "m1", "j2", "m2"), fields):
+            object.__setattr__(self, name, value)
 
     @property
     def levels(self) -> Tuple[int, int]:
         return (self.j1, self.j2)
+
+
+def _position(j: int, m: int) -> Tuple[int, int]:
+    """Level j >= -1 and position m in D_j as ints; numpy integers pass operator.index."""
+    j, m = operator.index(j), operator.index(m)
+    if j < -1:
+        raise ValueError(f"level {j} below -1")
+    if not 0 <= m < (1 if j == -1 else 1 << j):
+        raise ValueError(f"position {m} out of range for level {j}")
+    return j, m
 
 
 # -- pointwise evaluation ----------------------------------------------------
@@ -231,8 +241,7 @@ def axis_factor(j: int, m: int, z) -> DyadicRational:
     position and exactly zero outside (including both endpoints); for the
     level -1 indicator it is 1 - z for every z in [0, 1].
     """
-    if j != -1 and not 0 <= m < 1 << j:
-        raise ValueError(f"position {m} out of range for level {j}")
+    j, m = _position(j, m)
     return _factor_at(_tent_numerator, j, m, _as_dyadic(z))
 
 
@@ -459,20 +468,17 @@ mu_all_at_level = level_value_counts
 
 # -- batch per-index tables ----------------------------------------------------
 #
-# Both grids list their values level pair by level pair, positions in
-# row-major order, and zip them with one shared table of keys.
+# Both grids return their values as one list in grid order: level pairs
+# (j1, j2) lexicographic from -1, positions (m1, m2) row-major in a level.
 
 
-@lru_cache(maxsize=1)
-def _grid_indices(j_max: int) -> Tuple[HaarIndex, ...]:
-    """Every index with levels in [-1, j_max], in grid order.
+def grid_indices(j_max: int) -> Iterator[HaarIndex]:
+    """The HaarIndex of each grid entry, in grid order, built anew on each call.
 
-    The table holds 4^(j_max + 1) indices, about 29 MB at j_max = 8, so
-    only the latest one is kept: mu_grid and oracle_mu_grid of one j_max
-    share it.
+    dict(zip(grid_indices(j_max), mu_grid(points, j_max))) is the grid by index.
     """
     levels = range(-1, j_max + 1)
-    return tuple(
+    return (
         HaarIndex(j1, j2, m1, m2)
         for j1 in levels
         for j2 in levels
@@ -500,22 +506,21 @@ def _factor_matrix(orbit, j_max: int, res: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
-    """mu_discrepancy for every index with levels in [-1, j_max], batched."""
+def mu_grid(points: PointMultiset, j_max: int) -> List[DyadicRational]:
+    """mu_discrepancy for every index with levels in [-1, j_max], in grid order."""
     values: List[DyadicRational] = []
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):
             level = mu_all_at_level(points, j1, j2)
-            width2 = 1 if j2 == -1 else 1 << j2
             row = [level.empty_value] * level.box_count
             for (m1, m2), value in level.occupied.items():
-                row[m1 * width2 + m2] = value
+                row[(m1 << max(j2, 0)) + m2] = value
             values += row
-    return dict(zip(_grid_indices(j_max), values))
+    return values
 
 
-def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicRational]:
-    """oracle_mu for every index with levels in [-1, j_max], batched.
+def oracle_mu_grid(points: PointMultiset, j_max: int) -> List[DyadicRational]:
+    """oracle_mu for every index with levels in [-1, j_max], in grid order.
 
     Multiplies two antiderivative factor matrices of orbit sums, in
     _exact(2 res, N), independent of the level scans behind :func:`mu_grid`.
@@ -529,7 +534,7 @@ def oracle_mu_grid(points: PointMultiset, j_max: int) -> Dict[HaarIndex, DyadicR
         for j2 in range(-1, j_max + 1):
             block = sums[_level_rows(j1), _level_rows(j2)].ravel().tolist()
             values += _coefficients(block, scale, j1, j2)
-    return dict(zip(_grid_indices(j_max), values))
+    return values
 
 
 # -- predicted coefficients -----------------------------------------------------
@@ -587,6 +592,8 @@ def predict_symmetrized(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if sigma is not None and sigma.n != n:
+        raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
     j1, j2 = idx.j1, idx.j2
     if j1 >= 0 and j2 >= 0:
         if j1 >= n or j2 >= n:
@@ -668,7 +675,8 @@ def counting_sums(
     """
     if j1 < 0 or j2 < 0:
         raise ValueError("box levels must be nonnegative")
-    HaarIndex(j1, j2, m1, m2)  # raises for a position outside its level
+    idx = HaarIndex(j1, j2, m1, m2)  # raises for a position outside its level
+    j1, j2, m1, m2 = idx.j1, idx.j2, idx.m1, idx.m2  # numpy integers as ints
     res = points.n_resolution
     # beyond the resolution no tent is interior, and box m holds the grid
     # points of box m >> (j - res) at level res when 2^(j - res) divides m

@@ -67,6 +67,9 @@ class SignPattern:
             raise ValueError("n must be positive")
         if len(self.flips) != self.n:
             raise ValueError(f"expected {self.n} flips, got {len(self.flips)}")
+        if any(flip not in (0, 1) for flip in self.flips):
+            raise ValueError(f"flips must be 0 or 1, got {self.flips!r}")
+        object.__setattr__(self, "flips", tuple(bool(flip) for flip in self.flips))
 
     @classmethod
     def identity(cls, n: int) -> "SignPattern":

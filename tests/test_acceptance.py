@@ -16,6 +16,7 @@ from dyadisc import (
     besov_norm_truncated,
     build_family,
     corner_product,
+    grid_indices,
     hammersley_type,
     is_net,
     l2_warnock,
@@ -149,14 +150,14 @@ def test_criterion_4_oracle_equivalence():
         for preset in PRESETS:
             for family in families:
                 points = build_family(family, n, sigma(preset, n))
-                grid = mu_grid(points, 6)
+                grid = dict(zip(grid_indices(6), mu_grid(points, 6), strict=True))
                 for idx, value in grid.items():
                     assert mu_discrepancy(points, idx) == value
                     assert oracle_mu(points, idx) == value
                 compared += 2 * len(grid)
     for n in (3, 4, 5, 6):
         points = build_family("symmetrized", n, sigma("random", n))
-        grid = mu_grid(points, 6)
+        grid = dict(zip(grid_indices(6), mu_grid(points, 6), strict=True))
         sample = rng.sample(sorted(grid, key=str), 40)
         for idx in sample:
             assert mu_discrepancy(points, idx) == grid[idx]

@@ -227,6 +227,8 @@ def test_classic_estimate_grid_limit():
         (["qmc", "--n-max", "1"], "--n-max 1 must be >= --n 2"),
         (["qmc", "--integrand", "corner:9,1"], "corner:9,1"),
         (["qmc", "--integrand", "monomial:0,9"], "monomial:0,9"),
+        (["qmc", "--integrand", "corner:1"], "cannot parse integrand 'corner:1'"),
+        (["qmc", "--integrand", "spline:1,1"], "unknown integrand kind 'spline'"),
         (["classic", "--p", "0"], "--p 0"),
         (["classic", "--p", "-2"], "--p -2"),
         (["classic", "--p", "abc"], "--p abc"),
@@ -255,7 +257,7 @@ def test_classic_estimate_grid_limit():
         "norm-jmax", "sweep-jmax", "norm-jmax-exact", "sweep-jmax-exact", "coeffs-jmax",
         "coeffs-jmax-limit", "verify-n-max", "sweep-n-max", "qmc-n-max",
         "qmc-corner",
-        "qmc-monomial", "classic-p0",
+        "qmc-monomial", "qmc-integrand-unparsed", "qmc-integrand-kind", "classic-p0",
         "classic-p-neg", "classic-p-text", "classic-p-nan", "classic-p-neg-inf",
         "classic-p-neg-inf-spaced", "norm-q-neg-inf-spaced", "norm-p-neg-inf", "classic-p-4000",
         "classic-p-1e7", "classic-p-1e300", "norm-p-text", "norm-q-underflow", "sweep-q-underflow",

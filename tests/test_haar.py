@@ -22,6 +22,7 @@ from dyadisc import (
     corner_product,
     counting_sums,
     dyadic,
+    grid_indices,
     haar_eval,
     hammersley_type,
     level_counting_sums,
@@ -45,7 +46,6 @@ from dyadisc import besov
 from dyadisc.haar import (
     _antiderivative_numerator,
     _count_scale,
-    _grid_indices,
     _level_row,
     _oracle_axis_factor,
     _scan_level,
@@ -140,6 +140,30 @@ def test_index_validation():
         HaarIndex(2, 2, 4, 0)
 
 
+def test_index_fields_must_be_ints():
+    # a float position inside the range used to pass: haar_eval then read
+    # -1 at (0.3, 0.3), counting_sums three zeros, and mu_discrepancy failed
+    # deep in _tents. numpy integers pass and are stored as ints, so every
+    # route reads them as it reads ints
+    for fields in ((1, 1, 0.5, 0), (1.0, 1, 0, 0), (1, 1, 0, 0.0)):
+        with pytest.raises(TypeError):
+            HaarIndex(*fields)
+    points = symmetrize_full(hammersley_type(3, sigma("random", 3)))
+    with pytest.raises(TypeError):
+        counting_sums(points, 1, 1, 0.5, 0)
+    with pytest.raises(TypeError):
+        axis_factor(1, 0.5, 0.3)
+    with pytest.raises(TypeError):
+        axis_factor(0.0, 0, 0.3)
+    fields = (1, 2, 1, 3)
+    wide = [np.int64(f) for f in fields]
+    idx = HaarIndex(*wide)
+    assert idx == HaarIndex(*fields) and type(idx.m2) is int
+    assert mu_discrepancy(points, idx) == mu_discrepancy(points, HaarIndex(*fields))
+    assert counting_sums(points, *wide) == counting_sums(points, *fields)
+    assert axis_factor(np.int64(1), np.int64(1), 0.75) == axis_factor(1, 1, 0.75)
+
+
 def test_haar_eval_examples():
     idx = HaarIndex(0, 0, 0, 0)
     assert haar_eval(idx, (dyadic(1, 2), dyadic(1, 2))) == 1
@@ -191,6 +215,11 @@ def test_axis_factor_examples():
     assert fr(axis_factor(0, 0, dyadic(1, 2))) == Fraction(-1, 4)
     assert axis_factor(-1, 0, ZERO) == 1
     assert axis_factor(2, 1, dyadic(1, 1)) == ZERO  # z on a box edge
+    # the range check is HaarIndex's: level -1 admits only position 0
+    with pytest.raises(ValueError):
+        axis_factor(-1, 1, ZERO)
+    with pytest.raises(ValueError):
+        axis_factor(-2, 0, ZERO)
 
 
 def test_axis_factor_for_level_minus_one_keeps_boundary():
@@ -637,7 +666,8 @@ def test_value_view_matches_oracle_grid(family):
     for n in range(1, 6):
         points = build_family(family, n, sigma("random", n))
         oracle = {}
-        for idx, value in oracle_mu_grid(points, n + 1).items():
+        grid = zip(grid_indices(n + 1), oracle_mu_grid(points, n + 1), strict=True)
+        for idx, value in grid:
             oracle.setdefault(idx.levels, Counter())[value] += 1
         for j1 in range(-1, n + 2):
             for j2 in range(-1, n + 2):
@@ -660,16 +690,24 @@ def test_grids_match_per_index_ops():
     grid = mu_grid(points, 3)
     oracle_grid = oracle_mu_grid(points, 3)
     assert grid == oracle_grid
-    for idx, value in grid.items():
+    for idx, value in zip(grid_indices(3), grid, strict=True):
         assert value == mu_discrepancy(points, idx)
 
 
-def test_grids_keep_one_index_table():
-    # the two grids of one j_max share a table of 4^(j_max + 1) indices, and
-    # a grid of another j_max drops it: after grids at j_max = 6 and then 1
-    # only the small table stays alive
+def test_grid_indices_order():
+    # level pairs lexicographic from -1, positions row-major in a level
+    indices = list(grid_indices(1))
+    assert len(indices) == 16
+    assert indices[:3] == [HaarIndex(-1, -1, 0, 0), HaarIndex(-1, 0, 0, 0), HaarIndex(-1, 1, 0, 0)]
+    assert indices[3:5] == [HaarIndex(-1, 1, 0, 1), HaarIndex(0, -1, 0, 0)]
+    assert indices[-4:] == [HaarIndex(1, 1, m1, m2) for m1 in range(2) for m2 in range(2)]
+
+
+def test_grids_retain_nothing():
+    # neither grid keeps a table of its 4^(j_max + 1) indices, which at
+    # j_max = 6 would take at least 4^7 x 64 B = 1 MiB; once the results are
+    # dropped, less than 1/16 of that may stay allocated
     points = symmetrize_full(hammersley_type(3, sigma("identity", 3)))
-    _grid_indices.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -677,15 +715,10 @@ def test_grids_keep_one_index_table():
         mu_grid(points, 6)
         oracle_mu_grid(points, 6)
         gc.collect()
-        table = tracemalloc.get_traced_memory()[0] - before
-        mu_grid(points, 1)
-        gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert _grid_indices.cache_info().hits == 1
-    assert table > 4 ** 7 * 64, table  # 16384 indices of at least 64 B each
-    assert retained < table // 16, (retained, table)
+    assert retained < 64 * 1024, retained
 
 
 @pytest.mark.parametrize("res", [20, 31, 40])
@@ -718,6 +751,7 @@ def test_orbit_sums_cross_their_guard(symmetrize, res, bits):
     assert _exact(2 * res, len(points)) is (object if bits == 63 else np.int64)
     grid = oracle_mu_grid(points, 3)
     assert all(grid == oracle_mu_grid(union, 3) for union in unions)
+    grid = dict(zip(grid_indices(3), grid, strict=True))
     indices = list(grid)
     for kx, ky in zip(*unions[0].scaled_coords()):
         for j1, j2 in ((5, 17), (28, 4), (res - 1, res - 1)):
@@ -761,6 +795,10 @@ def test_predict_symmetrized_examples():
     assert band.kind == "abs-upper-bound" and fr(band.value) == Fraction(1, 2**10)
     edge = predict_symmetrized(5, HaarIndex(5, 0, 0, 0))
     assert edge.kind == "exact-abs"  # level n resolves to the exact magnitude
+    # a pattern of another order would be read at the wrong digits
+    wrong = SignPattern(6, (False, True, False, False, False, False))
+    with pytest.raises(ValueError, match="sign pattern has length 6, expected 4"):
+        predict_symmetrized(4, HaarIndex(0, 1, 0, 0), wrong)
 
 
 def test_low_level_sign_alternating_counterexample():
@@ -812,6 +850,8 @@ def test_predict_davenport_examples():
         predict_davenport(3, sg, HaarIndex(0, -1, 0, 0))
     with pytest.raises(ValueError):
         predict_davenport(3, sg, HaarIndex(-1, 3, 0, 0))
+    with pytest.raises(ValueError, match="sign pattern has length 6, expected 4"):
+        predict_davenport(4, SignPattern.identity(6), HaarIndex(-1, 0, 0, 0))
 
 
 @pytest.mark.parametrize("preset", PRESETS)

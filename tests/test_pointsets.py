@@ -94,6 +94,13 @@ def test_base_set_matches_digit_sums(preset, n):
 def test_sign_pattern_validation():
     with pytest.raises(ValueError):
         SignPattern(2, (True,))
+    # a flip of 2 used to be stored and put the points above the unit square
+    with pytest.raises(ValueError):
+        SignPattern(2, (2, 0))
+    with pytest.raises(ValueError):
+        SignPattern(2, (False, None))
+    assert SignPattern(3, (1, 0, np.True_)).flips == (True, False, True)
+    assert SignPattern(3, (1, 0, True)) == SignPattern(3, (True, False, True))
     with pytest.raises(ValueError):
         hammersley_type(3, SignPattern.identity(2))
     with pytest.raises(ValueError):

@@ -155,6 +155,19 @@ def test_custom_integrand_float_path():
     assert value == pytest.approx(0.94, abs=0.05)
 
 
+def test_error_table_custom_integrand_is_averaged_over_the_points():
+    # (1 - x)(1 - y) as a custom integrand goes through build_family and the
+    # float average; at dyadic points that average is exact, so each error
+    # is the corner product's 2^-(n+2) on the two-fold set
+    f = Integrand(name="corner-by-hand", kind=CUSTOM, func=lambda x, y: (1 - x) * (1 - y),
+                  exact_integral=Fraction(1, 4))
+    assert f.evaluate(0.25, 0.5) == 0.375
+    rows = error_table("davenport", "random", f, range(2, 9), seed=3)
+    assert [row.error for row in rows] == [2.0 ** -(n + 2) for n in range(2, 9)]
+    built_in = error_table("davenport", "random", corner_product(1, 1), range(2, 9), seed=3)
+    assert [row.cardinality for row in rows] == [row.cardinality for row in built_in]
+
+
 def test_error_table_exact_zero_column():
     rows = error_table("symmetrized", "identity", corner_product(1, 1), range(1, 7))
     assert all(row.error == 0 for row in rows)
