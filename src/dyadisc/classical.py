@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from operator import mul
 from typing import Iterator, List, Tuple
 
@@ -64,15 +63,25 @@ def _strict_bound(t: DyadicRational, res: int) -> int:
 # -- count rows -----------------------------------------------------------------
 
 
-def _count_rows(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+# bytes per block of the count sweep, and per chunk of midpoint rows in lp_estimate
+_BLOCK_BYTES = 1 << 19
+
+
+def _count_rows(
+    points: PointMultiset,
+) -> Tuple[np.ndarray, np.ndarray, Iterator[Tuple[int, np.ndarray]]]:
     """Break grid spanned by the point coordinates (plus 0 and 1), swept in x.
 
     Returns the x and y breaks, scaled by 2^res in the store's dtype,
-    _exact(res, 1), of `PointMultiset.scaled_coords`, and an iterator that
-    yields, for each x break a in ascending order, the cumulative count row
-    row[b] = #{z : x_z <= xs[a], y_z <= ys[b]}. On the open cell right of
-    breaks (a, b) the counting part of the local discrepancy equals
-    row[b] / N. Only one row is held at a time.
+    _exact(res, 1), of `PointMultiset.scaled_coords`, and an iterator of
+    (a0, block) pairs over the x cells a = 0 .. len(xs) - 2 in ascending
+    order. A block is a contiguous int64 array of cumulative count rows,
+    block[a - a0, b] = #{z : x_z <= xs[a], y_z <= ys[b]}; on the open cell
+    right of breaks (a, b) the counting part of the local discrepancy equals
+    that count / N. A block holds at most _BLOCK_BYTES (and at least one
+    row). Every block is a view of one buffer, so the next block overwrites
+    it; a consumer may overwrite it too, as the sweep carries a copy of its
+    last row.
     """
     if len(points) == 0:
         raise ValueError("empty point multiset")
@@ -80,20 +89,33 @@ def _count_rows(points: PointMultiset) -> Tuple[np.ndarray, np.ndarray, Iterator
     ends = np.array([0, 1 << points.n_resolution], dtype=kx.dtype)
     xs = np.unique(np.concatenate([kx, ends]))
     ys = np.unique(np.concatenate([ky, ends]))
-    xi = np.searchsorted(xs, kx)
-    # y break index of each point, in x order; the points of x break a end at stops[a]
-    cols = np.searchsorted(ys, ky)[np.argsort(xi, kind="stable")]
-    stops = np.bincount(xi, minlength=len(xs)).cumsum()
+    width, cells = len(ys), len(xs) - 1
+    # occupied break pairs a * width + b, ascending, and the points on each;
+    # the block of cells [a0, a1) counts the keys in [a0 * width, a1 * width)
+    keys, hits = np.unique(np.searchsorted(xs, kx) * width + np.searchsorted(ys, ky),
+                           return_counts=True)
+    height = min(cells, max(1, _BLOCK_BYTES // (8 * width)))
 
-    def rows():
-        row = np.zeros(len(ys), dtype=np.int64)
-        start = 0
-        for stop in stops.tolist():
-            row = row + np.bincount(cols[start:stop], minlength=len(ys)).cumsum()
-            start = stop
-            yield row
+    def blocks():
+        # a fresh array per block would be paged in anew whenever the
+        # allocator has returned the last one to the system
+        buf = np.empty((height, width), dtype=np.int64)
+        carry = np.zeros(width, dtype=np.int64)
+        for a0 in range(0, cells, height):
+            a1 = min(a0 + height, cells)
+            block = buf[: a1 - a0]
+            block.fill(0)
+            lo, hi = np.searchsorted(keys, (a0 * width, a1 * width)).tolist()
+            block.reshape(-1)[keys[lo:hi] - a0 * width] = hits[lo:hi]
+            np.cumsum(block, axis=1, out=block)
+            # running sum over the rows: cumsum(axis=0) walks the block strided
+            block[0] += carry
+            for prev, row in zip(block, block[1:]):
+                row += prev
+            carry = block[-1].copy()
+            yield a0, block
 
-    return xs, ys, rows()
+    return xs, ys, blocks()
 
 
 # -- L2 via the pair-sum identity ---------------------------------------------
@@ -195,8 +217,6 @@ def _group_cumsum(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
 # 4,298 digits, within Python's 4,300-digit integer-to-string limit, up to
 # n = 72 (2^74 points, far beyond any sweep over N^2 cells).
 _MAX_EXACT_P = 64
-# count rows per int64 contraction in lp_exact_even
-_BLOCK_ROWS = 64
 
 
 def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
@@ -206,9 +226,10 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     binomial sum of monomial integrals; the per-exponent sums collapse to
     bilinear forms between count powers and difference vectors of break
     powers. Each is exact in int64: the count powers and dy are split into
-    limbs (`_limb_split`), each block of count rows meets the dy limbs in one
-    int64 contraction (a matmul per count limb), and the results are shifted
-    together as Python ints once per block, weighted by dx.
+    limbs (`_limb_split`), each block of count rows that `_count_rows` yields
+    meets the dy limbs in one int64 contraction (a matmul per count limb),
+    and the results are shifted together as Python ints once per block,
+    weighted by dx.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -220,7 +241,7 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
         raise ValueError(f"p exceeds the limit of {_MAX_EXACT_P} for exact even powers")
     n = len(points)
     res = points.n_resolution
-    xs, ys, rows = _count_rows(points)
+    xs, ys, blocks = _count_rows(points)
     xs, ys = xs.tolist(), ys.tolist()
     terms = [
         (_power_differences(xs, k + 1),
@@ -230,14 +251,13 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
 
     # s_k = sum over cells of count^(p-k) * dx[a] * dy[b], exact
     sums = [0] * (p + 1)
-    rows = islice(rows, len(xs) - 1)
-    for start in range(0, len(xs) - 1, _BLOCK_ROWS):
-        counts = np.stack(list(islice(rows, _BLOCK_ROWS)))
+    for a0, counts in blocks:
         for k, (dx, table, dy_limbs, shifts) in enumerate(terms):
             # per count limb, (dy limbs, cols) @ (cols, rows); int64 entries below 2^63
             prods = np.einsum("irc,jc->ijr", np.take(table, counts, axis=1), dy_limbs)
+            weights = dx[a0 : a0 + len(counts)]
             for col, shift in zip(prods.reshape(len(shifts), -1).tolist(), shifts):
-                sums[k] += sum(map(mul, dx[start : start + _BLOCK_ROWS], col)) << shift
+                sums[k] += sum(map(mul, weights, col)) << shift
 
     total = Fraction(0)
     for k, s_k in enumerate(sums):
@@ -288,6 +308,11 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
     (ValueError past that); returns the estimate of the integral of |D|^p
     and the midpoint count per axis. Approximate by construction, unlike
     the even-p route. extra_depth >= 0 keeps every midpoint off the breaks.
+
+    Each x cell's midpoint rows are evaluated in chunks of at most
+    _BLOCK_BYTES. The float is fixed by its order: each midpoint row is
+    summed by numpy's pairwise sum, and the row sums are added in ascending
+    row order in Python floats, then multiplied by step^2.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must satisfy 0 < p < inf, got {p}")
@@ -301,24 +326,29 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
             f"limit of 2^{_MAX_ESTIMATE_DEPTH} (resolution {res} + extra depth "
             f"{extra_depth} > {_MAX_ESTIMATE_DEPTH}); even p gives exact values"
         )
-    xs, ys, rows = _count_rows(points)
+    xs, ys, blocks = _count_rows(points)
     side = 1 << (res + extra_depth)
     step = 1.0 / side
     mids = (np.arange(side, dtype=np.float64) + 0.5) * step
     # midpoints never sit on a break, so each lies in a unique open cell
     xb = np.asarray(xs, dtype=np.float64) / (1 << res)
     yb = np.asarray(ys, dtype=np.float64) / (1 << res)
-    ai = np.searchsorted(xb, mids, side="right") - 1
     bi = np.searchsorted(yb, mids, side="right") - 1
+    # the midpoint rows of x cell a are stops[a] .. stops[a + 1] - 1
+    stops = np.searchsorted(mids, xb).tolist()
+    height = max(1, _BLOCK_BYTES // (8 * side))
     total = 0.0
     inv_n = 1.0 / n
-    r = 0
-    for a, row in enumerate(rows):
-        c_row = row[bi] * inv_n
-        # ai is nondecreasing: the midpoint rows in x cell a come next
-        while r < side and ai[r] == a:
-            total += float(np.sum(np.abs(c_row - mids[r] * mids) ** p))
-            r += 1
+    for a0, block in blocks:
+        for a, row in enumerate(block, a0):
+            c_row = row[bi] * inv_n
+            for r in range(stops[a], stops[a + 1], height):
+                t = np.multiply.outer(mids[r : min(r + height, stops[a + 1])], mids)
+                np.abs(np.subtract(c_row, t, out=t), out=t)
+                t **= p
+                # plain float adds: sum() compensates its float sums from Python 3.12
+                for value in t.sum(axis=1).tolist():
+                    total += value
     return total * step * step, side
 
 
@@ -330,23 +360,27 @@ def star_discrepancy(points: PointMultiset) -> DyadicRational:
 
     On each open cell the supremum of |c - t1 t2| is approached at the two
     diagonal corners, so both one-sided limits at every grid corner are
-    candidates; the maximum over all cells is the global supremum.
+    candidates; the maximum over all cells is the global supremum. With
+    low = N x_a y_b <= high = N x_(a+1) y_(b+1), the larger of |c - low| and
+    |c - high| is max(c - low, high - c).
     """
     n = len(points)
     res = points.n_resolution
-    xs, ys, rows = _count_rows(points)
+    xs, ys, blocks = _count_rows(points)
     nu = _pow2_log(n)
     # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|,
-    # bounded by N 2^(2 res): the y breaks and the counts take that bound
+    # bounded by N 2^(2 res): the breaks and the counts take that bound
     dtype = _exact(2 * res, n)
+    nx = n * xs.astype(dtype, copy=False)
     ys = ys.astype(dtype, copy=False)
     scale = 1 << (2 * res)
     best = 0
-    for x_low, x_high, row in zip(xs[:-1].tolist(), xs[1:].tolist(), rows):
-        counts = row[:-1].astype(dtype, copy=False) * scale
-        low = n * x_low * ys[:-1]
-        high = n * x_high * ys[1:]
-        cand = np.maximum(np.abs(counts - low), np.abs(counts - high)).max()
-        if cand > best:
-            best = int(cand)
+    for a0, block in blocks:
+        a1 = a0 + len(block)
+        counts = block[:, :-1].astype(dtype, copy=False)
+        counts *= scale
+        work = np.multiply.outer(nx[a0:a1], ys[:-1])
+        best = max(best, int(np.subtract(counts, work, out=work).max()))
+        np.multiply.outer(nx[a0 + 1 : a1 + 1], ys[1:], out=work)
+        best = max(best, int(np.subtract(work, counts, out=work).max()))
     return dyadic(best, 2 * res + nu)

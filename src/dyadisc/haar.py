@@ -574,7 +574,7 @@ def low_level_sign(sigma: SignPattern, j1: int, j2: int) -> int:
     reads (position n - j1): equal flips give +1, unequal give -1. Verified
     exhaustively over all sign patterns up to n = 7.
     """
-    n = sigma.n
+    n, j1, j2 = sigma.n, operator.index(j1), operator.index(j2)
     if not (0 <= j1 and 0 <= j2 and j1 + j2 < n - 1):
         raise ValueError("sign law applies to j1, j2 >= 0 with j1 + j2 < n - 1")
     return 1 if sigma.flips[j2] == sigma.flips[n - j1 - 1] else -1
@@ -590,6 +590,7 @@ def predict_symmetrized(
     on the diagonal band, exact magnitudes once a level reaches n, exact
     zero on the mixed rows below n and at the constant index.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     if sigma is not None and sigma.n != n:
@@ -619,6 +620,7 @@ def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> Coefficient
     Covers the constant index and the rows (-1, k) with k < n, where the
     sign of the correction term follows the k+1-st digit choice.
     """
+    n = operator.index(n)
     if sigma.n != n:
         raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
     if idx.j1 == -1 and idx.j2 == -1:

@@ -269,15 +269,47 @@ def test_lp_even_against_brute():
         assert lp_exact_even(points, p) == brute_lp_even(points, p)
 
 
-def object_route_lp_even(points, p):
+def row_sweep(points):
+    """The count sweep one row at a time, built by its own bincounts (oracle).
+
+    Returns the x and y breaks and an iterator of the cumulative count rows
+    row[b] = #{z : x_z <= xs[a], y_z <= ys[b]}, one per x cell a.
+    """
+    kx, ky = points.scaled_coords()
+    ends = np.array([0, 1 << points.n_resolution], dtype=kx.dtype)
+    xs = np.unique(np.concatenate([kx, ends]))
+    ys = np.unique(np.concatenate([ky, ends]))
+    xi = np.searchsorted(xs, kx)
+    # y break index of each point, in x order; the points of x break a end at stops[a]
+    cols = np.searchsorted(ys, ky)[np.argsort(xi, kind="stable")]
+    stops = np.bincount(xi, minlength=len(xs)).cumsum()
+
+    def rows():
+        row = np.zeros(len(ys), dtype=np.int64)
+        start = 0
+        for stop in stops[:-1].tolist():
+            row = row + np.bincount(cols[start:stop], minlength=len(ys)).cumsum()
+            start = stop
+            yield row
+
+    return xs, ys, rows()
+
+
+def block_sweep(points):
+    """The rows of _count_rows's blocks, one at a time."""
+    xs, ys, blocks = _count_rows(points)
+    return xs, ys, (row for _, block in blocks for row in block)
+
+
+def object_route_lp_even(points, p, sweep=block_sweep):
     """The per-term dtype route lp_exact_even used before its limb split (oracle).
 
     Term k runs in int64 while N^(p-k) sum(dy) < 2^62 and in object arrays
-    of Python ints past that, one count row at a time.
+    of Python ints past that, one count row of the sweep at a time.
     """
     n = len(points)
     res = points.n_resolution
-    xs, ys, rows = _count_rows(points)
+    xs, ys, rows = sweep(points)
     xs, ys = xs.tolist(), ys.tolist()
     terms = []
     for k in range(p + 1):
@@ -467,13 +499,130 @@ def test_star_dominates_l2():
 
 def test_cell_grid_structure():
     points = hammersley_type(2, SignPattern.identity(2))
-    xs, ys, rows = _count_rows(points)
+    xs, ys, blocks = _count_rows(points)
     assert [Fraction(int(x), 4) for x in xs] == [
         Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
     ]
+    # one block holds the four x cells of this small grid
+    (a0, block), = blocks
+    assert a0 == 0 and block.shape == (4, 5)
     # counting value on the open cell just right of (1/2, 1/2)
-    row = list(rows)[2]
-    assert Fraction(int(row[2]), len(points)) == Fraction(3, 4)
+    assert Fraction(int(block[2, 2]), len(points)) == Fraction(3, 4)
+
+
+# -- block edges of the count sweep ----------------------------------------------
+
+
+def reference_star(points):
+    """star_discrepancy one count row at a time, with both absolute values (oracle)."""
+    n = len(points)
+    res = points.n_resolution
+    xs, ys, rows = row_sweep(points)
+    dtype = _exact(2 * res, n)
+    ys = ys.astype(dtype, copy=False)
+    scale = 1 << (2 * res)
+    best = 0
+    for x_low, x_high, row in zip(xs[:-1].tolist(), xs[1:].tolist(), rows):
+        counts = row[:-1].astype(dtype, copy=False) * scale
+        low = n * x_low * ys[:-1]
+        high = n * x_high * ys[1:]
+        best = max(best, int(np.maximum(np.abs(counts - low), np.abs(counts - high)).max()))
+    return Fraction(best, n << 2 * res)
+
+
+def reference_estimate(points, p, extra_depth):
+    """lp_estimate one count row and one midpoint row at a time (oracle)."""
+    res = points.n_resolution
+    xs, ys, rows = row_sweep(points)
+    side = 1 << (res + extra_depth)
+    step = 1.0 / side
+    mids = (np.arange(side, dtype=np.float64) + 0.5) * step
+    ai = np.searchsorted(xs / (1 << res), mids, side="right") - 1
+    bi = np.searchsorted(ys / (1 << res), mids, side="right") - 1
+    total = 0.0
+    r = 0
+    for a, row in enumerate(rows):
+        c_row = row[bi] * (1.0 / len(points))
+        while r < side and ai[r] == a:
+            total += float(np.sum(np.abs(c_row - mids[r] * mids) ** p))
+            r += 1
+    return total * step * step
+
+
+def block_budgets(points):
+    """_BLOCK_BYTES for blocks of 1 row, of 3 rows and of the whole grid."""
+    xs, ys, _ = _count_rows(points)
+    row_bytes = 8 * len(ys)
+    return {1: row_bytes, 3: 3 * row_bytes + row_bytes // 2, len(xs) - 1: len(xs) * row_bytes}
+
+
+def sweep_cases():
+    for family in ("hammersley", "davenport", "symmetrized"):
+        for n in (1, 3, 5):
+            for preset in PRESETS:
+                yield build_family(family, n, sigma(preset, n))
+
+
+def test_count_blocks_match_the_row_sweep(monkeypatch):
+    for points in sweep_cases():
+        xs, ys, rows = row_sweep(points)
+        expected = np.array(list(rows))
+        for height, budget in block_budgets(points).items():
+            monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
+            xs, ys, blocks = _count_rows(points)
+            starts, copies = [], []
+            for a0, block in blocks:
+                assert block.dtype == np.int64 and block.flags.c_contiguous
+                assert len(block) <= height
+                starts.append(a0)
+                copies.append(block.copy())
+                block[...] = -1  # a consumer may overwrite its block
+            assert starts == list(range(0, len(xs) - 1, height))
+            assert np.array_equal(np.concatenate(copies), expected)
+
+
+def test_block_edges_keep_star_and_even_lp(monkeypatch):
+    for points in sweep_cases():
+        star = reference_star(points)
+        even = {p: object_route_lp_even(points, p, sweep=row_sweep) for p in (2, 4, 6)}
+        for budget in block_budgets(points).values():
+            monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
+            assert star_discrepancy(points).as_fraction() == star
+            assert {p: lp_exact_even(points, p) for p in even} == even
+
+
+@pytest.mark.parametrize("extra_depth", [0, 4])
+def test_block_edges_keep_the_estimate_bit_for_bit(extra_depth, monkeypatch):
+    # the same float, not a close one: pairwise within a midpoint row, then
+    # the row sums in ascending order
+    for points in sweep_cases():
+        expected = {p: reference_estimate(points, p, extra_depth) for p in (1, 3, 2.5)}
+        for budget in block_budgets(points).values():
+            monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
+            got = {p: lp_estimate(points, p, extra_depth)[0] for p in expected}
+            assert got == expected
+
+
+def test_row_sums_of_a_block_are_pairwise_like_single_rows():
+    # lp_estimate relies on sum(axis=1) of a C-contiguous block adding each
+    # row as np.sum adds that row alone, up to the widest midpoint grid
+    rng = np.random.default_rng(3)
+    for width in (7, 128, 1000, 8193, 1 << 16):
+        block = rng.random((3, width)) ** 3
+        assert block.sum(axis=1).tolist() == [float(np.sum(row)) for row in block]
+
+
+@pytest.mark.parametrize("res", range(29, 35))
+def test_block_edges_keep_star_past_its_guard(res, monkeypatch):
+    # the resolutions of test_star_against_brute_fine_resolution, where the
+    # candidates leave int64 for Python ints
+    rng = random.Random(res)
+    for _ in range(12):
+        points = random_multiset(rng, rng.choice((2, 4, 8)), res)
+        star = reference_star(points)
+        for budget in block_budgets(points).values():
+            monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
+            assert star_discrepancy(points).as_fraction() == star
 
 
 @pytest.mark.parametrize(
@@ -489,7 +638,8 @@ def test_count_sweep_stays_below_one_dense_table(run):
     points = symmetrize_full(hammersley_type(10, SignPattern.identity(10)))
     full = 1 << points.n_resolution
     kx, ky = points.scaled_coords()
-    # one dense int64 table over the break grid; the sweep holds single rows
+    # one dense int64 table over the break grid; the sweep holds one block of
+    # _BLOCK_BYTES at a time
     table_bytes = len(set(kx) | {0, full}) * len(set(ky) | {0, full}) * 8
     tracemalloc.start()
     try:

@@ -48,6 +48,10 @@ CASES = {
     # terms k = 0..3 need more than 62 bits: the limb split of the even L_p route
     "classic-l6": ["classic", "--n", "8", "--p", "6"],
     "classic-l3": ["classic", "--n", "3", "--p", "3"],
+    # past one block of count rows: the count sweep crosses block edges
+    "classic-star-n12": ["classic", "--n", "12", "--p", "star"],
+    "classic-l4-n11": ["classic", "--n", "11", "--p", "4"],
+    "classic-l3-n8": ["classic", "--family", "davenport", "--n", "8", "--p", "3"],
     "gen": ["gen", "--family", "davenport", "--n", "3", "--sigma", "random", "--seed", "4"],
     # the four-fold union's entry order: base, Y, X, XY
     "gen-symmetrized": ["gen", "--n", "3", "--sigma", "alternating"],

@@ -854,6 +854,36 @@ def test_predict_davenport_examples():
         predict_davenport(4, SignPattern.identity(6), HaarIndex(-1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("int_type", [np.int64, np.int32])
+def test_predictions_take_numpy_integer_orders(int_type):
+    # numpy integers pass operator.index, as the HaarIndex fields do; the
+    # order reaches dyadic exponents, which take Python ints only
+    for n in (1, 2, 4, 6):
+        for preset in PRESETS:
+            sg = sigma(preset, n)
+            for j1 in range(-1, n + 2):
+                for j2 in range(-1, n + 2):
+                    idx = HaarIndex(j1, j2, 0, 0)
+                    for pattern in (None, sg):
+                        got = predict_symmetrized(int_type(n), idx, pattern)
+                        want = predict_symmetrized(n, idx, pattern)
+                        assert (got.kind, got.value) == (want.kind, want.value)
+                    if j1 >= 0 and j2 >= 0 and j1 + j2 < n - 1:
+                        assert low_level_sign(sg, int_type(j1), int_type(j2)) == (
+                            low_level_sign(sg, j1, j2))
+            for k in range(-1, n):
+                idx = HaarIndex(-1, k, 0, 0)
+                got, want = predict_davenport(int_type(n), sg, idx), predict_davenport(n, sg, idx)
+                assert (got.kind, got.value) == (want.kind, want.value)
+    sg = SignPattern.identity(4)
+    with pytest.raises(TypeError):
+        predict_symmetrized(4.0, HaarIndex(0, 1, 0, 0), sg)
+    with pytest.raises(TypeError):
+        predict_davenport(4.0, sg, HaarIndex(-1, 0, 0, 0))
+    with pytest.raises(TypeError):
+        low_level_sign(sg, 0.0, 1)
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_predict_davenport_holds(preset):
     for n in (1, 2, 3, 4, 5, 6):
