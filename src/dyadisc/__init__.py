@@ -24,7 +24,6 @@ from .classical import (
     lp_exact_even,
     star_discrepancy,
 )
-from .dyadic import ONE, ZERO, DyadicRational, dyadic
 from .haar import (
     CoefficientPrediction,
     HaarIndex,

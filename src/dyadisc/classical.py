@@ -4,9 +4,9 @@ The counting part of the local discrepancy is constant on the open cells of
 the grid spanned by the point coordinates, which turns each norm into a
 finite exact computation: a pair-sum identity for the squared L2 norm, per
 cell binomial integration for even powers, and corner candidates with
-one-sided limits for the supremum. L2 and L_p values are honest rationals
-(the volume term integrates to ninths), so they are returned as Fractions;
-the supremum and pointwise values stay dyadic.
+one-sided limits for the supremum. Every value is returned as a Fraction:
+L2 and L_p values are honest rationals (the volume term integrates to
+ninths); the supremum and pointwise values are dyadic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicRational, dyadic
 from .pointsets import PointMultiset, _as_dyadic, _exact, _pow2_log
 
 __all__ = [
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 
-def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
+def local_discrepancy(points: PointMultiset, t) -> Fraction:
     """Counting fraction of the half-open box [0, t) minus its area, exact.
 
     Counts over the base's reflection orbits (PointMultiset.axis_orbits):
@@ -48,16 +47,12 @@ def local_discrepancy(points: PointMultiset, t) -> DyadicRational:
     bounds = (_strict_bound(t, points.n_resolution) for t in (t1, t2))
     below = [np.sum([k < b for k in orbit], axis=0, dtype=np.int64)
              for orbit, b in zip(points.axis_orbits(), bounds)]
-    return dyadic(int(np.dot(*below)), nu) - t1 * t2
+    return Fraction(int(np.dot(*below)), 1 << nu) - t1 * t2
 
 
-def _strict_bound(t: DyadicRational, res: int) -> int:
-    """Smallest integer bound b with (k < b) == (k/2^res < t)."""
-    scaled = t.scale_pow2(res)
-    if scaled.exponent <= 0:
-        return int(scaled)
-    # non-grid anchor: k < t*2^res iff k <= floor
-    return (scaled.mantissa >> scaled.exponent) + 1
+def _strict_bound(t: Fraction, res: int) -> int:
+    """Smallest integer bound b with (k < b) == (k/2^res < t): ceil(t 2^res)."""
+    return -(-(t.numerator << res) // t.denominator)
 
 
 # -- count rows -----------------------------------------------------------------
@@ -355,7 +350,7 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
 # -- supremum norm ----------------------------------------------------------------
 
 
-def star_discrepancy(points: PointMultiset) -> DyadicRational:
+def star_discrepancy(points: PointMultiset) -> Fraction:
     """Exact supremum of |D| over the closed unit square.
 
     On each open cell the supremum of |c - t1 t2| is approached at the two
@@ -383,4 +378,4 @@ def star_discrepancy(points: PointMultiset) -> DyadicRational:
         best = max(best, int(np.subtract(counts, work, out=work).max()))
         np.multiply.outer(nx[a0 + 1 : a1 + 1], ys[1:], out=work)
         best = max(best, int(np.subtract(work, counts, out=work).max()))
-    return dyadic(best, 2 * res + nu)
+    return Fraction(best, 1 << (2 * res + nu))

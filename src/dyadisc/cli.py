@@ -23,7 +23,6 @@ from itertools import chain, product, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import besov, classical, qmc, verify
-from .dyadic import DyadicRational
 from .haar import mu_all_at_level
 from .pointsets import FAMILIES, SIGMA_PRESETS, SignPattern, build_family
 
@@ -82,13 +81,9 @@ def _fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_exact(value) -> Tuple[str, str, str]:
+def _fmt_exact(value: Fraction) -> Tuple[str, str, str]:
     """(numerator, denominator, float) rendering of an exact value."""
-    if isinstance(value, DyadicRational):
-        frac = value.as_fraction()
-    else:
-        frac = Fraction(value)
-    return str(frac.numerator), str(frac.denominator), _fmt_float(float(frac))
+    return str(value.numerator), str(value.denominator), _fmt_float(float(value))
 
 
 class _Emitter:
@@ -192,12 +187,14 @@ def _cmd_coeffs(config: RunConfig) -> int:
     points = build_family(config.family, config.n, _sigma(config, config.n))
     emitter = _Emitter(["j1", "j2", "m1", "m2", "mantissa", "exponent", "value"], config.fmt)
     labels = [str(m) for m in range(1 << max(j_max, 0))]
-    rendered: Dict[Tuple[int, int], str] = {}  # (mantissa, exponent) -> "," + value cells
+    rendered: Dict[Tuple[int, int], str] = {}  # (numerator, denominator) -> "," + value cells
 
-    def render(mu: DyadicRational) -> str:
-        key = (mu.mantissa, mu.exponent)
+    def render(mu: Fraction) -> str:
+        # mantissa, exponent: the reduced numerator and log2 of the denominator
+        key = (mu.numerator, mu.denominator)
         if key not in rendered:
-            cells = [[str(mu.mantissa)], [str(mu.exponent)], [_fmt_float(mu.to_float())]]
+            exponent = mu.denominator.bit_length() - 1
+            cells = [[str(mu.numerator)], [str(exponent)], [_fmt_float(float(mu))]]
             rendered[key] = emitter.sep + emitter.fragments(cells, 4)[0]
         return rendered[key]
 

@@ -14,8 +14,8 @@ closed tent form drives the fast paths; an independent evaluation via the
 piecewise-linear antiderivative of the Haar function cross-checks it.
 Each is written once, elementwise on ints or arrays, and gives integer
 numerators at the scale 2^res of the point grid, so the per-index routes
-and the coefficient grids sum integer arrays and build exact
-DyadicRational values only when they return.
+and the coefficient grids sum integer arrays and build exact Fraction
+values only when they return.
 
 Level scans work on integer numerators at the fixed scale 2^(2 res). Each
 coefficient depends only on the points inside its box, so the points of a
@@ -23,7 +23,7 @@ j1 row are sorted once by (m1, y) and every j2 of that row groups them
 without sorting again. One LevelSummary holds a level's scan and reads it
 by value, for the norms and checks, or by position, for grids and dumps;
 level_value_counts and mu_all_at_level are one function that builds it
-afresh on each call. DyadicRational values are built only when a caller
+afresh on each call. Fraction values are built only when a caller
 reads them, and a multiset caches only its latest sorted row.
 
 Every route sums over the base's reflection orbits (PointMultiset.axis_orbits);
@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicRational, ZERO, dyadic
 from .pointsets import PointMultiset, SignPattern, _as_dyadic, _exact, _pow2_log
 
 __all__ = [
@@ -109,7 +109,7 @@ def _axis_eval(j: int, m: int, t) -> int:
     if j == -1:
         return 1
     # sign on the two halves of [m 2^-j, (m+1) 2^-j)
-    scaled = t.scale_pow2(j + 1)
+    scaled = t * (2 << j)
     if scaled < 2 * m or scaled >= 2 * m + 2:
         return 0
     return 1 if scaled < 2 * m + 1 else -1
@@ -146,9 +146,10 @@ def _volume(j1: int, j2: int) -> Tuple[int, int]:
     return sign, exponent
 
 
-def mu_volume(idx: HaarIndex) -> DyadicRational:
+def mu_volume(idx: HaarIndex) -> Fraction:
     """Haar coefficient of f(t) = t1 * t2."""
-    return dyadic(*_volume(idx.j1, idx.j2))
+    sign, exponent = _volume(idx.j1, idx.j2)
+    return Fraction(sign, 1 << exponent)
 
 
 def _value_scale(j1: int, j2: int, scale: int, exponent: int = 0) -> Tuple[int, int, int]:
@@ -164,13 +165,13 @@ def _value_scale(j1: int, j2: int, scale: int, exponent: int = 0) -> Tuple[int, 
     return top - scale, -sign << (top - vol_exponent), top
 
 
-def _coefficients(accs: List[int], scale: int, j1: int, j2: int) -> List[DyadicRational]:
+def _coefficients(accs: List[int], scale: int, j1: int, j2: int) -> List[Fraction]:
     """acc / 2^scale minus the volume coefficient, for each acc of one level.
 
-    One DyadicRational is built per distinct acc.
+    One Fraction is built per distinct acc.
     """
     shift, empty, top = _value_scale(j1, j2, scale)
-    values = {acc: dyadic((acc << shift) + empty, top) for acc in set(accs)}
+    values = {acc: Fraction((acc << shift) + empty, 1 << top) for acc in set(accs)}
     return [values[acc] for acc in accs]
 
 
@@ -228,13 +229,13 @@ def _antiderivative_numerator(j: int, m, k, res: int):
     return -((h + abs(h)) >> 1)
 
 
-def _factor_at(numerator, j: int, m: int, z: DyadicRational) -> DyadicRational:
-    """A factor form at any dyadic z, on the grid of z's own exponent."""
-    res = max(z.exponent, 0)
-    return dyadic(numerator(j, m, z.mantissa << (res - z.exponent), res), res)
+def _factor_at(numerator, j: int, m: int, z: Fraction) -> Fraction:
+    """A factor form at any dyadic z, on the grid of z's own denominator."""
+    res = z.denominator.bit_length() - 1
+    return Fraction(numerator(j, m, z.numerator, res), z.denominator)
 
 
-def axis_factor(j: int, m: int, z) -> DyadicRational:
+def axis_factor(j: int, m: int, z) -> Fraction:
     """Integral of the level-(j, m) Haar function over [z, 1], closed form.
 
     For j >= 0 the value is a downward tent on the open interval of the
@@ -245,16 +246,16 @@ def axis_factor(j: int, m: int, z) -> DyadicRational:
     return _factor_at(_tent_numerator, j, m, _as_dyadic(z))
 
 
-def mu_point(idx: HaarIndex, z) -> DyadicRational:
+def mu_point(idx: HaarIndex, z) -> Fraction:
     """Haar coefficient of t -> 1_{[0, t)}(z): product of the axis factors."""
     z1, z2 = z
     f1 = axis_factor(idx.j1, idx.m1, z1)
     if not f1:
-        return ZERO
+        return f1
     return f1 * axis_factor(idx.j2, idx.m2, z2)
 
 
-def _oracle_axis_factor(j: int, m: int, z: DyadicRational) -> DyadicRational:
+def _oracle_axis_factor(j: int, m: int, z: Fraction) -> Fraction:
     # Independent route: the antiderivative form of the factor.
     return _factor_at(_antiderivative_numerator, j, m, z)
 
@@ -262,17 +263,17 @@ def _oracle_axis_factor(j: int, m: int, z: DyadicRational) -> DyadicRational:
 # -- coefficients of the local discrepancy ------------------------------------
 
 
-def mu_discrepancy(points: PointMultiset, idx: HaarIndex) -> DyadicRational:
+def mu_discrepancy(points: PointMultiset, idx: HaarIndex) -> Fraction:
     """Exact coefficient: counting average minus volume coefficient."""
     return _mu_from_factors(points, idx, _tent_numerator)
 
 
-def oracle_mu(points: PointMultiset, idx: HaarIndex) -> DyadicRational:
+def oracle_mu(points: PointMultiset, idx: HaarIndex) -> Fraction:
     """Same value as :func:`mu_discrepancy` via the antiderivative route."""
     return _mu_from_factors(points, idx, _antiderivative_numerator)
 
 
-def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> DyadicRational:
+def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Fraction:
     # orbit sums of the factors at scale 2^res in _exact(2 res, N), which
     # bounds the sum of their products
     res = points.n_resolution
@@ -383,7 +384,7 @@ class LevelSummary:
     sum / 2^scale - volume; every other box holds empty_value, -volume.
     Two views are built on their first read and kept: accs, the distinct
     sums ascending, with their box counts in counts; and occupied, the map
-    from box (m1, m2) to its DyadicRational value.
+    from box (m1, m2) to its Fraction value.
     """
 
     def __init__(self, j1: int, j2: int, keys: np.ndarray, sums: np.ndarray,
@@ -418,8 +419,9 @@ class LevelSummary:
         return self.__dict__[name]
 
     @property
-    def empty_value(self) -> DyadicRational:
-        return -dyadic(*_volume(self.j1, self.j2))
+    def empty_value(self) -> Fraction:
+        sign, exponent = _volume(self.j1, self.j2)
+        return Fraction(-sign, 1 << exponent)
 
     def numerators(self, exponent: int = 0) -> Tuple[List[int], int, int]:
         """Occupied and empty values as integer numerators over one 2^top.
@@ -448,10 +450,10 @@ class LevelSummary:
         return nums, top
 
     @property
-    def occupied_values(self) -> Tuple[Tuple[DyadicRational, int], ...]:
+    def occupied_values(self) -> Tuple[Tuple[Fraction, int], ...]:
         """(value, box count) per distinct occupied value, ascending, built on each read."""
         occupied, _, top = self.numerators()
-        return tuple(zip((dyadic(num, top) for num in occupied), self.counts.tolist()))
+        return tuple(zip((Fraction(num, 1 << top) for num in occupied), self.counts.tolist()))
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
@@ -506,9 +508,9 @@ def _factor_matrix(orbit, j_max: int, res: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def mu_grid(points: PointMultiset, j_max: int) -> List[DyadicRational]:
+def mu_grid(points: PointMultiset, j_max: int) -> List[Fraction]:
     """mu_discrepancy for every index with levels in [-1, j_max], in grid order."""
-    values: List[DyadicRational] = []
+    values: List[Fraction] = []
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):
             level = mu_all_at_level(points, j1, j2)
@@ -519,7 +521,7 @@ def mu_grid(points: PointMultiset, j_max: int) -> List[DyadicRational]:
     return values
 
 
-def oracle_mu_grid(points: PointMultiset, j_max: int) -> List[DyadicRational]:
+def oracle_mu_grid(points: PointMultiset, j_max: int) -> List[Fraction]:
     """oracle_mu for every index with levels in [-1, j_max], in grid order.
 
     Multiplies two antiderivative factor matrices of orbit sums, in
@@ -529,7 +531,7 @@ def oracle_mu_grid(points: PointMultiset, j_max: int) -> List[DyadicRational]:
     res = points.n_resolution
     ox, oy = points.axis_orbits(_exact(2 * res, len(points)))
     sums = _factor_matrix(ox, j_max, res) @ _factor_matrix(oy, j_max, res).T
-    values: List[DyadicRational] = []
+    values: List[Fraction] = []
     for j1 in range(-1, j_max + 1):
         for j2 in range(-1, j_max + 1):
             block = sums[_level_rows(j1), _level_rows(j2)].ravel().tolist()
@@ -549,7 +551,7 @@ class CoefficientPrediction:
     """Either an exact value, an exact magnitude, or a magnitude bound."""
 
     kind: str
-    value: DyadicRational
+    value: Fraction
 
     def __post_init__(self):
         if self.kind not in (EXACT_VALUE, EXACT_ABS, ABS_UPPER_BOUND):
@@ -557,7 +559,7 @@ class CoefficientPrediction:
         if self.kind != EXACT_VALUE and self.value < 0:
             raise ValueError("magnitude predictions must be nonnegative")
 
-    def check(self, mu: DyadicRational) -> bool:
+    def check(self, mu: Fraction) -> bool:
         if self.kind == EXACT_VALUE:
             return mu == self.value
         if self.kind == EXACT_ABS:
@@ -598,20 +600,20 @@ def predict_symmetrized(
     j1, j2 = idx.j1, idx.j2
     if j1 >= 0 and j2 >= 0:
         if j1 >= n or j2 >= n:
-            return CoefficientPrediction(EXACT_ABS, dyadic(1, 2 * (j1 + j2 + 2)))
+            return CoefficientPrediction(EXACT_ABS, Fraction(1, 1 << (2 * (j1 + j2 + 2))))
         if j1 + j2 < n - 1:
             if sigma is None:
-                return CoefficientPrediction(EXACT_ABS, dyadic(1, 2 * (n + 1)))
+                return CoefficientPrediction(EXACT_ABS, Fraction(1, 1 << (2 * (n + 1))))
             return CoefficientPrediction(
-                EXACT_VALUE, dyadic(low_level_sign(sigma, j1, j2), 2 * (n + 1))
+                EXACT_VALUE, Fraction(low_level_sign(sigma, j1, j2), 1 << (2 * (n + 1)))
             )
-        return CoefficientPrediction(ABS_UPPER_BOUND, dyadic(1, n + j1 + j2))
+        return CoefficientPrediction(ABS_UPPER_BOUND, Fraction(1, 1 << (n + j1 + j2)))
     if j1 == -1 and j2 == -1:
-        return CoefficientPrediction(EXACT_VALUE, ZERO)
+        return CoefficientPrediction(EXACT_VALUE, Fraction(0))
     k = j2 if j1 == -1 else j1
     if k < n:
-        return CoefficientPrediction(EXACT_VALUE, ZERO)
-    return CoefficientPrediction(EXACT_ABS, dyadic(1, 2 * k + 3))
+        return CoefficientPrediction(EXACT_VALUE, Fraction(0))
+    return CoefficientPrediction(EXACT_ABS, Fraction(1, 1 << (2 * k + 3)))
 
 
 def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> CoefficientPrediction:
@@ -624,12 +626,12 @@ def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> Coefficient
     if sigma.n != n:
         raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
     if idx.j1 == -1 and idx.j2 == -1:
-        return CoefficientPrediction(EXACT_VALUE, dyadic(1, n + 2))
+        return CoefficientPrediction(EXACT_VALUE, Fraction(1, 1 << (n + 2)))
     if idx.j1 == -1 and 0 <= idx.j2 < n:
         k = idx.j2
         t_k = -1 if sigma.flips[k] else 1
         return CoefficientPrediction(
-            EXACT_VALUE, dyadic(-1, n + 2 * k + 3) + dyadic(t_k, 2 * n + 2)
+            EXACT_VALUE, Fraction(-1, 1 << (n + 2 * k + 3)) + Fraction(t_k, 1 << (2 * n + 2))
         )
     raise ValueError(f"no closed form for index {idx} of the symmetrized pair")
 
@@ -666,7 +668,7 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
 
 def counting_sums(
     points: PointMultiset, j1: int, j2: int, m1: int, m2: int
-) -> Tuple[DyadicRational, DyadicRational, DyadicRational]:
+) -> Tuple[Fraction, Fraction, Fraction]:
     """Tent sums over the points of one dyadic box.
 
     Returns the two single-axis sums and the product sum of the unnormalized
@@ -684,13 +686,15 @@ def counting_sums(
     # points of box m >> (j - res) at level res when 2^(j - res) divides m
     l1, l2 = min(j1, res), min(j2, res)
     s1, s2 = j1 - l1, j2 - l2
+    zeros = (Fraction(0),) * 3
     if m1 % (1 << s1) or m2 % (1 << s2):
-        return ZERO, ZERO, ZERO
+        return zeros
     key = ((m1 >> s1) << l2) + (m2 >> s2)
-    exponents = (res - l1 - 1, res - l2 - 1, 2 * res - l1 - l2 - 2)
     pairs = level_counting_sums(points, l1, l2)
     keys = pairs[0][0]
     i = int(np.searchsorted(keys, key))
     if i == len(keys) or keys[i] != key:
-        return ZERO, ZERO, ZERO
-    return tuple(dyadic(int(sums[i]), e) for (_, sums), e in zip(pairs, exponents))
+        return zeros
+    # e < 0 only where a level is res, and every sum there is 0
+    scales = (Fraction(2) ** e for e in (res - l1 - 1, res - l2 - 1, 2 * res - l1 - l2 - 2))
+    return tuple(int(sums[i]) / scale for (_, sums), scale in zip(pairs, scales))

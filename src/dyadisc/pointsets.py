@@ -16,16 +16,18 @@ PointMultiset.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-
-from .dyadic import DyadicRational, dyadic
 
 __all__ = [
     "SignPattern",
@@ -104,8 +106,8 @@ class SignPattern:
 
 
 class Point(NamedTuple):
-    x: DyadicRational
-    y: DyadicRational
+    x: Fraction
+    y: Fraction
 
 
 def _pow2_log(n: int) -> int:
@@ -123,14 +125,27 @@ def _exact(term_bits: int, count: int):
     return object if term_bits + count.bit_length() > 62 else np.int64
 
 
-def _as_dyadic(value) -> DyadicRational:
-    if isinstance(value, DyadicRational):
-        return value
-    if isinstance(value, int):
-        return dyadic(value)
-    if isinstance(value, float):
-        return DyadicRational.from_float(value)
-    raise TypeError(f"cannot interpret {value!r} as a dyadic coordinate")
+def _as_dyadic(value) -> Fraction:
+    """value as an exact Fraction whose denominator is a power of two.
+
+    Takes every numbers.Rational (ints, Fractions, numpy integers) and every
+    finite float, numpy floats included, which converts exactly. Raises
+    ValueError for a non-finite float or a denominator that is not a power
+    of two, and TypeError for any other type; nothing is rounded.
+    """
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {value!r} is not finite")
+        value = Fraction(float(value))
+    elif isinstance(value, numbers.Integral):
+        value = Fraction(operator.index(value))
+    elif isinstance(value, numbers.Rational):
+        value = Fraction(int(value.numerator), int(value.denominator))
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a dyadic coordinate")
+    if value.denominator & (value.denominator - 1):
+        raise ValueError(f"coordinate {value} is not dyadic: its denominator is not a power of two")
+    return value
 
 
 class PointMultiset:
@@ -158,25 +173,26 @@ class PointMultiset:
 
     def __init__(self, points: Iterable, resolution: Optional[int] = None):
         coords = []
-        max_exp = 0
+        max_den = 1
         for x, y in points:
             x, y = _as_dyadic(x), _as_dyadic(y)
             for c in (x, y):
                 if c < 0 or c > 1:
                     raise ValueError(f"coordinate {c} outside [0, 1]")
             coords.append((x, y))
-            max_exp = max(max_exp, x.exponent, y.exponent)
-        res = max_exp if resolution is None else resolution
+            max_den = max(max_den, x.denominator, y.denominator)
+        res = max_den.bit_length() - 1 if resolution is None else resolution
         if res < 0:
             raise ValueError("resolution must be nonnegative")
+        full = 1 << res
         kx, ky = [], []
         for x, y in coords:
-            if x.exponent > res or y.exponent > res:
+            if full % x.denominator or full % y.denominator:
                 raise ValueError(
                     f"point ({x}, {y}) does not lie on the 2^-{res} grid"
                 )
-            kx.append(x.mantissa << (res - x.exponent))
-            ky.append(y.mantissa << (res - y.exponent))
+            kx.append(x.numerator * (full // x.denominator))
+            ky.append(y.numerator * (full // y.denominator))
         self._store(kx, ky, res)
 
     def __setattr__(self, name, value):
@@ -204,10 +220,10 @@ class PointMultiset:
         return len(self._base[0]) << sum(self._reflected)
 
     def __iter__(self) -> Iterator[Point]:
-        res = self.n_resolution
+        full = 1 << self.n_resolution
         kx, ky = self.scaled_coords()
         for x, y in zip(kx.tolist(), ky.tolist()):
-            yield Point(dyadic(x, res), dyadic(y, res))
+            yield Point(Fraction(x, full), Fraction(y, full))
 
     @property
     def entries(self) -> Tuple[Point, ...]:

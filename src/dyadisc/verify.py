@@ -11,9 +11,9 @@ one comparison covers them all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, List, Tuple, Union
 
-from .dyadic import dyadic
 from .haar import (
     ABS_UPPER_BOUND,
     CoefficientPrediction,
@@ -76,12 +76,13 @@ def _level_matches(report: CheckReport, summary, prediction, note: str):
     numerators over a common power of two as on the values.
     """
     target = prediction.value
-    occupied, empty, top = summary.numerators(target.exponent)
-    scaled = CoefficientPrediction(prediction.kind, target.mantissa << (top - target.exponent))
+    exponent = target.denominator.bit_length() - 1
+    occupied, empty, top = summary.numerators(exponent)
+    scaled = CoefficientPrediction(prediction.kind, target.numerator << (top - exponent))
     for value, count in zip(occupied, summary.counts.tolist()):
         report.record(
             scaled.check(value),
-            lambda: f"{note}: occupied value {dyadic(value, top)} vs {prediction}",
+            lambda: f"{note}: occupied value {Fraction(value, 1 << top)} vs {prediction}",
             count,
         )
     if summary.empty_boxes:

@@ -6,18 +6,17 @@ import math
 import random
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from dyadisc import (
     BesovParams,
-    DyadicRational,
     PointMultiset,
     SignPattern,
     besov_norm_exact,
     besov_norm_truncated,
     build_family,
-    dyadic,
     hammersley_type,
     is_transpose_invariant,
     level_term,
@@ -42,13 +41,15 @@ def rt(n, preset="identity"):
 def dyadic_log2s(summary):
     """(log2 |value|, multiplicity) per nonzero value of a level, empty value last.
 
-    Read from the DyadicRational values, whose mantissas are odd, through
-    the per-value besov._log2_abs: the oracle of besov._level_operand.
+    Read from the reduced Fraction values, whose numerators are odd over a
+    power of two, through the per-value besov._log2_abs: the oracle of
+    besov._level_operand.
     """
     values = list(summary.occupied_values)
     if summary.empty_boxes:
         values.append((summary.empty_value, summary.empty_boxes))
-    return [(besov._log2_abs(v.mantissa, v.exponent), count) for v, count in values if v]
+    return [(besov._log2_abs(v.numerator, v.denominator.bit_length() - 1), count)
+            for v, count in values if v]
 
 
 def test_validate_window():
@@ -267,7 +268,7 @@ ORACLE_PARAMS = [
 
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])
 def test_level_operand_matches_per_value_route(family):
-    # the array pass gives the float of _operand over the DyadicRational
+    # the array pass gives the float of _operand over the Fraction
     # values, bit for bit, on every level of the core and on the first two
     # past the resolution, whichever route _level_operand takes there
     routes = set()
@@ -340,12 +341,12 @@ def test_norm_scans_each_transposed_pair_once(monkeypatch):
 
 def test_norms_build_no_dyadic_value(monkeypatch):
     # a norm reads each level's integer numerators; building the occupied
-    # map or any DyadicRational on the way would show here
+    # map or any Fraction on the way would show here
     assert haar.mu_all_at_level is haar.level_value_counts
     built = []
-    init = DyadicRational.__init__
-    monkeypatch.setattr(DyadicRational, "__init__",
-                        lambda self, *args: built.append(args) or init(self, *args))
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
     n, params = 8, BesovParams(2, 2, -0.3)
     for family in ("hammersley", "davenport", "symmetrized"):
         points = build_family(family, n, SignPattern.identity(n))
@@ -357,8 +358,9 @@ def test_norms_build_no_dyadic_value(monkeypatch):
 
 
 def grid_multiset(rng, res, size):
+    full = 1 << res
     return PointMultiset(
-        [(dyadic(rng.randint(0, 1 << res), res), dyadic(rng.randint(0, 1 << res), res))
+        [(Fraction(rng.randint(0, full), full), Fraction(rng.randint(0, full), full))
          for _ in range(size)],
         resolution=res,
     )
@@ -423,7 +425,7 @@ def test_all_zero_core_keeps_content_zero():
     # the trapezoid rule: per axis, weights 1/4, 1/2, 1/4 at 0, 1/2 and 1.
     # Its counting average is the cell average of t1 t2 on the 2^-1 grid,
     # so every core coefficient is 0, and a core of content 0 is exact
-    xs = (0, dyadic(1, 1), dyadic(1, 1), 1)
+    xs = (0, Fraction(1, 2), Fraction(1, 2), 1)
     points = PointMultiset([(x, y) for x in xs for y in xs], resolution=1)
     params = BesovParams(2, 2, -0.3)
     exact = besov_norm_exact(points, params)

@@ -10,11 +10,13 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dyadisc import HaarIndex, SignPattern, dyadic, hammersley_type, mu_discrepancy, symmetrize_full
+from dyadisc import HaarIndex, SignPattern, hammersley_type, mu_discrepancy, symmetrize_full
 from dyadisc import cli
 from dyadisc.cli import RunConfig, _build_parser, _Emitter, main, run
 from dyadisc.haar import mu_all_at_level
@@ -129,9 +131,24 @@ def test_coeffs_values_match_engine(capsys):
     for row in rows:
         j1, j2, m1, m2 = (int(v) for v in row[:4])
         mu = mu_discrepancy(points, HaarIndex(j1, j2, m1, m2))
-        assert dyadic(int(row[4]), int(row[5])) == mu
+        assert Fraction(int(row[4]), 1 << int(row[5])) == mu
     # complete range: levels -1..2 give (1+1+2+4)^2 positions
     assert len(rows) == 64
+
+
+def test_coeffs_and_classic_round_wide_values_correctly(monkeypatch, capsys):
+    # numerators wider than a float's 53 bits: 1 + 2^-53 and -(1 + 3 2^-53), over
+    # two, lie halfway between two floats and round to the one with the even mantissa
+    for value, num, text in ((Fraction(2**53 + 1, 2**54), "9007199254740993", "0.5"),
+                             (Fraction(-(2**53 + 3), 2**54), "-9007199254740995",
+                              "-0.5000000000000002")):
+        level = SimpleNamespace(empty_value=value, occupied={})
+        monkeypatch.setattr(cli, "mu_all_at_level", lambda points, j1, j2: level)
+        _, rows = parse_csv(capture(capsys, ["coeffs", "--n", "1", "--jmax", "-1"])[1])
+        assert rows == [["-1", "-1", "0", "0", num, "54", text]]
+        monkeypatch.setattr(cli.classical, "star_discrepancy", lambda points: value)
+        _, rows = parse_csv(capture(capsys, ["classic", "--n", "1", "--p", "star"])[1])
+        assert rows[0][3:7] == ["star", num, str(2**54), text]
 
 
 def test_coeffs_jmax_minus_one_prints_the_constant_coefficient(capsys):
@@ -178,7 +195,6 @@ def test_classic_star_and_l2(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     num, den = int(rows[0][4]), int(rows[0][5])
-    from fractions import Fraction
     from dyadisc import l2_warnock
 
     points = hammersley_type(3, SignPattern.identity(3))
@@ -497,8 +513,8 @@ def coeffs_rows(points, j_max):
             for m1 in range(1 << max(j1, 0)):
                 for m2 in range(1 << max(j2, 0)):
                     mu = level.occupied.get((m1, m2), level.empty_value)
-                    rows.append([str(j1), str(j2), str(m1), str(m2), str(mu.mantissa),
-                                 str(mu.exponent), repr(mu.to_float())])
+                    rows.append([str(j1), str(j2), str(m1), str(m2), str(mu.numerator),
+                                 str(mu.denominator.bit_length() - 1), repr(float(mu))])
     return rows
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,12 +17,10 @@ from dyadisc import (
     HaarIndex,
     PointMultiset,
     SignPattern,
-    ZERO,
     axis_factor,
     build_family,
     corner_product,
     counting_sums,
-    dyadic,
     grid_indices,
     haar_eval,
     hammersley_type,
@@ -63,10 +62,6 @@ def sigma(preset, n):
     return SignPattern.from_preset(preset, n, seed=7)
 
 
-def fr(value):
-    return value.as_fraction()
-
-
 def random_multiset(rng, res, size):
     """Random grid points; a third of the coordinates sit on coarse box edges."""
 
@@ -75,14 +70,14 @@ def random_multiset(rng, res, size):
         return k if rng.random() < 2 / 3 else k >> (res - 2) << (res - 2)
 
     return PointMultiset(
-        [(dyadic(coord(), res), dyadic(coord(), res)) for _ in range(size)],
+        [(Fraction(coord(), 1 << res), Fraction(coord(), 1 << res)) for _ in range(size)],
         resolution=res,
     )
 
 
 def endpoint_multiset(res):
     """Points on x = 0, y = 0 and coordinate 1, plus interval midpoints."""
-    half, quarter = dyadic(1, 1), dyadic(1, 2)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     return PointMultiset([(0, 0), (1, quarter), (half, 1), (0, 1)], resolution=res)
 
 
@@ -164,10 +159,36 @@ def test_index_fields_must_be_ints():
     assert axis_factor(np.int64(1), np.int64(1), 0.75) == axis_factor(1, 1, 0.75)
 
 
+@pytest.mark.parametrize("z, exact", [
+    (np.int64(0), 0), (np.int32(1), 1), (np.uint8(0), 0), (True, 1),
+    (np.float64(0.375), Fraction(3, 8)), (np.float32(0.375), Fraction(3, 8)),
+    (Fraction(3, 8), Fraction(3, 8)),
+])
+def test_evaluation_points_take_every_rational_and_finite_float(z, exact):
+    for j, m in ((-1, 0), (0, 0), (1, 0), (3, 2)):
+        assert axis_factor(j, m, z) == axis_factor(j, m, exact)
+        assert type(axis_factor(j, m, z).numerator) is int
+    idx = HaarIndex(-1, 1, 0, 0)
+    assert mu_point(idx, (z, z)) == mu_point(idx, (exact, exact))
+    if exact < 1:
+        assert haar_eval(idx, (z, z)) == haar_eval(idx, (exact, exact))
+
+
+@pytest.mark.parametrize("z, error", [
+    (Fraction(1, 3), ValueError), (math.inf, ValueError), (np.float64(math.nan), ValueError),
+    ("0.5", TypeError), (Decimal("0.5"), TypeError),
+])
+def test_evaluation_points_reject_non_dyadic_values_and_non_numbers(z, error):
+    with pytest.raises(error):
+        axis_factor(0, 0, z)
+    with pytest.raises(error):
+        haar_eval(HaarIndex(0, 0, 0, 0), (0, z))
+
+
 def test_haar_eval_examples():
     idx = HaarIndex(0, 0, 0, 0)
-    assert haar_eval(idx, (dyadic(1, 2), dyadic(1, 2))) == 1
-    assert haar_eval(idx, (dyadic(1, 2), dyadic(3, 2))) == -1
+    assert haar_eval(idx, (Fraction(1, 4), Fraction(1, 4))) == 1
+    assert haar_eval(idx, (Fraction(1, 4), Fraction(3, 4))) == -1
     assert haar_eval(HaarIndex(-1, 0, 0, 0), (0.9, 0.75)) == -1
     with pytest.raises(ValueError):
         haar_eval(idx, (1.0, 0.5))
@@ -175,19 +196,19 @@ def test_haar_eval_examples():
 
 def test_haar_eval_support():
     idx = HaarIndex(2, 1, 1, 0)
-    assert haar_eval(idx, (dyadic(9, 5), dyadic(1, 3))) == 1  # (9/32, 1/8)
-    assert haar_eval(idx, (dyadic(3, 3), dyadic(1, 3))) == -1  # right half in x
-    assert haar_eval(idx, (dyadic(1, 3), dyadic(1, 3))) == 0  # outside x support
+    assert haar_eval(idx, (Fraction(9, 32), Fraction(1, 8))) == 1
+    assert haar_eval(idx, (Fraction(3, 8), Fraction(1, 8))) == -1  # right half in x
+    assert haar_eval(idx, (Fraction(1, 8), Fraction(1, 8))) == 0  # outside x support
 
 
 # -- volume coefficients ------------------------------------------------------
 
 
 def test_volume_coefficients():
-    assert fr(mu_volume(HaarIndex(0, 0, 0, 0))) == Fraction(1, 16)
-    assert fr(mu_volume(HaarIndex(-1, 0, 0, 0))) == Fraction(-1, 8)
-    assert fr(mu_volume(HaarIndex(-1, -1, 0, 0))) == Fraction(1, 4)
-    assert fr(mu_volume(HaarIndex(2, 1, 3, 1))) == Fraction(1, 2 ** (2 * (2 + 1 + 2)))
+    assert mu_volume(HaarIndex(0, 0, 0, 0)) == Fraction(1, 16)
+    assert mu_volume(HaarIndex(-1, 0, 0, 0)) == Fraction(-1, 8)
+    assert mu_volume(HaarIndex(-1, -1, 0, 0)) == Fraction(1, 4)
+    assert mu_volume(HaarIndex(2, 1, 3, 1)) == Fraction(1, 2 ** (2 * (2 + 1 + 2)))
 
 
 def test_volume_against_quadrature():
@@ -205,27 +226,27 @@ def test_volume_against_quadrature():
             for m1 in range(1 if j1 == -1 else 1 << j1):
                 for m2 in range(1 if j2 == -1 else 1 << j2):
                     idx = HaarIndex(j1, j2, m1, m2)
-                    assert fr(mu_volume(idx)) == axis_integral(j1, m1) * axis_integral(j2, m2)
+                    assert mu_volume(idx) == axis_integral(j1, m1) * axis_integral(j2, m2)
 
 
 # -- per-point factors ---------------------------------------------------------
 
 
 def test_axis_factor_examples():
-    assert fr(axis_factor(0, 0, dyadic(1, 2))) == Fraction(-1, 4)
-    assert axis_factor(-1, 0, ZERO) == 1
-    assert axis_factor(2, 1, dyadic(1, 1)) == ZERO  # z on a box edge
+    assert axis_factor(0, 0, Fraction(1, 4)) == Fraction(-1, 4)
+    assert axis_factor(-1, 0, 0) == 1
+    assert axis_factor(2, 1, Fraction(1, 2)) == 0  # z on a box edge
     # the range check is HaarIndex's: level -1 admits only position 0
     with pytest.raises(ValueError):
-        axis_factor(-1, 1, ZERO)
+        axis_factor(-1, 1, 0)
     with pytest.raises(ValueError):
-        axis_factor(-2, 0, ZERO)
+        axis_factor(-2, 0, 0)
 
 
 def test_axis_factor_for_level_minus_one_keeps_boundary():
     # the indicator axis has no interior gate: z = 0 contributes 1 - z = 1
-    assert axis_factor(-1, 0, ZERO) == 1
-    assert axis_factor(-1, 0, dyadic(1, -0)) == 0  # z = 1 contributes nothing
+    assert axis_factor(-1, 0, 0) == 1
+    assert axis_factor(-1, 0, 1) == 0  # z = 1 contributes nothing
 
 
 @given(
@@ -235,7 +256,7 @@ def test_axis_factor_for_level_minus_one_keeps_boundary():
 )
 def test_axis_factor_matches_antiderivative(j, m_raw, k):
     m = 0 if j == -1 else m_raw % (1 << j)
-    z = dyadic(k, 10)
+    z = Fraction(k, 1024)
     assert axis_factor(j, m, z) == _oracle_axis_factor(j, m, z)
 
 
@@ -296,17 +317,17 @@ def test_axis_factors_off_grid():
             for m in range(1 if j == -1 else 1 << j):
                 for _ in range(4):
                     e = res + rng.randint(1, 4)
-                    z = dyadic(2 * rng.randrange(1 << (e - 1)) + 1, e)
-                    expected = brute_factor(j, m, z.as_fraction())
-                    assert fr(axis_factor(j, m, z)) == expected, (j, m, z)
-                    assert fr(_oracle_axis_factor(j, m, z)) == expected, (j, m, z)
+                    z = Fraction(2 * rng.randrange(1 << (e - 1)) + 1, 1 << e)
+                    expected = brute_factor(j, m, z)
+                    assert axis_factor(j, m, z) == expected, (j, m, z)
+                    assert _oracle_axis_factor(j, m, z) == expected, (j, m, z)
 
 
 def test_mu_point_examples():
     idx = HaarIndex(0, 0, 0, 0)
-    assert fr(mu_point(idx, (dyadic(1, 2), dyadic(1, 2)))) == Fraction(1, 16)
-    assert fr(mu_point(HaarIndex(-1, 0, 0, 0), (dyadic(1, 2), dyadic(1, 2)))) == Fraction(-3, 16)
-    assert mu_point(idx, (ZERO, ZERO)) == ZERO
+    assert mu_point(idx, (Fraction(1, 4), Fraction(1, 4))) == Fraction(1, 16)
+    assert mu_point(HaarIndex(-1, 0, 0, 0), (Fraction(1, 4), Fraction(1, 4))) == Fraction(-3, 16)
+    assert mu_point(idx, (0, 0)) == 0
 
 
 # -- discrepancy coefficients ---------------------------------------------------
@@ -314,16 +335,16 @@ def test_mu_point_examples():
 
 def test_mu_discrepancy_singletons():
     single = PointMultiset([(0.0, 0.0)])
-    assert fr(mu_discrepancy(single, HaarIndex(0, 0, 0, 0))) == Fraction(-1, 16)
-    assert fr(mu_discrepancy(single, HaarIndex(-1, -1, 0, 0))) == Fraction(3, 4)
+    assert mu_discrepancy(single, HaarIndex(0, 0, 0, 0)) == Fraction(-1, 16)
+    assert mu_discrepancy(single, HaarIndex(-1, -1, 0, 0)) == Fraction(3, 4)
     with pytest.raises(ValueError):
         mu_discrepancy(PointMultiset([], resolution=0), HaarIndex(0, 0, 0, 0))
 
 
 def test_mu_discrepancy_low_level_value():
     rt = symmetrize_full(hammersley_type(3, sigma("identity", 3)))
-    assert fr(mu_discrepancy(rt, HaarIndex(0, 0, 0, 0))) == Fraction(1, 256)
-    assert mu_discrepancy(rt, HaarIndex(-1, -1, 0, 0)) == ZERO
+    assert mu_discrepancy(rt, HaarIndex(0, 0, 0, 0)) == Fraction(1, 256)
+    assert mu_discrepancy(rt, HaarIndex(-1, -1, 0, 0)) == 0
 
 
 def test_non_power_of_two_cardinality_rejected():
@@ -391,7 +412,7 @@ def test_level_map_matches_oracle_across_guard(res):
 @pytest.mark.parametrize("res", [20, 29, 31, 40, 64])
 def test_level_operand_matches_dyadic_route_across_guard(res):
     # the integer numerators of a LevelSummary must give the operand float
-    # for float equal to the one taken from the DyadicRational values of its
+    # for float equal to the one taken from the Fraction values of its
     # occupied map, on int64 scans (res = 20) and exact ones above; both
     # views read the folded base of the two symmetrizations
     rng = random.Random(res)
@@ -427,7 +448,7 @@ def test_level_operand_matches_dyadic_route_across_guard(res):
                 assert summary.empty_boxes == empty
                 values = occupied + Counter({summary.empty_value: empty})
                 log2s = [
-                    (besov._log2_abs(value.mantissa, value.exponent), count)
+                    (besov._log2_abs(value.numerator, value.denominator.bit_length() - 1), count)
                     for value, count in values.items()
                     if value
                 ]
@@ -655,8 +676,8 @@ def test_scan_keeps_exactly_the_boxes_a_point_hits(symmetrize):
 def test_level_map_single_point_example():
     points = PointMultiset([(0.25, 0.25)], resolution=2)
     level = mu_all_at_level(points, 0, 0)
-    assert level.occupied == {(0, 0): ZERO}
-    assert fr(level.empty_value) == Fraction(-1, 16)
+    assert level.occupied == {(0, 0): 0}
+    assert level.empty_value == Fraction(-1, 16)
 
 
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])
@@ -682,7 +703,7 @@ def test_level_map_empty_high_levels():
     rt = symmetrize_full(hammersley_type(3, sigma("identity", 3)))
     level = mu_all_at_level(rt, 3, 0)
     assert level.occupied == {}
-    assert fr(level.empty_value) == Fraction(-1, 2 ** (2 * (3 + 0 + 2)))
+    assert level.empty_value == Fraction(-1, 2 ** (2 * (3 + 0 + 2)))
 
 
 def test_grids_match_per_index_ops():
@@ -782,17 +803,17 @@ def test_reflection_symmetry_of_coefficients():
 def test_predict_symmetrized_examples():
     # magnitude-only without the sign pattern; exact signed value with it
     pred = predict_symmetrized(5, HaarIndex(1, 2, 0, 0))
-    assert pred.kind == "exact-abs" and fr(pred.value) == Fraction(1, 2**12)
+    assert pred.kind == "exact-abs" and pred.value == Fraction(1, 2**12)
     signed = predict_symmetrized(5, HaarIndex(1, 2, 0, 0), SignPattern.identity(5))
-    assert signed.kind == "exact-value" and fr(signed.value) == Fraction(1, 2**12)
+    assert signed.kind == "exact-value" and signed.value == Fraction(1, 2**12)
     zero = predict_symmetrized(5, HaarIndex(-1, 3, 0, 5))
-    assert zero.kind == "exact-value" and zero.value == ZERO
+    assert zero.kind == "exact-value" and zero.value == 0
     const = predict_symmetrized(5, HaarIndex(-1, -1, 0, 0))
-    assert const.kind == "exact-value" and const.value == ZERO
+    assert const.kind == "exact-value" and const.value == 0
     high = predict_symmetrized(5, HaarIndex(-1, 7, 0, 0))
-    assert high.kind == "exact-abs" and fr(high.value) == Fraction(1, 2**17)
+    assert high.kind == "exact-abs" and high.value == Fraction(1, 2**17)
     band = predict_symmetrized(5, HaarIndex(4, 1, 0, 0))
-    assert band.kind == "abs-upper-bound" and fr(band.value) == Fraction(1, 2**10)
+    assert band.kind == "abs-upper-bound" and band.value == Fraction(1, 2**10)
     edge = predict_symmetrized(5, HaarIndex(5, 0, 0, 0))
     assert edge.kind == "exact-abs"  # level n resolves to the exact magnitude
     # a pattern of another order would be read at the wrong digits
@@ -807,7 +828,7 @@ def test_low_level_sign_alternating_counterexample():
     sg = SignPattern.alternating(2)
     rt = symmetrize_full(hammersley_type(2, sg))
     mu = mu_discrepancy(rt, HaarIndex(0, 0, 0, 0))
-    assert fr(mu) == Fraction(-1, 64)
+    assert mu == Fraction(-1, 64)
     assert low_level_sign(sg, 0, 0) == -1
     assert predict_symmetrized(2, HaarIndex(0, 0, 0, 0), sg).check(mu)
 
@@ -840,12 +861,12 @@ def test_predict_symmetrized_holds(preset):
 def test_predict_davenport_examples():
     sg = SignPattern.identity(3)
     const = predict_davenport(3, sg, HaarIndex(-1, -1, 0, 0))
-    assert fr(const.value) == Fraction(1, 32)
+    assert const.value == Fraction(1, 32)
     # -2^-(n+2k+3) + T_k 2^-(2n+2) at n = 3, k = 0
     row = predict_davenport(3, sg, HaarIndex(-1, 0, 0, 0))
-    assert fr(row.value) == Fraction(-1, 64) + Fraction(1, 256)
+    assert row.value == Fraction(-1, 64) + Fraction(1, 256)
     flipped = predict_davenport(3, SignPattern.all_flip(3), HaarIndex(-1, 0, 0, 0))
-    assert fr(flipped.value) == Fraction(-1, 64) - Fraction(1, 256)
+    assert flipped.value == Fraction(-1, 64) - Fraction(1, 256)
     with pytest.raises(ValueError):
         predict_davenport(3, sg, HaarIndex(0, -1, 0, 0))
     with pytest.raises(ValueError):
@@ -857,7 +878,7 @@ def test_predict_davenport_examples():
 @pytest.mark.parametrize("int_type", [np.int64, np.int32])
 def test_predictions_take_numpy_integer_orders(int_type):
     # numpy integers pass operator.index, as the HaarIndex fields do; the
-    # order reaches dyadic exponents, which take Python ints only
+    # order reaches the shifts 1 << e of the denominators, exact only on Python ints
     for n in (1, 2, 4, 6):
         for preset in PRESETS:
             sg = sigma(preset, n)
@@ -906,12 +927,12 @@ def test_counting_sums_examples():
     sx, sy, _ = counting_sums(base, 0, 0, 0, 0)
     assert sx == 4 and sy == 4
     _, _, sxy = counting_sums(base, 1, 0, 0, 0)
-    assert fr(sxy) == Fraction(5, 4)
+    assert sxy == Fraction(5, 4)
     one = hammersley_type(1, SignPattern.identity(1))
     sx, sy, _ = counting_sums(one, 0, 0, 0, 0)
     assert sx == 1 and sy == 1
     # an in-range box past the resolution that holds no grid point sums to 0
-    assert counting_sums(base, 5, 0, 1, 0) == (ZERO, ZERO, ZERO)
+    assert counting_sums(base, 5, 0, 1, 0) == (0, 0, 0)
     # a position outside its level is an error, as for HaarIndex and axis_factor
     for j1, j2, m1, m2, bad in ((1, 1, 5, 0, (5, 1)), (1, 1, 0, -1, (-1, 1)), (0, 4, 0, 16, (16, 4))):
         with pytest.raises(ValueError, match=r"position %d out of range for level %d" % bad):
@@ -925,14 +946,15 @@ def test_counting_sum_identities(preset):
         base = hammersley_type(n, sg)
         for j1 in range(n):
             for j2 in range(n - j1):
-                single = dyadic(1, j1 + j2 + 1 - n)
+                single = Fraction(2) ** (n - j1 - j2 - 1)
                 for m1 in range(1 << j1):
                     for m2 in range(1 << j2):
                         sx, sy, sxy = counting_sums(base, j1, j2, m1, m2)
                         assert sx == single and sy == single
                         if j1 + j2 < n - 1:
                             eps = low_level_sign(sg, j1, j2)
-                            assert sxy == dyadic(1, j1 + j2 + 2 - n) + dyadic(eps, n - j1 - j2)
+                            low = Fraction(eps, 1 << (n - j1 - j2))
+                            assert sxy == Fraction(2) ** (n - j1 - j2 - 2) + low
 
 
 def brute_counting_sums(points, j1, j2, m1, m2):
@@ -948,7 +970,7 @@ def brute_counting_sums(points, j1, j2, m1, m2):
 
     sx = sy = sxy = Fraction(0)
     for p in points:
-        x, y = p.x.as_fraction(), p.y.as_fraction()
+        x, y = p.x, p.y
         tx, ty = tent(x, j1, m1), tent(y, j2, m2)
         if tx is not None and inside(y, j2, m2):
             sx += tx
@@ -975,7 +997,7 @@ def test_counting_sums_against_brute_fine_resolution(res):
                 boxes.update((box_of(x, j1, res), box_of(y, j2, res)) for x, y in zip(kx, ky))
                 brute = {box: brute_counting_sums(points, j1, j2, *box) for box in boxes}
                 for box, sums in brute.items():
-                    assert tuple(map(fr, counting_sums(points, j1, j2, *box))) == sums
+                    assert counting_sums(points, j1, j2, *box) == sums
                 if j1 > res or j2 > res:
                     continue
                 scales = (Fraction(2) ** (res - j1 - 1), Fraction(2) ** (res - j2 - 1))

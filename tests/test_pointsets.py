@@ -1,7 +1,9 @@
 """Construction, reflection and net structure of the point sets."""
 
+import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,6 @@ from dyadisc import (
     build_family,
     family_reflections,
     corner_product,
-    dyadic,
     hammersley_type,
     is_net,
     is_transpose_invariant,
@@ -60,7 +61,7 @@ def brute_force_points(n, flips):
 
 
 def as_fractions(points):
-    return Counter((p.x.as_fraction(), p.y.as_fraction()) for p in points)
+    return Counter((p.x, p.y) for p in points)
 
 
 def test_base_set_n1():
@@ -208,12 +209,12 @@ def test_net_property_counterexample():
     assert _exact(40 + 3, 1) is np.int64 and _exact(2 * 40, len(fine)) is object
     assert is_net(fine, 3)
     entries = list(fine)
-    entries[5] = (dyadic(1), entries[5].y)
+    entries[5] = (Fraction(1), entries[5].y)
     assert not is_net(PointMultiset(entries, resolution=40), 3)
     # at resolution 2 < n = 3 the boxes of level 3 take k << (3 - 2): only the even
     # ones are hit, in int64 and in Python ints alike
     coarse = PointMultiset(
-        [(dyadic(k, 2), dyadic(k * 3 % 4, 2)) for k in range(4)] * 2, resolution=2
+        [(Fraction(k, 4), Fraction(k * 3 % 4, 4)) for k in range(4)] * 2, resolution=2
     )
     for points in (coarse, union_of(coarse, object)):
         assert not is_net(points, 3)
@@ -227,7 +228,7 @@ def test_net_keys_take_their_own_bound(res, monkeypatch):
     # would wrap. Both a net and the same set with two x boxes merged are
     # judged as at resolution 3.
     base = hammersley_type(3, sigma("alternating", 3))
-    merged = [(x, y) if x != dyadic(1, 3) else (dyadic(0), y) for x, y in base]
+    merged = [(x, y) if x != Fraction(1, 8) else (Fraction(0), y) for x, y in base]
     key_dtypes = set()
     sort = np.sort
 
@@ -245,9 +246,53 @@ def test_net_keys_take_their_own_bound(res, monkeypatch):
 
 def test_point_on_coarser_grid_rejected():
     with pytest.raises(ValueError):
-        PointMultiset([(dyadic(1, 3), dyadic(0))], resolution=2)
+        PointMultiset([(Fraction(1, 8), Fraction(0))], resolution=2)
     with pytest.raises(ValueError):
         PointMultiset([(1.5, 0.0)])
+
+
+def test_float_coordinates_convert_exactly():
+    # every finite float is a dyadic k / 2^e, read without rounding down to
+    # the smallest subnormal, 2^-1074, which sets the resolution
+    rng = random.Random(99)
+    exact = [Fraction(rng.randrange(1 << 50), 1 << rng.randrange(50, 60)) for _ in range(200)]
+    exact += [Fraction(1, 1 << 1074), Fraction(1), Fraction(0)]
+    points = PointMultiset([(float(x), np.float64(x)) for x in exact])
+    assert points.entries == tuple(Point(x, x) for x in exact)
+    assert points.n_resolution == 1074
+
+
+# every numbers.Rational and every finite float, numpy scalars included
+COORDINATES = [
+    (1, Fraction(1)), (True, Fraction(1)), (Fraction(3, 8), Fraction(3, 8)),
+    (np.int64(1), Fraction(1)), (np.int32(0), Fraction(0)), (np.uint8(1), Fraction(1)),
+    (0.375, Fraction(3, 8)), (np.float64(0.375), Fraction(3, 8)),
+    (np.float32(0.375), Fraction(3, 8)),
+]
+
+
+@pytest.mark.parametrize("value, exact", COORDINATES)
+def test_coordinates_take_every_rational_and_finite_float(value, exact):
+    points = PointMultiset([(value, Fraction(1, 2))])
+    assert points.entries == (Point(exact, Fraction(1, 2)),)
+    assert points.n_resolution == max(exact.denominator.bit_length() - 1, 1)
+    assert type(points.entries[0].x.numerator) is int
+    assert local_discrepancy(points, (value, 1)) == local_discrepancy(points, (exact, 1))
+
+
+@pytest.mark.parametrize("value, error", [
+    (Fraction(1, 3), ValueError), (Fraction(5, 6), ValueError),
+    (math.inf, ValueError), (-math.inf, ValueError), (math.nan, ValueError),
+    (np.float64(math.inf), ValueError), (np.float32(math.nan), ValueError),
+    ("0.5", TypeError), (Decimal("0.5"), TypeError), (0.5 + 0j, TypeError), (None, TypeError),
+])
+def test_coordinates_reject_non_dyadic_values_and_non_numbers(value, error):
+    with pytest.raises(error):
+        PointMultiset([(value, 0)])
+    with pytest.raises(error):
+        PointMultiset([(0, value)])
+    with pytest.raises(error):
+        local_discrepancy(PointMultiset([(0, 0)]), (1, value))
 
 
 def test_build_family():
@@ -277,7 +322,7 @@ def test_entries_are_points():
     entries = p.entries
     assert len(entries) == 4
     assert isinstance(entries[0], Point)
-    assert entries[1].x.as_fraction() == Fraction(1, 4)
+    assert entries[1].x == Fraction(1, 4)
 
 
 def test_scaled_coords_are_read_only():
@@ -285,7 +330,7 @@ def test_scaled_coords_are_read_only():
     for arr in points.scaled_coords():
         with pytest.raises(ValueError):
             arr[0] = 7
-    assert points.entries[0] == Point(dyadic(0), dyadic(0))
+    assert points.entries[0] == Point(Fraction(0), Fraction(0))
 
 
 @pytest.mark.parametrize("res", [30, 31])
@@ -306,7 +351,7 @@ def test_plain_scaled_coords_are_read_only_across_their_guard(res):
 
 def _pair_at(res):
     # 2 res + N.bit_length() = 62 for two points at res 30: still int64
-    entries = [(dyadic(1, res), dyadic(3, res)), (dyadic(5, 3), dyadic(1, 1))]
+    entries = [(Fraction(1, 1 << res), Fraction(3, 1 << res)), (Fraction(5, 8), Fraction(1, 2))]
     return PointMultiset(entries, resolution=res)
 
 
@@ -329,7 +374,7 @@ def test_union_repicks_dtype_past_guard(union, axes):
     assert _exact(2 * res, len(merged)) is object
     sums = level_counting_sums(merged, 0, 0)[2][1]
     assert sums.dtype == object and all(type(k) is int for k in sums)
-    one = dyadic(1)
+    one = Fraction(1)
     expected = PointMultiset(
         [
             (one - x if "X" in axis else x, one - y if "Y" in axis else y)
@@ -372,7 +417,7 @@ def test_union_is_built_only_when_read(union, axes):
         for f in (corner_product(2, 3), monomial(0, 1)):
             qmc_integrate(points, f)
         l2_warnock(points)
-        local_discrepancy(points, (dyadic(3, 3), dyadic(5, 4)))
+        local_discrepancy(points, (Fraction(3, 8), Fraction(5, 16)))
     # then every point: the concatenation of the base and its reflections, in
     # its values, order and dtype, read-only and built anew on each read
     kx, ky = points.scaled_coords()
@@ -400,7 +445,7 @@ def test_local_discrepancy_past_guard():
     rng = random.Random(res)
 
     def grid_value(bits):
-        return dyadic(rng.randrange(1 << bits), bits)
+        return Fraction(rng.randrange(1 << bits), 1 << bits)
 
     entries = [(grid_value(res), grid_value(res)) for _ in range(size)]
     points = PointMultiset(entries, resolution=res)
@@ -409,11 +454,10 @@ def test_local_discrepancy_past_guard():
     kx, ky = (arr.tolist() for arr in points.scaled_coords())
     # anchors on the grid, between grid points, on a point and at the corner
     anchors = [(grid_value(res + 2), grid_value(res)) for _ in range(20)]
-    anchors += [(dyadic(kx[0], res), dyadic(ky[0], res)), (dyadic(1), dyadic(1))]
-    for t1, t2 in anchors:
-        a, b = t1.as_fraction(), t2.as_fraction()
+    anchors += [(Fraction(kx[0], 1 << res), Fraction(ky[0], 1 << res)), (Fraction(1), Fraction(1))]
+    for a, b in anchors:
         count = sum(Fraction(x, 1 << res) < a and Fraction(y, 1 << res) < b for x, y in zip(kx, ky))
-        assert local_discrepancy(points, (t1, t2)).as_fraction() == Fraction(count, size) - a * b
+        assert local_discrepancy(points, (a, b)) == Fraction(count, size) - a * b
 
 
 def every_sigma(n_max):
@@ -459,7 +503,9 @@ def _step(k):
 
 
 def _grid_set(entries, res):
-    return PointMultiset([(dyadic(kx, res), dyadic(ky, res)) for kx, ky in entries], resolution=res)
+    full = 1 << res
+    return PointMultiset([(Fraction(kx, full), Fraction(ky, full)) for kx, ky in entries],
+                         resolution=res)
 
 
 @pytest.mark.parametrize("res", [6, 30, 31, 62])

@@ -12,7 +12,6 @@ from dyadisc import (
     PointMultiset,
     SignPattern,
     corner_product,
-    dyadic,
     build_family,
     error_table,
     family_integral,
@@ -53,7 +52,7 @@ def test_qmc_integrate_matches_brute_force():
         points = symmetrize(hammersley_type(3, sigma("random", 3)))
         for f in (corner_product(1, 2), monomial(3, 1), corner_product(0, 4)):
             brute = sum(
-                f.evaluate(p.x.as_fraction(), p.y.as_fraction()) for p in points
+                f.evaluate(p.x, p.y) for p in points
             ) / len(points)
             assert qmc_integrate(points, f) == brute, (symmetrize.__name__, f.name)
 
@@ -82,7 +81,7 @@ def grid_multiset(seed, res, size):
         return rng.choice((0, 1 << res, rng.randint(0, 1 << res), rng.randint(0, 1 << res)))
 
     return PointMultiset(
-        [(dyadic(coord(), res), dyadic(coord(), res)) for _ in range(size)],
+        [(Fraction(coord(), 1 << res), Fraction(coord(), 1 << res)) for _ in range(size)],
         resolution=res,
     )
 
@@ -97,7 +96,7 @@ def test_qmc_integrate_across_guard(res, size):
     # base points, the brute force over every point of its union.
     base = grid_multiset(res * 100 + size, res, size)
     for points in (base, symmetrize_davenport(base), symmetrize_full(base)):
-        coords = [(p.x.as_fraction(), p.y.as_fraction()) for p in points]
+        coords = [(p.x, p.y) for p in points]
         for make in (corner_product, monomial):
             for a in range(9):
                 for b in range(9):

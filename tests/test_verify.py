@@ -1,11 +1,12 @@
 """The exact-identity suites pass on honest inputs and catch corruption."""
 
+from fractions import Fraction
+
 import pytest
 
-from dyadisc import SignPattern, dyadic
+from dyadisc import SignPattern
 from dyadisc import verify
 from dyadisc.cli import main
-from dyadisc.dyadic import ZERO
 from dyadisc.haar import ABS_UPPER_BOUND, EXACT_VALUE, CoefficientPrediction
 from dyadisc.verify import (
     SUITES,
@@ -54,15 +55,15 @@ def _band_count(n):
 def _violated_predictions(monkeypatch):
     """Predictions the symmetrized set of order 2 violates on three levels.
 
-    (-1,-1) holds 0, not 1/2; (0,0) holds 1/2^6 in its one box, above a
-    band bound of 0; the 16 boxes of (2,2) are all empty and hold -1/2^12,
+    (-1,-1) holds 0, not 1/2; (0,0) holds 1/64 in its one box, above a
+    band bound of 0; the 16 boxes of (2,2) are all empty and hold -1/4096,
     above a band bound of 1/2^20.
     """
     honest = verify.predict_symmetrized
     wrong = {
-        (-1, -1): CoefficientPrediction(EXACT_VALUE, dyadic(1, 1)),
-        (0, 0): CoefficientPrediction(ABS_UPPER_BOUND, ZERO),
-        (2, 2): CoefficientPrediction(ABS_UPPER_BOUND, dyadic(1, 20)),
+        (-1, -1): CoefficientPrediction(EXACT_VALUE, Fraction(1, 2)),
+        (0, 0): CoefficientPrediction(ABS_UPPER_BOUND, Fraction(0)),
+        (2, 2): CoefficientPrediction(ABS_UPPER_BOUND, Fraction(1, 1 << 20)),
     }
 
     def predict(n, idx, sigma=None):
@@ -82,11 +83,11 @@ def test_coefficient_suite_reports_violations(monkeypatch):
     assert not report.passed
     assert report.notes == [
         "level (-1,-1): occupied value 0 vs "
-        "CoefficientPrediction(kind='exact-value', value=DyadicRational(1, 1))",
-        "level (0,0): occupied value 1/2^6 vs "
-        "CoefficientPrediction(kind='abs-upper-bound', value=DyadicRational(0, 0))",
-        "level (2,2): empty value -1/2^12 vs "
-        "CoefficientPrediction(kind='abs-upper-bound', value=DyadicRational(1, 20))",
+        "CoefficientPrediction(kind='exact-value', value=Fraction(1, 2))",
+        "level (0,0): occupied value 1/64 vs "
+        "CoefficientPrediction(kind='abs-upper-bound', value=Fraction(0, 1))",
+        "level (2,2): empty value -1/4096 vs "
+        "CoefficientPrediction(kind='abs-upper-bound', value=Fraction(1, 1048576))",
     ]
 
 
