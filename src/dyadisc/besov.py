@@ -113,19 +113,6 @@ def _log2_abs(num: int, exponent: int) -> float:
     return math.log2(abs(num >> low)) - (exponent - low)
 
 
-def _level_log2s(summary):
-    """(log2 |value|, multiplicity) for every nonzero coefficient value.
-
-    Every value is taken as its exact integer numerator over 2^top.
-    """
-    occupied, empty, top = summary.numerators()
-    for num, count in zip(occupied, summary.counts.tolist()):
-        if num:
-            yield _log2_abs(num, top), count
-    if summary.empty_boxes:
-        yield _log2_abs(empty, top), summary.empty_boxes
-
-
 # Below this many distinct occupied values, the per-value route is faster
 # than the array pass, whose numpy calls cost about 10 us per level: most
 # levels of a norm hold a few values, its largest ones thousands.
@@ -138,9 +125,11 @@ def _level_operand(summary, params: BesovParams) -> float:
     The per-value route for a level of few distinct values, the array pass
     for one of many; both give the same float.
     """
-    if len(summary.accs) < _ARRAY_MIN_VALUES:
-        return _operand(summary.j1 + summary.j2, _level_log2s(summary), params)
-    return _array_operand(summary, params)
+    if len(summary.accs) >= _ARRAY_MIN_VALUES:
+        return _array_operand(summary, params)
+    nums, counts, top = summary.numerators()
+    log2s = ((_log2_abs(num, top), count) for num, count in zip(nums, counts) if num)
+    return _operand(summary.j1 + summary.j2, log2s, params)
 
 
 def _array_operand(summary, params: BesovParams) -> float:
@@ -156,11 +145,8 @@ def _array_operand(summary, params: BesovParams) -> float:
     to math.log2 and float **, so they stay out. The arrays are reused in
     place, so a level holds few temporaries.
     """
-    nums, top = summary.numerator_array()
-    counts = summary.counts.tolist()
-    counts.append(summary.empty_boxes)
+    nums, counts, top = summary.numerator_array()
     keep = nums != 0
-    keep[-1] = summary.empty_boxes > 0  # the empty value is minus the volume term, never 0
     if not keep.all():
         nums, counts = nums[keep], list(compress(counts, keep.tolist()))
     if not nums.size:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -226,6 +226,7 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     and the results are shifted together as Python ints once per block,
     weighted by dx.
     """
+    p = index(p)  # numpy integers pass as ints; a float raises TypeError
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if p % 2:
@@ -311,6 +312,7 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must satisfy 0 < p < inf, got {p}")
+    extra_depth = index(extra_depth)  # numpy integers pass as ints; a float raises TypeError
     if extra_depth < 0:
         raise ValueError(f"extra_depth must be >= 0, got {extra_depth}")
     n = len(points)

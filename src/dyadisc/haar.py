@@ -152,16 +152,15 @@ def mu_volume(idx: HaarIndex) -> Fraction:
     return Fraction(sign, 1 << exponent)
 
 
-def _value_scale(j1: int, j2: int, scale: int, exponent: int = 0) -> Tuple[int, int, int]:
+def _value_scale(j1: int, j2: int, scale: int) -> Tuple[int, int, int]:
     """One power of two for the values acc / 2^scale minus the volume term.
 
     Returns (shift, empty, top): the value of a level sum acc is
     ((acc << shift) + empty) / 2^top, and empty / 2^top is the value of
-    a box no point hits. top is at least exponent, so a caller can bring
-    one more value to the common scale.
+    a box no point hits.
     """
     sign, vol_exponent = _volume(j1, j2)
-    top = max(scale, vol_exponent, exponent)
+    top = max(scale, vol_exponent)
     return top - scale, -sign << (top - vol_exponent), top
 
 
@@ -423,17 +422,23 @@ class LevelSummary:
         sign, exponent = _volume(self.j1, self.j2)
         return Fraction(-sign, 1 << exponent)
 
-    def numerators(self, exponent: int = 0) -> Tuple[List[int], int, int]:
-        """Occupied and empty values as integer numerators over one 2^top.
+    def numerators(self) -> Tuple[List[int], List[int], int]:
+        """Every distinct value of the level as an integer numerator over one 2^top.
 
-        Returns (occupied, empty, top), the occupied numerators in the order
-        of accs; top is at least exponent (see _value_scale).
+        Returns (numerators, counts, top): the occupied values in the order
+        of accs, then the empty value if a box is empty, and the box count
+        of each as a Python int, as the empty count can outgrow int64.
         """
-        shift, empty, top = _value_scale(self.j1, self.j2, self.scale, exponent)
-        return [(acc << shift) + empty for acc in self.accs.tolist()], empty, top
+        shift, empty, top = _value_scale(self.j1, self.j2, self.scale)
+        nums = [(acc << shift) + empty for acc in self.accs.tolist()]
+        counts = self.counts.tolist()
+        if self.empty_boxes:
+            nums.append(empty)
+            counts.append(self.empty_boxes)
+        return nums, counts, top
 
-    def numerator_array(self) -> Tuple[np.ndarray, int]:
-        """numerators() as one array, the empty numerator last, and top.
+    def numerator_array(self) -> Tuple[np.ndarray, List[int], int]:
+        """numerators() with the numerators as one array.
 
         Each entry (acc << shift) + empty sums two terms no larger than the
         larger of |empty| and |acc| << shift, taken at the two ends of the
@@ -441,19 +446,22 @@ class LevelSummary:
         for Python ints.
         """
         shift, empty, top = _value_scale(self.j1, self.j2, self.scale)
-        accs = self.accs
+        accs, counts = self.accs, self.counts.tolist()
+        if self.empty_boxes:
+            counts.append(self.empty_boxes)
         hi = max(abs(int(accs[0])), abs(int(accs[-1]))) if accs.size else 0
-        nums = np.zeros(accs.size + 1, _exact(max(hi << shift, abs(empty)).bit_length(), 2))
-        nums[:-1] = accs
+        nums = np.zeros(len(counts), _exact(max(hi << shift, abs(empty)).bit_length(), 2))
+        nums[:accs.size] = accs
         nums <<= shift
         nums += empty
-        return nums, top
+        return nums, counts, top
 
     @property
     def occupied_values(self) -> Tuple[Tuple[Fraction, int], ...]:
         """(value, box count) per distinct occupied value, ascending, built on each read."""
-        occupied, _, top = self.numerators()
-        return tuple(zip((Fraction(num, 1 << top) for num in occupied), self.counts.tolist()))
+        nums, counts, top = self.numerators()
+        return tuple((Fraction(num, 1 << top), count)
+                     for num, count in zip(nums[:len(self.accs)], counts))
 
 
 def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:

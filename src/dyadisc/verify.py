@@ -72,24 +72,22 @@ class CheckReport:
 def _level_matches(report: CheckReport, summary, prediction, note: str):
     """Compare every coefficient of a level against one prediction.
 
-    check only compares by ==, abs and <=, so it reads the same on
-    numerators over a common power of two as on the values.
+    check only compares by ==, abs and <=, so it reads the same on the
+    values and the prediction brought to one scale 2^(top + e): the value
+    num / 2^top as num << e, the prediction a / 2^e as a << top. The level's
+    values come occupied first, then the empty value.
     """
     target = prediction.value
-    exponent = target.denominator.bit_length() - 1
-    occupied, empty, top = summary.numerators(exponent)
-    scaled = CoefficientPrediction(prediction.kind, target.numerator << (top - exponent))
-    for value, count in zip(occupied, summary.counts.tolist()):
+    e = target.denominator.bit_length() - 1
+    nums, counts, top = summary.numerators()
+    scaled = CoefficientPrediction(prediction.kind, target.numerator << top)
+    occupied = len(summary.accs)
+    for i, (value, count) in enumerate(zip(nums, counts)):
         report.record(
-            scaled.check(value),
-            lambda: f"{note}: occupied value {Fraction(value, 1 << top)} vs {prediction}",
+            scaled.check(value << e),
+            lambda: f"{note}: {'occupied' if i < occupied else 'empty'} value"
+                    f" {Fraction(value, 1 << top)} vs {prediction}",
             count,
-        )
-    if summary.empty_boxes:
-        report.record(
-            scaled.check(empty),
-            lambda: f"{note}: empty value {summary.empty_value} vs {prediction}",
-            summary.empty_boxes,
         )
 
 

@@ -98,6 +98,14 @@ def test_level_term_rejects_inadmissible():
         level_term(rt(2), 0, 0, BesovParams(2, 2, 0.9))
 
 
+
+@pytest.mark.parametrize("r", [math.nan, INF, -INF])
+def test_norms_reject_a_non_finite_r(r):
+    assert not validate(BesovParams(2, 2, r)).admissible
+    with pytest.raises(ValueError, match=f"r must be finite, got {r}"):
+        besov_norm_exact(rt(2), BesovParams(2, 2, r))
+
+
 def test_exact_vs_truncated_small_grid():
     worst = 0.0
     for n in (1, 2, 3, 4, 5, 6):
@@ -221,7 +229,10 @@ def test_operand_ignores_the_order_of_its_pairs(params):
     points = rt(8, "random")
     rng = random.Random(8)
     for j1, j2 in ((3, 5), (4, 4), (5, 7), (6, 5), (7, 7)):
-        pairs = list(besov._level_log2s(level_value_counts(points, j1, j2)))
+        summary = level_value_counts(points, j1, j2)
+        nums, counts, top = summary.numerators()
+        pairs = [(besov._log2_abs(num, top), count) for num, count in zip(nums, counts) if num]
+        assert pairs == dyadic_log2s(summary), (j1, j2)
         assert len(pairs) >= 2, (j1, j2)
         expected = besov._operand(j1 + j2, pairs, params)
         orders = [sorted(pairs, reverse=True), sorted(pairs), pairs[::-1]]
@@ -384,10 +395,13 @@ def test_level_numerators_cross_int64():
         for j1 in levels:
             for j2 in levels:
                 summary = level_value_counts(points, j1, j2)
-                nums, top = summary.numerator_array()
-                exact, empty, exact_top = summary.numerators()
-                assert (nums.tolist(), top) == (exact + [empty], exact_top)
-                fits = all(abs(num) < 1 << 62 for num in exact + [empty])
+                nums, counts, top = summary.numerator_array()
+                exact, exact_counts, exact_top = summary.numerators()
+                assert (nums.tolist(), counts, top) == (exact, exact_counts, exact_top)
+                # the occupied values, then the empty value exactly when a box is empty
+                assert len(exact) == len(summary.accs) + (summary.empty_boxes > 0)
+                assert sum(counts) == summary.box_count
+                fits = all(abs(num) < 1 << 62 for num in exact)
                 assert nums.dtype == object or fits
                 paths.add((summary.accs.dtype.name, nums.dtype.name))
                 pairs = dyadic_log2s(summary)

@@ -409,6 +409,32 @@ def test_lp_estimate_rejects_negative_extra_depth(depth):
         lp_estimate(points, 3, extra_depth=depth)
 
 
+
+@pytest.mark.parametrize("integer", [np.int32, np.int64])
+def test_integer_arguments_take_numpy_integers(integer):
+    # p and extra_depth pass operator.index, so a numpy integer is the int
+    points = symmetrize_full(hammersley_type(3, SignPattern.identity(3)))
+    value = lp_exact_even(points, integer(4))
+    assert type(value) is Fraction and value == lp_exact_even(points, 4)
+    assert lp_estimate(points, 3, extra_depth=integer(2)) == lp_estimate(points, 3, extra_depth=2)
+
+
+@pytest.mark.parametrize(
+    "call, error, phrase",
+    [
+        (lambda: l2_warnock(PointMultiset([], resolution=0)), ValueError, "empty point multiset"),
+        (lambda: lp_exact_even(PointMultiset([(0.5, 0.5)]), 4.0), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: lp_estimate(PointMultiset([(0.5, 0.5)]), 3, extra_depth=1.5), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+    ],
+    ids=["l2-empty", "p-float", "extra-depth-float"],
+)
+def test_classical_input_guards(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()
+
+
 def test_star_examples():
     assert star_discrepancy(PointMultiset([(0.5, 0.5)])) == Fraction(3, 4)
     assert star_discrepancy(PointMultiset([(0.0, 0.0)])) == 1

@@ -177,6 +177,13 @@ def test_norm_rejects_inadmissible(capsys):
         main(["norm", "--n", "3", "--p", "2", "--q", "2", "--r", "0.9"])
 
 
+@pytest.mark.parametrize("name", ["bogus", "Norm"])
+def test_run_rejects_an_unknown_subcommand(name):
+    # main's parser passes only known names; run also takes a RunConfig built in code
+    with pytest.raises(SystemExit, match=f"unknown subcommand '{name}'"):
+        run(RunConfig(name))
+
+
 def test_sweep_rows_and_ratio_column(capsys):
     code, out = capture(
         capsys,

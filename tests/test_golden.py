@@ -1,16 +1,20 @@
 """Byte-for-byte golden outputs of every subcommand at small n.
 
 Each case runs the CLI in-process and compares its stdout with
-tests/golden/<case>.<format>, in CSV and in JSON. The files pin the exact
-bytes, including every rendered float of the norm engine, so a rewrite of
-an engine has to reproduce them unchanged.
+tests/golden/<case>.csv, in CSV and in JSON. The JSON form is derived from
+the CSV golden with the standard library, json.dumps of its csv.DictReader
+rows at indent 2, so it shares no code with the CLI's emitter. The files
+pin the exact bytes, including every rendered float of the norm engine,
+so a rewrite of an engine has to reproduce them unchanged.
 
-Regenerate the files only when an output is meant to change:
+Regenerate the files, CSV only, only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import io
+import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -79,21 +83,26 @@ def render(case: str, fmt: str) -> str:
     return out.getvalue()
 
 
-def golden_path(case: str, fmt: str) -> str:
-    return os.path.join(GOLDEN_DIR, f"{case}.{fmt}")
+def golden_path(case: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{case}.csv")
+
+
+def expected(case: str, fmt: str) -> str:
+    with open(golden_path(case), encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    if fmt == "json":
+        return json.dumps(list(csv.DictReader(io.StringIO(text))), indent=2) + "\n"
+    return text
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case, fmt):
-    with open(golden_path(case, fmt), encoding="utf-8", newline="") as handle:
-        expected = handle.read()
-    assert render(case, fmt) == expected
+    assert render(case, fmt) == expected(case, fmt)
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sorted(CASES):
-        for fmt in FORMATS:
-            with open(golden_path(name, fmt), "w", encoding="utf-8", newline="") as handle:
-                handle.write(render(name, fmt))
+        with open(golden_path(name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(render(name, "csv"))

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from dyadisc import (
     BesovParams,
+    CoefficientPrediction,
     HaarIndex,
     PointMultiset,
     SignPattern,
@@ -43,6 +44,7 @@ from dyadisc import (
 )
 from dyadisc import besov
 from dyadisc.haar import (
+    EXACT_ABS,
     _antiderivative_numerator,
     _count_scale,
     _level_row,
@@ -157,6 +159,37 @@ def test_index_fields_must_be_ints():
     assert mu_discrepancy(points, idx) == mu_discrepancy(points, HaarIndex(*fields))
     assert counting_sums(points, *wide) == counting_sums(points, *fields)
     assert axis_factor(np.int64(1), np.int64(1), 0.75) == axis_factor(1, 1, 0.75)
+
+
+def _unknown_summary_attribute():
+    summary = level_value_counts(hammersley_type(2, SignPattern.identity(2)), 0, 0)
+    assert not hasattr(summary, "values")
+    return summary.values
+
+
+@pytest.mark.parametrize(
+    "call, error, phrase",
+    [
+        (_unknown_summary_attribute, AttributeError, "values"),
+        (lambda: CoefficientPrediction("exact", Fraction(0)), ValueError,
+         "unknown prediction kind 'exact'"),
+        (lambda: CoefficientPrediction(EXACT_ABS, Fraction(-1, 4)), ValueError,
+         "magnitude predictions must be nonnegative"),
+        (lambda: low_level_sign(SignPattern.identity(3), 1, 1), ValueError,
+         r"sign law applies to j1, j2 >= 0 with j1 \+ j2 < n - 1"),
+        (lambda: predict_symmetrized(0, HaarIndex(0, 0, 0, 0)), ValueError,
+         "n must be positive"),
+        (lambda: level_counting_sums(hammersley_type(2, SignPattern.identity(2)), 0, 3),
+         ValueError, r"box levels must lie in \[0, 2\]"),
+        (lambda: counting_sums(hammersley_type(2, SignPattern.identity(2)), -1, 0, 0, 0),
+         ValueError, "box levels must be nonnegative"),
+    ],
+    ids=["summary-attribute", "prediction-kind", "prediction-magnitude", "sign-law",
+         "predict-n", "counting-levels", "box-levels"],
+)
+def test_haar_input_guards(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()
 
 
 @pytest.mark.parametrize("z, exact", [

@@ -108,6 +108,34 @@ def test_sign_pattern_validation():
         SignPattern.from_preset("random", 4)  # seed required
 
 
+def _assign_resolution():
+    PointMultiset([(0.5, 0.5)]).n_resolution = 3
+
+
+@pytest.mark.parametrize(
+    "call, error, phrase",
+    [
+        (lambda: SignPattern(0, ()), ValueError, "n must be positive"),
+        (lambda: SignPattern.from_preset("spiral", 3), ValueError,
+         "unknown sigma preset 'spiral'"),
+        (lambda: PointMultiset([], resolution=-1), ValueError,
+         "resolution must be nonnegative"),
+        (_assign_resolution, AttributeError, "PointMultiset is immutable"),
+        (lambda: hammersley_type(0, SignPattern.identity(1)), ValueError, "n must be positive"),
+        (lambda: reflect(PointMultiset([(0.5, 0.5)]), "Z"), ValueError,
+         "axis must be X, Y or XY, got 'Z'"),
+    ],
+    ids=["sign-pattern-n", "preset", "resolution", "immutable", "hammersley-n", "axis"],
+)
+def test_pointsets_input_guards(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()
+
+
+def test_repr_names_size_and_resolution():
+    assert repr(PointMultiset([(0.5, 0.25), (0, 1)])) == "PointMultiset(N=2, resolution=2)"
+
+
 @pytest.mark.parametrize("n", [60, 62, 63, 64, 70])
 def test_point_sets_past_numpy_raise_memory_error(n):
     # 2^n int64 entries exceed numpy's largest array from n = 60 on a 64-bit

@@ -233,3 +233,14 @@ def test_error_table_guards():
         family_integral("symmetrized", sigma("identity", 2), bare)
     with pytest.raises(ValueError):
         family_integral("lattice", sigma("identity", 2), corner_product(1, 1))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [corner_product(1, 1), Integrand(name="cosine", kind=CUSTOM, func=lambda x, y: math.cos(x))],
+    ids=["exact", "float"],
+)
+def test_qmc_integrate_rejects_an_empty_multiset(f):
+    # before either route: the exact orbit sum and the float average
+    with pytest.raises(ValueError, match="empty point multiset"):
+        qmc_integrate(PointMultiset([], resolution=0), f)
