@@ -18,7 +18,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .pointsets import PointMultiset, _as_dyadic, _exact, _pow2_log
+from .pointsets import PointMultiset, _as_dyadic, _exact
 
 __all__ = [
     "local_discrepancy",
@@ -39,7 +39,6 @@ def local_discrepancy(points: PointMultiset, t) -> Fraction:
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
-    nu = _pow2_log(n)
     t1, t2 = (_as_dyadic(c) for c in t)
     for c in (t1, t2):
         if c < 0 or c > 1:
@@ -47,7 +46,7 @@ def local_discrepancy(points: PointMultiset, t) -> Fraction:
     bounds = (_strict_bound(t, points.n_resolution) for t in (t1, t2))
     below = [np.sum([k < b for k in orbit], axis=0, dtype=np.int64)
              for orbit, b in zip(points.axis_orbits(), bounds)]
-    return Fraction(int(np.dot(*below)), 1 << nu) - t1 * t2
+    return Fraction(int(np.dot(*below)), n) - t1 * t2
 
 
 def _strict_bound(t: Fraction, res: int) -> int:
@@ -74,9 +73,14 @@ def _count_rows(
     block[a - a0, b] = #{z : x_z <= xs[a], y_z <= ys[b]}; on the open cell
     right of breaks (a, b) the counting part of the local discrepancy equals
     that count / N. A block holds at most _BLOCK_BYTES (and at least one
-    row). Every block is a view of one buffer, so the next block overwrites
-    it; a consumer may overwrite it too, as the sweep carries a copy of its
-    last row.
+    row), and is a fresh array that the consumer owns and may overwrite: the
+    sweep carries a copy of its last row.
+
+    A block's rows step up only at the y columns of the points it holds, a
+    few per x break. So each block is summed over a narrow table with one
+    column per such column (and one before them), along both axes, and
+    widened to full rows by repeating each table column over the y breaks
+    it spans; no pass runs along a full row but the widening and the carry.
     """
     if len(points) == 0:
         raise ValueError("empty point multiset")
@@ -92,21 +96,19 @@ def _count_rows(
     height = min(cells, max(1, _BLOCK_BYTES // (8 * width)))
 
     def blocks():
-        # a fresh array per block would be paged in anew whenever the
-        # allocator has returned the last one to the system
-        buf = np.empty((height, width), dtype=np.int64)
         carry = np.zeros(width, dtype=np.int64)
         for a0 in range(0, cells, height):
             a1 = min(a0 + height, cells)
-            block = buf[: a1 - a0]
-            block.fill(0)
             lo, hi = np.searchsorted(keys, (a0 * width, a1 * width)).tolist()
-            block.reshape(-1)[keys[lo:hi] - a0 * width] = hits[lo:hi]
-            np.cumsum(block, axis=1, out=block)
-            # running sum over the rows: cumsum(axis=0) walks the block strided
-            block[0] += carry
-            for prev, row in zip(block, block[1:]):
-                row += prev
+            rows, cols = np.divmod(keys[lo:hi] - a0 * width, width)
+            steps, col = np.unique(cols, return_inverse=True)
+            # table column j + 1 takes y break steps[j]; column 0, the breaks before steps[0]
+            small = np.zeros((a1 - a0, len(steps) + 1), dtype=np.int64)
+            small[rows, col + 1] = hits[lo:hi]
+            np.cumsum(small, axis=1, out=small)
+            np.cumsum(small, axis=0, out=small)
+            block = np.repeat(small, np.diff(steps, prepend=0, append=width), axis=1)
+            block += carry
             carry = block[-1].copy()
             yield a0, block
 
@@ -334,13 +336,16 @@ def lp_estimate(points: PointMultiset, p: float, extra_depth: int = 4) -> Tuple[
     # the midpoint rows of x cell a are stops[a] .. stops[a + 1] - 1
     stops = np.searchsorted(mids, xb).tolist()
     height = max(1, _BLOCK_BYTES // (8 * side))
+    # one buffer for every chunk of midpoint rows
+    buf = np.empty((height, side), dtype=np.float64)
     total = 0.0
     inv_n = 1.0 / n
     for a0, block in blocks:
         for a, row in enumerate(block, a0):
             c_row = row[bi] * inv_n
             for r in range(stops[a], stops[a + 1], height):
-                t = np.multiply.outer(mids[r : min(r + height, stops[a + 1])], mids)
+                chunk = mids[r : min(r + height, stops[a + 1])]
+                t = np.multiply.outer(chunk, mids, out=buf[: len(chunk)])
                 np.abs(np.subtract(c_row, t, out=t), out=t)
                 t **= p
                 # plain float adds: sum() compensates its float sums from Python 3.12
@@ -364,7 +369,6 @@ def star_discrepancy(points: PointMultiset) -> Fraction:
     n = len(points)
     res = points.n_resolution
     xs, ys, blocks = _count_rows(points)
-    nu = _pow2_log(n)
     # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|,
     # bounded by N 2^(2 res): the breaks and the counts take that bound
     dtype = _exact(2 * res, n)
@@ -372,12 +376,17 @@ def star_discrepancy(points: PointMultiset) -> Fraction:
     ys = ys.astype(dtype, copy=False)
     scale = 1 << (2 * res)
     best = 0
+    # one buffer for the candidates: the first block is the tallest
+    buf = None
     for a0, block in blocks:
         a1 = a0 + len(block)
+        # the object route casts before it scales: an int64 product could wrap
         counts = block[:, :-1].astype(dtype, copy=False)
         counts *= scale
-        work = np.multiply.outer(nx[a0:a1], ys[:-1])
+        if buf is None:
+            buf = np.empty(counts.shape, dtype=dtype)
+        work = np.multiply.outer(nx[a0:a1], ys[:-1], out=buf[: len(block)])
         best = max(best, int(np.subtract(counts, work, out=work).max()))
         np.multiply.outer(nx[a0 + 1 : a1 + 1], ys[1:], out=work)
         best = max(best, int(np.subtract(work, counts, out=work).max()))
-    return Fraction(best, 1 << (2 * res + nu))
+    return Fraction(best, n << 2 * res)

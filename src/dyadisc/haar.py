@@ -362,7 +362,7 @@ def _scan_level(
     res = points.n_resolution
     mirrored = tuple(r and j > 0 for r, j in zip(points._reflected, (j1, j2)))
     if j1 >= res or j2 >= res:
-        empty = points.axis_orbits()[0][0][:0]
+        empty = points._base[0][:0]
         return empty, empty, mirrored
     m1, ky, n1 = _level_row(points, j1)
     n2, m2 = _tents(ky, j2, res, points._reflected[1])

@@ -1,5 +1,6 @@
 """Classical discrepancy norms against brute-force oracles."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -491,6 +492,23 @@ def test_star_against_brute_fine_resolution(res):
         assert lp_exact_even(points, 6) == brute_lp_even(points, 6)
 
 
+def test_star_and_local_discrepancy_take_any_cardinality():
+    # the count fraction c/N needs no power of two N
+    three = PointMultiset([(0.25, 0.5), (0.5, 0.75), (0.75, 0.25)])
+    assert star_discrepancy(three) == Fraction(7, 16)
+    assert local_discrepancy(three, (0.5, 0.75)) == Fraction(-1, 24)
+    rng = random.Random(3)
+    for size in (3, 5, 6, 7):
+        for res in (1, 2, 3, 30):
+            for points in (random_multiset(rng, size, res),
+                           symmetrize_full(random_multiset(rng, size, res))):
+                assert star_discrepancy(points) == brute_star(points)
+                full = 2 << res  # anchors one level finer than the points
+                for _ in range(8):
+                    t1, t2 = Fraction(rng.randint(0, full), full), Fraction(rng.randint(0, full), full)
+                    assert local_discrepancy(points, (t1, t2)) == brute_local(points, t1, t2)
+
+
 @pytest.mark.parametrize("res", [29, 30, 31])
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_star_takes_its_own_bound(symmetrize, res):
@@ -582,15 +600,61 @@ def block_budgets(points):
     return {1: row_bytes, 3: 3 * row_bytes + row_bytes // 2, len(xs) - 1: len(xs) * row_bytes}
 
 
+def awkward_multisets(rng, res):
+    """Seeded multisets at resolution res >= 2 that stress the block step of _count_rows.
+
+    Repeated points; a crowded x break with a point on every y break, so
+    that a block's distinct columns reach the row width; coordinates 0 and
+    1 on both axes; a set with no point on x = 0, whose first one-row block
+    holds no point; and a set on x = 1 only, whose one block holds none.
+    """
+    full = 1 << res
+
+    def inner():
+        return Fraction(rng.randint(1, full - 1), full)
+
+    base = [(inner(), inner()) for _ in range(rng.randint(2, 6))]
+    ys = sorted({y for _, y in base} | {Fraction(0), Fraction(1)})
+    crowded_x = rng.choice(base)[0]
+    sets = [
+        base + rng.choices(base, k=4),
+        base + [(crowded_x, y) for y in ys],
+        base + [(0, 0), (0, 1), (1, 0), (1, 1), (0, inner()), (inner(), 1)] * 2,
+        base,
+        [(1, inner()) for _ in range(3)],
+    ]
+    return [PointMultiset(points, resolution=res) for points in sets]
+
+
 def sweep_cases():
     for family in ("hammersley", "davenport", "symmetrized"):
         for n in (1, 3, 5):
             for preset in PRESETS:
                 yield build_family(family, n, sigma(preset, n))
+    rng = random.Random(5)
+    for res in (2, 3, 5):
+        yield from awkward_multisets(rng, res)
+
+
+def test_awkward_multisets_have_their_features():
+    for res in (2, 3, 5, 29):
+        full = 1 << res
+        repeated, crowded, corners, inner, at_one = (
+            [tuple(k.tolist()) for k in points.scaled_coords()]
+            for points in awkward_multisets(random.Random(res), res)
+        )
+        assert len(set(zip(*repeated))) < len(repeated[0])
+        # one x break holds a point on every y break, 0 and 1 included
+        xs, ys = crowded
+        columns = {x: {y for x2, y in zip(xs, ys) if x2 == x} for x in xs}
+        assert max(map(len, columns.values())) == len(set(ys) | {0, full})
+        assert all({0, full} <= set(k) for k in corners)
+        assert 0 not in inner[0] and set(at_one[0]) == {full}
 
 
 def test_count_blocks_match_the_row_sweep(monkeypatch):
-    for points in sweep_cases():
+    fine = (points for res in range(29, 35) for points in awkward_multisets(random.Random(res), res))
+    for points in itertools.chain(sweep_cases(), fine):
         xs, ys, rows = row_sweep(points)
         expected = np.array(list(rows))
         for height, budget in block_budgets(points).items():
@@ -643,9 +707,10 @@ def test_block_edges_keep_star_past_its_guard(res, monkeypatch):
     # the resolutions of test_star_against_brute_fine_resolution, where the
     # candidates leave int64 for Python ints
     rng = random.Random(res)
-    for _ in range(12):
-        points = random_multiset(rng, rng.choice((2, 4, 8)), res)
+    cases = [random_multiset(rng, rng.choice((2, 4, 8)), res) for _ in range(12)]
+    for points in cases + awkward_multisets(rng, res):
         star = reference_star(points)
+        assert star == brute_star(points)
         for budget in block_budgets(points).values():
             monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
             assert star_discrepancy(points) == star

@@ -674,6 +674,26 @@ def test_levels_past_the_resolution_skip_grouping(symmetrize, res):
         level_value_counts(points, -2, res)
 
 
+@pytest.mark.parametrize("symmetrize", [symmetrize_davenport, symmetrize_full])
+@pytest.mark.parametrize("res", [4, 62])
+def test_levels_past_the_resolution_build_no_orbits(symmetrize, res, monkeypatch):
+    # an empty level slices the base: the reflected orbits, 2^res - k over
+    # every base point, are not built just to be sliced empty
+    points = symmetrize(random_multiset(random.Random(res), res, 8))
+    base_dtype = points._base[0].dtype
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("axis_orbits called for an empty level")
+
+    monkeypatch.setattr(PointMultiset, "axis_orbits", refuse)
+    for j1 in range(res, res + 3):
+        for j2 in range(-1, res + 3):
+            for level in ((j1, j2), (j2, j1)):
+                keys, sums, _ = _scan_level(points, *level)
+                assert len(keys) == len(sums) == 0, level
+                assert keys.dtype == sums.dtype == base_dtype, level
+
+
 def interior(k, j, res):
     """Whether grid coordinate k is strictly inside its tent on level j (below 1 on level -1)."""
     if j == -1:
