@@ -24,7 +24,8 @@ without sorting again. One LevelSummary holds a level's scan and reads it
 by value, for the norms and checks, or by position, for grids and dumps;
 level_value_counts and mu_all_at_level are one function that builds it
 afresh on each call. Fraction values are built only when a caller
-reads them, and a multiset caches only its latest sorted row.
+reads them, and a multiset caches only its latest sorted row of the level
+scans and its latest sorted row of the counting sums.
 
 Every route sums over the base's reflection orbits (PointMultiset.axis_orbits);
 only level_counting_sums builds a union. The level scans fold each orbit to
@@ -468,7 +469,7 @@ def level_value_counts(points: PointMultiset, j1: int, j2: int) -> LevelSummary:
     """The LevelSummary of one level, scanned afresh on each call.
 
     No summary is kept: a norm reads each level once, and only the latest
-    sorted row stays in points._cache. mu_all_at_level is the same function.
+    sorted row of the scans stays in points._cache. mu_all_at_level is the same function.
     """
     return LevelSummary(j1, j2, *_scan_level(points, j1, j2), _count_scale(points))
 
@@ -654,7 +655,8 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     2^(res-j1-1), the y-sums scaled by 2^(res-j2-1), and the product sums
     scaled by the product of the two. The three share one key array: the
     ascending keys m1 * 2^j2 + m2 of the boxes that hold a point with both
-    coordinates below 1. A box whose points all sit on tent edges is listed
+    coordinates below 1, grouped from the j1 row of _counting_row, sorted
+    once for every j2. A box whose points all sit on tent edges is listed
     with sum 0. A tent is zero off the open interval, so each sum gates its
     own coordinates strictly and the others by the half-open box, as
     counting_sums describes. Levels must lie in [0, resolution].
@@ -662,16 +664,36 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     res = points.n_resolution
     if not (0 <= j1 <= res and 0 <= j2 <= res):
         raise ValueError(f"box levels must lie in [0, {res}]")
-    # tent products and their box sums over the N points: _exact(2 res, N)
+    m1, ky, nx = _counting_row(points, j1)
+    ny, m2 = _tents(ky, j2, res)
+    # the unsigned tents, and their product, which is that of the signed ones
+    keys, sums = _group_sums((m1 << j2) + m2, np.stack((-nx, -ny, nx * ny)))
+    return tuple((keys, row) for row in sums)
+
+
+def _counting_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions m1, y-coordinates and signed x-tents of one j1 row of the union, sorted.
+
+    Takes every point of the union with both coordinates below 1, cast to
+    _exact(2 res, N), the bound of the tent products and their box sums,
+    and orders them by (m1, ky) with one stable argsort of the key
+    (m1 << res) + ky: ky < 2^res and m1 < 2^res, so the key is below
+    2^(2 res), in the same dtype. Every j2 of the row then finds its box
+    keys m1 * 2^j2 + (ky >> (res - j2)) already non-decreasing. As in
+    _level_row, only the latest row is cached, so memory stays O(N).
+    """
+    cached = points._cache.get("counting_row")
+    if cached is not None and cached[0] == j1:
+        return cached[1]
+    res = points.n_resolution
     kx, ky = (k.astype(_exact(2 * res, len(points)), copy=False) for k in points.scaled_coords())
     inside = (kx < 1 << res) & (ky < 1 << res)  # coordinate 1 lies in no half-open box
-    nx, m1 = _tents(kx[inside], j1, res)
-    ny, m2 = _tents(ky[inside], j2, res)
-    keys = (m1 << j2) + m2
-    order = np.argsort(keys, kind="stable")
-    # the unsigned tents, and their product, which is that of the signed ones
-    keys, sums = _group_sums(keys[order], np.stack((-nx, -ny, nx * ny))[:, order])
-    return tuple((keys, row) for row in sums)
+    kx, ky = kx[inside], ky[inside]
+    nx, m1 = _tents(kx, j1, res)
+    order = np.argsort((m1 << res) + ky, kind="stable")
+    row = (m1[order], ky[order], nx[order])
+    points._cache["counting_row"] = (j1, row)
+    return row
 
 
 def counting_sums(

@@ -153,7 +153,9 @@ class PointMultiset:
 
     The entry order is the generation order, which makes every floating
     accumulation downstream deterministic. Instances are immutable; a small
-    cache dict holds only the latest sorted level row (see haar._level_row).
+    cache dict holds only the latest sorted row of the level scans and the
+    latest sorted row of the counting sums (see haar._level_row and
+    haar._counting_row), each replaced on the next j1.
 
     A multiset holds its base coordinate arrays, _base, and the axes its
     union reflects, _reflected (x, y): it is the base followed by the

@@ -3,9 +3,10 @@
 Each suite rebuilds its point set from (n, sign pattern), computes every
 Haar coefficient in scope through the level-scan engine, and compares with
 the closed-form predictions at zero tolerance. Coefficients are covered
-sparsely but completely: positions hit by points are checked one by one,
-and all remaining positions of a level share a single provable value, so
-one comparison covers them all.
+sparsely but completely: the prediction is brought to the integer units of
+the level scan's sums once per level, the positions hit by points are
+checked together by one mask over those sums, and all remaining positions
+of a level share a single provable value, so one comparison covers them all.
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Tuple, Union
 
+import numpy as np
+
 from .haar import (
     ABS_UPPER_BOUND,
+    EXACT_ABS,
+    EXACT_VALUE,
     CoefficientPrediction,
     HaarIndex,
+    _value_scale,
     level_counting_sums,
     level_value_counts,
     low_level_sign,
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 _EXTRA_LEVELS = 2  # levels past n that the coefficients suite checks on each axis
+_INT64_MIN, _INT64_MAX = (int(v) for v in (np.iinfo(np.int64).min, np.iinfo(np.int64).max))
 
 
 @dataclass
@@ -69,25 +76,71 @@ class CheckReport:
         return self.failures == 0
 
 
+def _sum_ranges(prediction: CoefficientPrediction, shift: int, empty: int,
+                top: int) -> List[Tuple[int, int]]:
+    """The values a prediction admits, as inclusive ranges of a level's integer sums.
+
+    A sum s stands for the value ((s << shift) + empty) / 2^top (see
+    haar._value_scale). The prediction admits the value t itself, +-t or
+    [-t, t]; with t 2^top = p / q each such [a, b] reads
+    (a - empty q) / (q 2^shift) <= s <= (b - empty q) / (q 2^shift), and its
+    ends are taken as exact integer ceiling and floor. A target off the
+    level's grid leaves an empty range, which is dropped.
+    """
+    t = prediction.value
+    p, q = t.numerator << top, t.denominator
+    if prediction.kind == EXACT_VALUE:
+        bounds = {(p, p)}
+    elif prediction.kind == EXACT_ABS:
+        bounds = {(p, p), (-p, -p)}
+    else:
+        bounds = {(-p, p)}
+    d, base = q << shift, empty * q
+    ranges = [(-((base - a) // d), (b - base) // d) for a, b in bounds]
+    return [(lo, hi) for lo, hi in ranges if lo <= hi]
+
+
 def _level_matches(report: CheckReport, summary, prediction, note: str):
     """Compare every coefficient of a level against one prediction.
 
-    check only compares by ==, abs and <=, so it reads the same on the
-    values and the prediction brought to one scale 2^(top + e): the value
-    num / 2^top as num << e, the prediction a / 2^e as a << top. The level's
-    values come occupied first, then the empty value.
+    One mask over the scan's own sums, in their dtype, against the
+    prediction's ranges from _sum_ranges; the empty value is the sum 0 of
+    those ranges, checked on Python ints. On int64 sums a range is clipped
+    to int64 first, and one wholly past it dropped, so no Python int beyond
+    int64 meets an int64 array. A folded sum counts 2^(mirrored axes) boxes.
+    Only failing sums are grouped, by np.unique, for their notes: ascending
+    occupied values, then the empty value.
     """
-    target = prediction.value
-    e = target.denominator.bit_length() - 1
-    nums, counts, top = summary.numerators()
-    scaled = CoefficientPrediction(prediction.kind, target.numerator << top)
-    occupied = len(summary.accs)
-    for i, (value, count) in enumerate(zip(nums, counts)):
+    shift, empty, top = _value_scale(summary.j1, summary.j2, summary.scale)
+    ranges = _sum_ranges(prediction, shift, empty, top)
+    sums = summary.sums
+    if sums.size:
+        scan_ranges = ranges
+        if sums.dtype != object:
+            scan_ranges = [(max(lo, _INT64_MIN), min(hi, _INT64_MAX)) for lo, hi in ranges
+                           if lo <= _INT64_MAX and hi >= _INT64_MIN]
+        ok = np.zeros(sums.shape, bool)
+        for lo, hi in scan_ranges:
+            ok |= (sums == lo) if lo == hi else (sums >= lo) & (sums <= hi)
+        if ok.all():
+            report.record(True, count=summary.occupied_boxes)
+        else:
+            mirror = sum(summary.mirrored)
+            failing = sums[~ok]
+            report.record(True, count=(len(sums) - len(failing)) << mirror)
+            accs, counts = np.unique(failing, return_counts=True)
+            for acc, count in zip(accs.tolist(), counts.tolist()):
+                report.record(
+                    False,
+                    lambda: f"{note}: occupied value"
+                            f" {Fraction((acc << shift) + empty, 1 << top)} vs {prediction}",
+                    count << mirror,
+                )
+    if summary.empty_boxes:
         report.record(
-            scaled.check(value << e),
-            lambda: f"{note}: {'occupied' if i < occupied else 'empty'} value"
-                    f" {Fraction(value, 1 << top)} vs {prediction}",
-            count,
+            any(lo <= 0 <= hi for lo, hi in ranges),
+            lambda: f"{note}: empty value {Fraction(empty, 1 << top)} vs {prediction}",
+            summary.empty_boxes,
         )
 
 

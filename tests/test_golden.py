@@ -65,6 +65,8 @@ CASES = {
     "coeffs-davenport": ["coeffs", "--family", "davenport", "--n", "4", "--jmax", "4",
                          "--sigma", "random", "--seed", "2"],
     "verify": ["verify", "--n", "1", "--n-max", "4", "--sigma", "all", "--seed", "5"],
+    # perfbench's verify-exact op: pins the checked count of every suite up to n = 10
+    "verify-n10": ["verify", "--n", "1", "--n-max", "10", "--sigma", "all", "--seed", "1"],
     "qmc-corner": ["qmc", "--family", "davenport", "--n", "2", "--n-max", "7",
                    "--integrand", "corner:2,3"],
     "qmc-monomial": ["qmc", "--n", "1", "--n-max", "5", "--sigma", "random", "--seed", "9",

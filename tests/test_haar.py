@@ -1096,3 +1096,36 @@ def test_counting_sums_take_their_own_bound(symmetrize, res):
             assert [(k.tolist(), v.tolist()) for k, v in level] == \
                 [(k.tolist(), v.tolist()) for k, v in expected], (j1, j2)
             assert {v.dtype for _, v in level} == {np.dtype(_exact(2 * res, len(points)))}
+
+
+def test_counting_rows_follow_interleaved_calls(monkeypatch):
+    # each multiset caches one sorted counting row, kept apart from the level
+    # scans' row and replaced on the next j1; j1 orders (2, 0, 2, 1), switching
+    # between two multisets, give the sums of a freshly built multiset, and
+    # each row is sorted once for all of its j2
+    rng = random.Random(11)
+    res = 6
+    sets = [random_multiset(rng, res, 32), symmetrize_full(random_multiset(rng, res, 8))]
+    sorts = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    for j1 in (2, 0, 2, 1):
+        for points in sets:
+            fresh = PointMultiset._from_scaled(*points._base, res, points._reflected)
+            assert summary_fields(level_value_counts(points, j1, 1)) == \
+                summary_fields(level_value_counts(fresh, j1, 1))
+            before = len(sorts)
+            for j2 in (0, 1, 3, res):
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "argsort", spy)
+                    level = level_counting_sums(points, j1, j2)
+                expected = level_counting_sums(fresh, j1, j2)
+                assert [(k.tolist(), v.tolist()) for k, v in level] == \
+                    [(k.tolist(), v.tolist()) for k, v in expected], (j1, j2)
+            assert len(sorts) - before == 1
+            assert set(points._cache) == {"row", "counting_row"}
+            assert points._cache["counting_row"][0] == points._cache["row"][0] == j1

@@ -1,15 +1,36 @@
 """The exact-identity suites pass on honest inputs and catch corruption."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadisc import SignPattern
 from dyadisc import verify
 from dyadisc.cli import main
-from dyadisc.haar import ABS_UPPER_BOUND, EXACT_VALUE, CoefficientPrediction
+from dyadisc.haar import (
+    ABS_UPPER_BOUND,
+    EXACT_ABS,
+    EXACT_VALUE,
+    CoefficientPrediction,
+    HaarIndex,
+    LevelSummary,
+    _value_scale,
+    level_value_counts,
+    predict_davenport,
+    predict_symmetrized,
+)
+from dyadisc.pointsets import (
+    FAMILIES,
+    SIGMA_PRESETS,
+    PointMultiset,
+    build_family,
+    symmetrize_full,
+)
 from dyadisc.verify import (
     SUITES,
+    CheckReport,
     check_counting_sums,
     check_davenport_rows,
     check_net_property,
@@ -18,6 +39,7 @@ from dyadisc.verify import (
 )
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
+INT64_MIN, INT64_MAX = (int(v) for v in (np.iinfo(np.int64).min, np.iinfo(np.int64).max))
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -121,3 +143,160 @@ def test_run_suites_aggregates():
     reports = run_suites(1, 3, ("identity", "alternating"))
     assert len(reports) == 3 * 2 * len(SUITES)
     assert all(r.passed for r in reports)
+
+
+# -- the level check against its per-value reference ------------------------------
+
+
+def reference_level_matches(report, summary, prediction, note):
+    """Compare every distinct value of a level with the prediction, one by one.
+
+    check only compares by ==, abs and <=, so it reads the same on the
+    values and the prediction brought to one scale 2^(top + e): the value
+    num / 2^top as num << e, the prediction a / 2^e as a << top. The level's
+    values come occupied first, then the empty value.
+    """
+    target = prediction.value
+    e = target.denominator.bit_length() - 1
+    nums, counts, top = summary.numerators()
+    scaled = CoefficientPrediction(prediction.kind, target.numerator << top)
+    occupied = len(summary.accs)
+    for i, (value, count) in enumerate(zip(nums, counts)):
+        report.record(
+            scaled.check(value << e),
+            lambda: f"{note}: {'occupied' if i < occupied else 'empty'} value"
+                    f" {Fraction(value, 1 << top)} vs {prediction}",
+            count,
+        )
+
+
+def _report_fields(check, summary, prediction):
+    report = CheckReport("level", 0, "test")
+    check(report, summary, prediction, "level")
+    return report.checked, report.failures, report.notes
+
+
+def assert_same_report(summary, prediction):
+    """The vectorised check and the per-value reference give one CheckReport."""
+    fast = _report_fields(verify._level_matches, summary, prediction)
+    assert fast == _report_fields(reference_level_matches, summary, prediction), (
+        summary.j1, summary.j2, prediction)
+    return fast
+
+
+def perturbed_predictions(summary, targets):
+    """Each kind at every target, one grid unit of the level above and below it,
+    and half a unit above it, off the level's grid."""
+    top = _value_scale(summary.j1, summary.j2, summary.scale)[2]
+    unit = Fraction(1, 1 << top)
+    for target in targets:
+        for value in (target, target + unit, target - unit, target + unit / 2):
+            yield CoefficientPrediction(EXACT_VALUE, value)
+            if value >= 0:
+                yield CoefficientPrediction(EXACT_ABS, value)
+                yield CoefficientPrediction(ABS_UPPER_BOUND, value)
+
+
+def level_targets(summary):
+    """The level's own extreme values, its empty value, their magnitudes and 0."""
+    values = [summary.empty_value, Fraction(0)]
+    occupied = summary.occupied_values
+    if occupied:
+        values += [occupied[0][0], occupied[-1][0]]
+    return set(values) | {abs(v) for v in values}
+
+
+def true_predictions(family, n, sigma, j1, j2):
+    """The suites' predictions of a level: the symmetrized family's on every level,
+    and on the davenport family's (-1, k) rows with k < n, its own."""
+    idx = HaarIndex(j1, j2, 0, 0)
+    if family == "davenport" and j1 == -1 and j2 < n:
+        return [predict_davenport(n, sigma, idx)]
+    return [predict_symmetrized(n, idx, sigma)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_level_check_matches_reference(family):
+    # every level of the family at n <= 6 under the suites' predictions, which
+    # the other two families miss on many levels, and at n <= 3 also under
+    # perturbed ones; on the reflected axes one failing folded sum counts 2 or
+    # 4 boxes
+    mirrored_failures = set()
+    for n in range(1, 7):
+        for preset in ("identity", "random"):
+            sigma = SignPattern.from_preset(preset, n, seed=3)
+            points = build_family(family, n, sigma)
+            for j1 in range(-1, n + 3):
+                for j2 in range(-1, n + 3):
+                    summary = level_value_counts(points, j1, j2)
+                    predictions = true_predictions(family, n, sigma, j1, j2)
+                    if n <= 3:
+                        predictions += perturbed_predictions(
+                            summary, level_targets(summary) | {predictions[0].value})
+                    for prediction in predictions:
+                        _, failures, _ = assert_same_report(summary, prediction)
+                        if failures and summary.sums.size:
+                            mirrored_failures.add(sum(summary.mirrored))
+    assert mirrored_failures == {
+        "hammersley": {0}, "davenport": {0, 1}, "symmetrized": {0, 1, 2}}[family]
+
+
+class GuardedSums(np.ndarray):
+    """An int64 sums array that fails on a comparison with an int past int64."""
+
+    def _guarded(name):
+        def compare(self, other):
+            if isinstance(other, int) and not INT64_MIN <= other <= INT64_MAX:
+                raise AssertionError(f"int64 sums compared with {other}")
+            return getattr(np.asarray(self), name)(other)
+        return compare
+
+    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(
+        _guarded, ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"))
+
+
+@pytest.mark.parametrize("res", [31, 33])
+def test_level_check_matches_reference_past_int64(res):
+    # a full symmetrization at res >= 31: sums in Python ints on the low
+    # levels and int64 above them. The targets +-1 and +-2^70 lie far past
+    # int64 in sum units; on int64 sums they are clipped or dropped, never
+    # compared, as numpy 1.24 and numpy 2 compare such ints differently
+    rng = random.Random(res)
+    base = PointMultiset._from_scaled(
+        [rng.randrange(1 << res) for _ in range(8)],
+        [rng.randrange(1 << res) for _ in range(8)], res)
+    points = symmetrize_full(base)
+    dtypes = set()
+    for j1, j2 in ((-1, -1), (-1, 0), (0, 0), (0, 3), (1, 1), (2, 3), (5, 7), (res - 1, 2)):
+        summary = level_value_counts(points, j1, j2)
+        dtypes.add(summary.sums.dtype)
+        if summary.sums.dtype == np.int64:
+            summary.sums = summary.sums.view(GuardedSums)
+            unit_bound = CoefficientPrediction(ABS_UPPER_BOUND, Fraction(1))
+            scale = _value_scale(j1, j2, summary.scale)
+            [(lo, hi)] = verify._sum_ranges(unit_bound, *scale)
+            assert lo < INT64_MIN and hi > INT64_MAX, (j1, j2)
+        targets = level_targets(summary) | {Fraction(1), Fraction(1 << 70)}
+        for prediction in perturbed_predictions(summary, targets):
+            assert_same_report(summary, prediction)
+    assert dtypes == {np.dtype(object), np.dtype(np.int64)}
+
+
+def test_passing_run_builds_no_per_value_objects(monkeypatch):
+    # a passing level reads the scan's sums only: no value view of the
+    # summary, and no Fraction built inside verify
+    def no_fraction(*args):
+        raise AssertionError(f"verify built Fraction{args}")
+
+    monkeypatch.setattr(verify, "Fraction", no_fraction)
+    views = []
+    view = LevelSummary.__getattr__
+
+    def spy(summary, name):
+        views.append(name)
+        return view(summary, name)
+
+    monkeypatch.setattr(LevelSummary, "__getattr__", spy)
+    reports = run_suites(1, 8, SIGMA_PRESETS)
+    assert all(report.passed for report in reports)
+    assert views == []
