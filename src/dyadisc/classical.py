@@ -4,7 +4,10 @@ The counting part of the local discrepancy is constant on the open cells of
 the grid spanned by the point coordinates, which turns each norm into a
 finite exact computation: a pair-sum identity for the squared L2 norm, per
 cell binomial integration for even powers, and corner candidates with
-one-sided limits for the supremum. Every value is returned as a Fraction:
+one-sided limits for the supremum. The L2 pair sum is a digit transfer
+(pointsets._hammersley_pair_sum) when the base is a Hammersley-type set,
+as in every build_family set, and a dominance sum over the base points
+otherwise. Every value is returned as a Fraction:
 L2 and L_p values are honest rationals (the volume term integrates to
 ninths); the supremum and pointwise values are dyadic.
 """
@@ -18,7 +21,13 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .pointsets import PointMultiset, _as_dyadic, _exact
+from .pointsets import (
+    PointMultiset,
+    _as_dyadic,
+    _exact,
+    _hammersley_sigma,
+    _hammersley_pair_sum,
+)
 
 __all__ = [
     "local_discrepancy",
@@ -122,42 +131,72 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     """Exact integral of the squared local discrepancy.
 
     1/9 - (2/N) sum_z prod (1 - z_i^2)/2 + (1/N^2) sum_{z,z'} prod
-    (1 - max(z_i, z_i')); the double sum runs over
-    min(1-x, 1-x') min(1-y, 1-y') and is evaluated as a dominance sum in
-    O(M log M) exact integer array passes over the M base points.
+    (1 - max(z_i, z_i')). Both sums factor over the axes, so they run over
+    the base's orbits (PointMultiset.axis_orbits); at scale R = 2^res the
+    single sum is `_single_sum`, an O(M) pass over the M base points.
 
-    Both sums factor over the axes, so they run over the base's orbits
-    (PointMultiset.axis_orbits). At scale R = 2^res a single factor is the
-    orbit sum of R^2 - k^2. On a reflected axis the four pairs from the
-    orbits of k and k' give sum min(u, u') = R + 2 min(f, f') =
-    2 min(R/2 + f, R/2 + f'), for u = R - k and f the orbit's minimum. So
-    the pair sum is one `_min_product_pair_sum` over the base, of R/2 + f on
-    a reflected axis and R - k on a plain one, times 2 per reflected axis;
-    every input is at most R, in _exact(2 res, M). R/2 needs res >= 1, so a
-    base at resolution 0 is lifted to resolution 1 first (k -> 2k in each orbit).
+    The pair sum takes one of two routes, chosen from the base arrays
+    alone. A base that is hammersley_type(n, sigma) entry for entry, as in
+    every build_family set (pointsets._hammersley_sigma, an O(M) check),
+    takes pointsets._hammersley_pair_sum: a transfer over the n digits in
+    Python ints. Every other base takes `_dominance_pair_sum`, O(M log M)
+    exact integer array passes, which stays the transfer's test oracle.
     """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
+    full = 1 << points.n_resolution
+    sigma = _hammersley_sigma(points)
+    pair = (_dominance_pair_sum(points) if sigma is None
+            else _hammersley_pair_sum(sigma, points._reflected))
+    return (
+        Fraction(1, 9)
+        - Fraction(_single_sum(points), 2 * n * full**4)
+        + Fraction(pair, n * n * full * full)
+    )
+
+
+def _single_sum(points: PointMultiset) -> int:
+    """Sum over the union of prod over the axes of (R^2 - k^2), R = 2^res.
+
+    A base point's factor on an axis is the sum over its orbit, at most two
+    terms of at most 2^(2 res), in _exact(2 res, 2); only the products
+    need Python ints. A Python int and its pointer take about 40 bytes, so
+    the base is read in chunks of _BLOCK_BYTES / 128 points, and the two
+    factors of one chunk as Python ints stay within _BLOCK_BYTES.
+    """
+    res = points.n_resolution
+    sq = 1 << (2 * res)
+    dtype = _exact(2 * res, 2)
+    step = _BLOCK_BYTES // 128
+    total = 0
+    for i in range(0, len(points._base[0]), step):
+        orbits = points.axis_orbits(dtype, slice(i, i + step))
+        total += int(np.dot(*(sum(sq - k * k for k in orbit).astype(object) for orbit in orbits)))
+    return total
+
+
+def _dominance_pair_sum(points: PointMultiset) -> int:
+    """Sum over ordered pairs of union points of prod over the axes of (R - max(k, k')).
+
+    On a reflected axis the four pairs from the orbits of k and k' give sum
+    min(u, u') = R + 2 min(f, f') = 2 min(R/2 + f, R/2 + f'), for u = R - k
+    and f the orbit's minimum. So the pair sum is one `_min_product_pair_sum`
+    over the base, of R/2 + f on a reflected axis and R - k on a plain one,
+    times 2 per reflected axis; every input is at most R, in
+    _exact(2 res, M). R/2 needs res >= 1, so a base at resolution 0 is
+    lifted to resolution 1 first (k -> 2k in each orbit), which multiplies
+    each axis factor by 2 and the sum by 4.
+    """
     res = points.n_resolution
     orbits = points.axis_orbits(_exact(2 * max(res, 1), len(points._base[0])))
     if res == 0:
-        orbits, res = tuple(tuple(k << 1 for k in orbit) for orbit in orbits), 1
-    full = 1 << res
-    sq = full * full
-    singles = [sum(sq - k * k for k in orbit) for orbit in orbits]
+        orbits = tuple(tuple(k << 1 for k in orbit) for orbit in orbits)
+    full = 1 << max(res, 1)
     pair_inputs = [(full >> 1) + np.minimum(*o) if len(o) == 2 else full - o[0] for o in orbits]
     del orbits  # the mirrors need not outlive the pair sum's peak
-
-    # each factor fits the orbits' dtype; only products need Python ints
-    single = int(np.dot(singles[0].astype(object), singles[1].astype(object)))
     pair = _min_product_pair_sum(*pair_inputs) << sum(points._reflected)
-
-    return (
-        Fraction(1, 9)
-        - Fraction(single, 2 * n * full**4)
-        + Fraction(pair, n * n * full * full)
-    )
+    return pair >> 2 if res == 0 else pair
 
 
 def _min_product_pair_sum(us: np.ndarray, vs: np.ndarray) -> int:

@@ -231,18 +231,21 @@ class PointMultiset:
     def entries(self) -> Tuple[Point, ...]:
         return tuple(self)
 
-    def axis_orbits(self, dtype=None) -> Tuple[Tuple[np.ndarray, ...], ...]:
+    def axis_orbits(self, dtype=None, part: slice = slice(None)) -> Tuple[Tuple[np.ndarray, ...], ...]:
         """Per axis (x, y), the base's orbit: (k,), or (k, 2^res - k) if reflected.
 
-        The arrays run over the M base points, in the store's dtype or cast
-        to dtype if one is given. The N points take one entry of each tuple
-        at one base point, so for any fx, fy, the sum over the N points of
-        fx(x) fy(y) is the sum over the M base points of (sum of fx over the
-        x tuple) (sum of fy over the y tuple). Every per-point sum reads the
-        base so; it regroups the union's terms, so their bound holds too.
+        The arrays run over the M base points, or the base points in part,
+        in the store's dtype or cast to dtype if one is given. The N points
+        take one entry of each tuple at one base point, so for any fx, fy,
+        the sum over the N points of fx(x) fy(y) is the sum over the M base
+        points of (sum of fx over the x tuple) (sum of fy over the y tuple).
+        Every per-point sum reads the base so; it regroups the union's
+        terms, so their bound holds too.
         """
         full = 1 << self.n_resolution
-        base = self._base if dtype is None else (k.astype(dtype, copy=False) for k in self._base)
+        base = (k[part] for k in self._base)
+        if dtype is not None:
+            base = (k.astype(dtype, copy=False) for k in base)
         return tuple((k, full - k) if r else (k,) for k, r in zip(base, self._reflected))
 
     def scaled_coords(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,6 +281,8 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
     The first coordinate of the point generated from counter value v equals
     v / 2**n exactly; the second applies the sign pattern digit-wise.
     Raises MemoryError before allocating past numpy's largest array (n >= 60).
+    l2_warnock recognises this layout in a base (_hammersley_sigma) and
+    takes its pair sum by the digit transfer _hammersley_pair_sum.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -397,6 +402,100 @@ def hammersley_moments(sigma: SignPattern, a: int, b: int) -> List[List[int]]:
         high = _shift(_shift(moments, 1 << i, 0), 0 if flip else step, 1)
         moments = [[p + q for p, q in zip(u, w)] for u, w in zip(low, high)]
     return moments
+
+
+def _hammersley_sigma(points: PointMultiset) -> Optional[SignPattern]:
+    """The sign pattern sigma with base == hammersley_type(n, sigma) entry for entry, else None.
+
+    The base qualifies when it has 2^n points at resolution n >= 1, kx[0]
+    is 0, and for every w < 2^i, kx[2^i + w] == kx[w] + 2^i and ky[2^i + w]
+    == ky[w] ^ 2^(n-1-i): digit i of the counter adds 2^i to kx and toggles
+    bit n-1-i of ky. Then ky[0] holds the flips, flip_i in bit n-1-i; it is
+    below 2^n, as ky[1] = ky[0] ^ 2^(n-1) is at most 2^n. O(M) for M base
+    points, with temporaries of at most M/2 entries; reads the base only,
+    so any symmetrization of such a base qualifies too.
+    """
+    n = points.n_resolution
+    kx, ky = points._base
+    if n < 1 or len(kx) != 1 << n or kx[0]:
+        return None
+    for i in range(n):
+        half = 1 << i
+        if not (np.array_equal(kx[half : 2 * half], kx[:half] + half)
+                and np.array_equal(ky[half : 2 * half], ky[:half] ^ (1 << (n - 1 - i)))):
+            return None
+    first = int(ky[0])
+    return SignPattern(n, tuple(bool(first >> (n - 1 - i) & 1) for i in range(n)))
+
+
+def _hammersley_pair_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> int:
+    """Sum over ordered pairs of union points of prod over axes of (R - max(k, k')), R = 2^n.
+
+    The union is hammersley_type(n, sigma) and its reflections on the
+    reflected axes (x, y), as _reflected_union builds it; k are the integer
+    coordinates at scale R. Per pair of base points, a plain axis
+    contributes R - max(k, k'), and a reflected one the sum over the four
+    pairs of orbit entries, R - |k - k'| + (k + k' if k <= comp k' else 2R - k - k')
+    with comp k' = R - 1 - k' (at k + k' = R both branches agree). So each
+    factor is linear in (k, k') once the comparisons c1 = cmp(k, k') and,
+    on a reflected axis, c2 = cmp(k, comp k') are known.
+
+    A transfer over the n digits, as in hammersley_moments, carries per
+    joint state (c1 and c2 on each axis; 9, 27 or 81 states) the nine
+    moments 1, x, x', y, y', xy, xy', x'y, x'y' of its pairs. Digit i with
+    bits (t, t') adds t 2^i to x and s 2^(n-1-i) to y, s = t XOR flip_i.
+    x takes its digits in rising weight, so a digit that differs overwrites
+    its comparisons; y takes them in falling weight, so only the first one
+    that differs sets them. A digit differs for c1 when d != d' and for c2
+    when d == d', as comp flips every digit of k'. O(n) digit steps, Python
+    ints throughout, so the sum is exact at any n.
+    """
+    n = sigma.n
+    full = 1 << n
+    # (x c1, x c2, y c1, y c2) -> moments; a plain axis keeps its c2 at 0
+    states = {(0, 0, 0, 0): [1, 0, 0, 0, 0, 0, 0, 0, 0]}
+    for i, flip in enumerate(sigma.flips):
+        step = 1 << (n - 1 - i)
+        moved = {}
+        for t, tp in product((0, 1), repeat=2):
+            s, sp = t ^ flip, tp ^ flip
+            dx, dxp, dy, dyp = t << i, tp << i, s * step, sp * step
+            for (x1, x2, y1, y2), m in states.items():
+                # on bits, a - b is cmp(a, b) and a + b - 1 is cmp(a, 1 - b)
+                key = (
+                    t - tp or x1,
+                    (t + tp - 1 or x2) if reflected[0] else 0,
+                    y1 or s - sp,
+                    (y2 or s + sp - 1) if reflected[1] else 0,
+                )
+                c, x, xp, y, yp, xy, xyp, xpy, xpyp = m
+                shifted = [
+                    c, x + dx * c, xp + dxp * c, y + dy * c, yp + dyp * c,
+                    xy + dy * x + dx * y + dx * dy * c,
+                    xyp + dyp * x + dx * yp + dx * dyp * c,
+                    xpy + dy * xp + dxp * y + dxp * dy * c,
+                    xpyp + dyp * xp + dxp * yp + dxp * dyp * c,
+                ]
+                into = moved.setdefault(key, [0] * 9)
+                for j, value in enumerate(shifted):
+                    into[j] += value
+        states = moved
+
+    def factor(c1: int, c2: int, mirrored: bool) -> Tuple[int, int, int]:
+        """The axis factor as a + b k + c k', for (a, b, c)."""
+        if not mirrored:
+            return (full, -1, 0) if c1 >= 0 else (full, 0, -1)
+        a, b, c = (full, -1, 1) if c1 >= 0 else (full, 1, -1)
+        return (a, b + 1, c + 1) if c2 <= 0 else (a + 2 * full, b - 1, c - 1)
+
+    total = 0
+    for (x1, x2, y1, y2), m in states.items():
+        ax, bx, cx = factor(x1, x2, reflected[0])
+        ay, by, cy = factor(y1, y2, reflected[1])
+        c, x, xp, y, yp, xy, xyp, xpy, xpyp = m
+        total += (ax * (ay * c + by * y + cy * yp) + bx * (ay * x + by * xy + cy * xyp)
+                  + cx * (ay * xp + by * xpy + cy * xpyp))
+    return total
 
 
 def _shift(moments: List[List[int]], d: int, axis: int) -> List[List[int]]:

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: a multiset's union as a plain multiset,
-a guard that fails any read of a symmetrization's union, and the fields of a
-level summary."""
+the same multiset in reversed entry order, a guard that fails any read of a
+symmetrization's union, and the fields of a level summary."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -22,6 +22,17 @@ def union_of(points, dtype=None):
             k.flags.writeable = False
         object.__setattr__(union, "_base", coords)
     return union
+
+
+def reversed_entries(points):
+    """The same multiset with its base in reversed entry order.
+
+    Its union holds the same points, so every sum over it is the same; a
+    Hammersley-type base read backwards fails l2_warnock's base check, so
+    its pair sum takes the dominance route.
+    """
+    kx, ky = points._base
+    return PointMultiset._from_scaled(kx[::-1], ky[::-1], points.n_resolution, points._reflected)
 
 
 @contextmanager

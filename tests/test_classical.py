@@ -26,9 +26,9 @@ from dyadisc import (
 )
 from dyadisc import classical
 from dyadisc.classical import _count_rows, _power_differences
-from dyadisc.pointsets import _exact
+from dyadisc.pointsets import FAMILIES, _exact, _hammersley_sigma, _reflected_union, reflect
 
-from conftest import no_union_read, union_of
+from conftest import no_union_read, reversed_entries, union_of
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -157,7 +157,8 @@ def test_l2_warnock_fine_resolution(res, monkeypatch):
 
 def test_l2_warnock_memory():
     for symmetrize in (symmetrize_full, symmetrize_davenport):
-        points = symmetrize(hammersley_type(12, SignPattern.identity(12)))
+        # reversed: the dominance route, whose arrays set l2_warnock's peak
+        points = reversed_entries(symmetrize(hammersley_type(12, SignPattern.identity(12))))
         tracemalloc.start()
         try:
             l2_warnock(points)
@@ -179,10 +180,12 @@ def assert_l2_reads_base(points, even_route=False):
 
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_l2_warnock_sums_orbits_of_the_base(symmetrize):
+    # both pair-sum routes: the digit transfer, and the dominance sum on the reversed base
     for n in range(1, 11):
         for preset in PRESETS:
             points = symmetrize(hammersley_type(n, sigma(preset, n)))
             assert_l2_reads_base(points, even_route=n <= 4)
+            assert_l2_reads_base(reversed_entries(points), even_route=n <= 4)
 
 
 def test_l2_warnock_orbits_at_resolution_zero():
@@ -248,6 +251,80 @@ def test_local_discrepancy_counts_orbits(symmetrize, res):
         if (res, size) == (29, 8):
             assert points._base[0].dtype == union.scaled_coords()[0].dtype == np.int64
             assert _exact(2 * res, len(union)) is object
+
+
+# the unions of a Hammersley-type base that the digit transfer takes: build_family's
+# three, and the x-only reflection that no family uses
+REFLECTIONS = [(False, False), (False, True), (True, True), (True, False)]
+
+
+def assert_routes_agree(points, sigma_):
+    """The digit transfer's L2 equals the dominance sum's on the reversed base."""
+    backwards = reversed_entries(points)
+    assert _hammersley_sigma(points) == sigma_
+    assert _hammersley_sigma(backwards) is None
+    assert l2_warnock(points) == l2_warnock(backwards)
+
+
+def test_digit_transfer_equals_dominance_sum_for_every_sigma():
+    for n in range(1, 8):
+        for flips in itertools.product((False, True), repeat=n):
+            pattern = SignPattern(n, flips)
+            base = hammersley_type(n, pattern)
+            for reflected in REFLECTIONS:
+                assert_routes_agree(_reflected_union(base, reflected), pattern)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_digit_transfer_equals_dominance_sum_on_presets(family):
+    for n in range(8, 17):
+        for preset in PRESETS:
+            pattern = sigma(preset, n)
+            assert_routes_agree(build_family(family, n, pattern), pattern)
+
+
+def test_only_hammersley_type_bases_skip_the_dominance_sum(monkeypatch):
+    def calls_dominance_sum(points):
+        return bool(pair_sum_dtypes(points, monkeypatch)[1])
+
+    rng = random.Random(5)
+    for n in (1, 2, 5, 9):
+        for preset in PRESETS:
+            base = hammersley_type(n, sigma(preset, n))
+            for family in FAMILIES:
+                points = build_family(family, n, sigma(preset, n))
+                assert not calls_dominance_sum(points)
+                assert calls_dominance_sum(reversed_entries(points))
+            for axis in ("X", "Y", "XY"):
+                assert calls_dominance_sum(reflect(base, axis))
+                assert calls_dominance_sum(symmetrize_full(reflect(base, axis)))
+            assert calls_dominance_sum(random_multiset(rng, 1 << n, n))
+
+
+def test_hammersley_base_check():
+    n = 6
+    pattern = sigma("random", n)
+    points = hammersley_type(n, pattern)
+    kx, ky = (k.tolist() for k in points._base)
+    # the same entries through the public constructor; one level finer; the
+    # first half; two y values swapped; a single point at resolution 0
+    assert _hammersley_sigma(PointMultiset(points.entries)) == pattern
+    assert _hammersley_sigma(PointMultiset(points.entries, resolution=n + 1)) is None
+    assert _hammersley_sigma(PointMultiset._from_scaled(kx[:32], ky[:32], n)) is None
+    assert _hammersley_sigma(PointMultiset._from_scaled(kx, ky[1::-1] + ky[2:], n)) is None
+    assert _hammersley_sigma(PointMultiset([(0, 0)])) is None
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_l2_of_the_hammersley_set_has_its_closed_form(n):
+    # Halton and Zaremba (1969): N^2 L2^2 of the identity Hammersley set, N = 2^n
+    size = 1 << n
+    closed = (Fraction(n * n, 64) + Fraction(29 * n, 192) + Fraction(3, 8)
+              - Fraction(n, 16 * size) + Fraction(1, 4 * size) - Fraction(1, 72 * size * size))
+    points = hammersley_type(n, SignPattern.identity(n))
+    assert size * size * l2_warnock(points) == closed
+    if n in (3, 10):
+        assert size * size * l2_warnock(reversed_entries(points)) == closed
 
 
 @pytest.mark.parametrize("family", ["hammersley", "davenport", "symmetrized"])

@@ -48,6 +48,11 @@ CASES = {
     "classic-star": ["classic", "--family", "davenport", "--n", "5", "--p", "star"],
     "classic-l2": ["classic", "--family", "hammersley", "--n", "5", "--sigma", "alternating",
                    "--p", "2"],
+    # the L2 digit transfer's reflected-axis states: y alone, then both axes
+    "classic-l2-davenport": ["classic", "--family", "davenport", "--n", "12", "--p", "2",
+                             "--sigma", "random", "--seed", "5"],
+    "classic-l2-symmetrized": ["classic", "--family", "symmetrized", "--n", "14", "--p", "2",
+                               "--sigma", "alternating"],
     "classic-l4": ["classic", "--n", "4", "--p", "4"],
     # terms k = 0..3 need more than 62 bits: the limb split of the even L_p route
     "classic-l6": ["classic", "--n", "8", "--p", "6"],

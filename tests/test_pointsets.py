@@ -39,7 +39,7 @@ from dyadisc import (
 )
 from dyadisc.pointsets import _exact
 
-from conftest import no_union_read, union_of
+from conftest import no_union_read, reversed_entries, union_of
 
 PRESETS = ("identity", "all-flip", "alternating", "random")
 
@@ -445,6 +445,7 @@ def test_union_is_built_only_when_read(union, axes):
         for f in (corner_product(2, 3), monomial(0, 1)):
             qmc_integrate(points, f)
         l2_warnock(points)
+        l2_warnock(reversed_entries(points))  # the dominance route of the pair sum
         local_discrepancy(points, (Fraction(3, 8), Fraction(5, 16)))
     # then every point: the concatenation of the base and its reflections, in
     # its values, order and dtype, read-only and built anew on each read
