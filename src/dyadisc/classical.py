@@ -5,11 +5,12 @@ the grid spanned by the point coordinates, which turns each norm into a
 finite exact computation: a pair-sum identity for the squared L2 norm, per
 cell binomial integration for even powers, and corner candidates with
 one-sided limits for the supremum. The L2 pair sum is a digit transfer
-(pointsets._hammersley_pair_sum) when the base is a Hammersley-type set,
-as in every build_family set, and a dominance sum over the base points
-otherwise. Every value is returned as a Fraction:
-L2 and L_p values are honest rationals (the volume term integrates to
-ninths); the supremum and pointwise values are dyadic.
+(pointsets._hammersley_pair_sum), and its single sum a combination of the
+base's moments, when the base is a Hammersley-type set, as in every
+build_family set; both are sums over the base points otherwise. Every
+value is returned as a Fraction: L2 and L_p values are honest rationals
+(the volume term integrates to ninths); the supremum and pointwise values
+are dyadic.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .pointsets import (
     PointMultiset,
     _as_dyadic,
     _exact,
-    _hammersley_sigma,
     _hammersley_pair_sum,
+    _hammersley_sigma,
+    _hammersley_single_sum,
 )
 
 __all__ = [
@@ -132,26 +134,30 @@ def l2_warnock(points: PointMultiset) -> Fraction:
 
     1/9 - (2/N) sum_z prod (1 - z_i^2)/2 + (1/N^2) sum_{z,z'} prod
     (1 - max(z_i, z_i')). Both sums factor over the axes, so they run over
-    the base's orbits (PointMultiset.axis_orbits); at scale R = 2^res the
-    single sum is `_single_sum`, an O(M) pass over the M base points.
+    the base's orbits (PointMultiset.axis_orbits), at scale R = 2^res.
 
-    The pair sum takes one of two routes, chosen from the base arrays
-    alone. A base that is hammersley_type(n, sigma) entry for entry, as in
-    every build_family set (pointsets._hammersley_sigma, an O(M) check),
-    takes pointsets._hammersley_pair_sum: a transfer over the n digits in
-    Python ints. Every other base takes `_dominance_pair_sum`, O(M log M)
-    exact integer array passes, which stays the transfer's test oracle.
+    Both sums take one of two routes, chosen from the base arrays alone. A
+    base that is hammersley_type(n, sigma) entry for entry, as in every
+    build_family set (pointsets._hammersley_sigma, an O(M) check), takes
+    pointsets._hammersley_single_sum, from the base's moments, and
+    pointsets._hammersley_pair_sum, a transfer over the n digits; both in
+    Python ints with no point read. Every other base takes `_single_sum`,
+    an O(M) pass over the M base points, and `_dominance_pair_sum`, O(M log M)
+    exact integer array passes; the two stay the digit routes' test oracles.
     """
     n = len(points)
     if n == 0:
         raise ValueError("empty point multiset")
     full = 1 << points.n_resolution
     sigma = _hammersley_sigma(points)
-    pair = (_dominance_pair_sum(points) if sigma is None
-            else _hammersley_pair_sum(sigma, points._reflected))
+    if sigma is None:
+        single, pair = _single_sum(points), _dominance_pair_sum(points)
+    else:
+        single = _hammersley_single_sum(sigma, points._reflected)
+        pair = _hammersley_pair_sum(sigma, points._reflected)
     return (
         Fraction(1, 9)
-        - Fraction(_single_sum(points), 2 * n * full**4)
+        - Fraction(single, 2 * n * full**4)
         + Fraction(pair, n * n * full * full)
     )
 

@@ -294,16 +294,18 @@ def _mu_from_factors(points: PointMultiset, idx: HaarIndex, numerator) -> Fracti
 # the base's dtype; each sum below casts to the dtype of its own bound.
 
 
-def _group_sums(keys, vals) -> Tuple[np.ndarray, np.ndarray]:
-    """Sums of vals along its last axis per run of equal keys.
+def _group_sums(keys, *rows) -> Tuple[np.ndarray, ...]:
+    """The keys of each run of equal keys, then each row's sums over those runs.
 
-    keys must be non-decreasing; vals is one row, or a stack of rows that
-    share the keys.
+    keys must be non-decreasing, and every row as long.
     """
     if not keys.size:
-        return keys, vals
-    cuts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
-    return keys[cuts], np.add.reduceat(vals, cuts, axis=-1)
+        return (keys, *rows)
+    starts = np.empty(len(keys), bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    cuts = np.flatnonzero(starts)
+    return (keys[cuts], *(np.add.reduceat(row, cuts) for row in rows))
 
 
 def _level_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,7 +363,7 @@ def _scan_level(
     if j1 < -1 or j2 < -1:
         raise ValueError("levels must be >= -1")
     res = points.n_resolution
-    mirrored = tuple(r and j > 0 for r, j in zip(points._reflected, (j1, j2)))
+    mirrored = (points._reflected[0] and j1 > 0, points._reflected[1] and j2 > 0)
     if j1 >= res or j2 >= res:
         empty = points._base[0][:0]
         return empty, empty, mirrored
@@ -591,6 +593,37 @@ def low_level_sign(sigma: SignPattern, j1: int, j2: int) -> int:
     return 1 if sigma.flips[j2] == sigma.flips[n - j1 - 1] else -1
 
 
+def _symmetrized_prediction(n: int, j1: int, j2: int,
+                            sigma: Optional[SignPattern]) -> Tuple[str, int, int]:
+    """predict_symmetrized on level (j1, j2) as (kind, numerator, exponent).
+
+    The value is numerator / 2^exponent; n and sigma are taken as checked.
+    """
+    if j1 >= 0 and j2 >= 0:
+        if j1 >= n or j2 >= n:
+            return EXACT_ABS, 1, 2 * (j1 + j2 + 2)
+        if j1 + j2 < n - 1:
+            return (EXACT_ABS, 1, 2 * (n + 1)) if sigma is None else (
+                EXACT_VALUE, low_level_sign(sigma, j1, j2), 2 * (n + 1))
+        return ABS_UPPER_BOUND, 1, n + j1 + j2
+    k = max(j1, j2)  # the level that is not -1, or -1 at the constant index
+    if k < n:
+        return EXACT_VALUE, 0, 0
+    return EXACT_ABS, 1, 2 * k + 3
+
+
+def _davenport_prediction(n: int, sigma: SignPattern, k: int) -> Tuple[str, int, int]:
+    """predict_davenport on level (-1, k), -1 <= k < n, as (kind, numerator, exponent).
+
+    The value is numerator / 2^exponent; on a row k >= 0 the two terms
+    -2^-(n+2k+3) and t_k 2^-(2n+2) share the exponent 2n + 2k + 3.
+    """
+    if k == -1:
+        return EXACT_VALUE, 1, n + 2
+    t_k = -1 if sigma.flips[k] else 1
+    return EXACT_VALUE, (t_k << (2 * k + 1)) - (1 << n), 2 * n + 2 * k + 3
+
+
 def predict_symmetrized(
     n: int, idx: HaarIndex, sigma: Optional[SignPattern] = None
 ) -> CoefficientPrediction:
@@ -606,23 +639,7 @@ def predict_symmetrized(
         raise ValueError("n must be positive")
     if sigma is not None and sigma.n != n:
         raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
-    j1, j2 = idx.j1, idx.j2
-    if j1 >= 0 and j2 >= 0:
-        if j1 >= n or j2 >= n:
-            return CoefficientPrediction(EXACT_ABS, Fraction(1, 1 << (2 * (j1 + j2 + 2))))
-        if j1 + j2 < n - 1:
-            if sigma is None:
-                return CoefficientPrediction(EXACT_ABS, Fraction(1, 1 << (2 * (n + 1))))
-            return CoefficientPrediction(
-                EXACT_VALUE, Fraction(low_level_sign(sigma, j1, j2), 1 << (2 * (n + 1)))
-            )
-        return CoefficientPrediction(ABS_UPPER_BOUND, Fraction(1, 1 << (n + j1 + j2)))
-    if j1 == -1 and j2 == -1:
-        return CoefficientPrediction(EXACT_VALUE, Fraction(0))
-    k = j2 if j1 == -1 else j1
-    if k < n:
-        return CoefficientPrediction(EXACT_VALUE, Fraction(0))
-    return CoefficientPrediction(EXACT_ABS, Fraction(1, 1 << (2 * k + 3)))
+    return _prediction(*_symmetrized_prediction(n, idx.j1, idx.j2, sigma))
 
 
 def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> CoefficientPrediction:
@@ -634,15 +651,14 @@ def predict_davenport(n: int, sigma: SignPattern, idx: HaarIndex) -> Coefficient
     n = operator.index(n)
     if sigma.n != n:
         raise ValueError(f"sign pattern has length {sigma.n}, expected {n}")
-    if idx.j1 == -1 and idx.j2 == -1:
-        return CoefficientPrediction(EXACT_VALUE, Fraction(1, 1 << (n + 2)))
-    if idx.j1 == -1 and 0 <= idx.j2 < n:
-        k = idx.j2
-        t_k = -1 if sigma.flips[k] else 1
-        return CoefficientPrediction(
-            EXACT_VALUE, Fraction(-1, 1 << (n + 2 * k + 3)) + Fraction(t_k, 1 << (2 * n + 2))
-        )
-    raise ValueError(f"no closed form for index {idx} of the symmetrized pair")
+    if idx.j1 != -1 or idx.j2 >= n:
+        raise ValueError(f"no closed form for index {idx} of the symmetrized pair")
+    return _prediction(*_davenport_prediction(n, sigma, idx.j2))
+
+
+def _prediction(kind: str, numerator: int, exponent: int) -> CoefficientPrediction:
+    """The CoefficientPrediction of a (kind, numerator, exponent) triple."""
+    return CoefficientPrediction(kind, Fraction(numerator, 1 << exponent))
 
 
 # -- counting-sum identities ------------------------------------------------
@@ -661,14 +677,23 @@ def level_counting_sums(points: PointMultiset, j1: int, j2: int):
     own coordinates strictly and the others by the half-open box, as
     counting_sums describes. Levels must lie in [0, resolution].
     """
+    keys, sums_x, sums_y, sums_xy = _signed_counting_sums(points, j1, j2)
+    # the unsigned tents are the negated signed ones, and their product is the same
+    return (keys, -sums_x), (keys, -sums_y), (keys, sums_xy)
+
+
+def _signed_counting_sums(points: PointMultiset, j1: int, j2: int) -> Tuple[np.ndarray, ...]:
+    """level_counting_sums as (keys, x-sums, y-sums, product sums), on the signed tents.
+
+    The single-axis sums are those of _tents, the negated unsigned ones;
+    each row is grouped once, with no stacked or negated copy of the row.
+    """
     res = points.n_resolution
     if not (0 <= j1 <= res and 0 <= j2 <= res):
         raise ValueError(f"box levels must lie in [0, {res}]")
     m1, ky, nx = _counting_row(points, j1)
     ny, m2 = _tents(ky, j2, res)
-    # the unsigned tents, and their product, which is that of the signed ones
-    keys, sums = _group_sums((m1 << j2) + m2, np.stack((-nx, -ny, nx * ny)))
-    return tuple((keys, row) for row in sums)
+    return _group_sums((m1 << j2) + m2, nx, ny, nx * ny)
 
 
 def _counting_row(points: PointMultiset, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

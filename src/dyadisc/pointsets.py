@@ -282,7 +282,8 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
     v / 2**n exactly; the second applies the sign pattern digit-wise.
     Raises MemoryError before allocating past numpy's largest array (n >= 60).
     l2_warnock recognises this layout in a base (_hammersley_sigma) and
-    takes its pair sum by the digit transfer _hammersley_pair_sum.
+    takes its pair sum by the digit transfer _hammersley_pair_sum and its
+    single sum from hammersley_moments (_hammersley_single_sum).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -291,9 +292,13 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
     if (1 << n) * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"2^{n} points exceed the largest numpy array")
     v = np.arange(1 << n, dtype=np.int64)
-    ky = np.zeros_like(v)
-    for i, flip in enumerate(sigma.flips):
-        ky |= (((v >> i) & 1) ^ int(flip)) << (n - 1 - i)
+    # counter 0 holds the flips; digit i of the counter toggles bit n-1-i of
+    # ky, so each half of the first 2^(i+1) entries doubles the one before it
+    ky = np.empty_like(v)
+    ky[0] = sum(int(flip) << (n - 1 - i) for i, flip in enumerate(sigma.flips))
+    for i in range(n):
+        half = 1 << i
+        np.bitwise_xor(ky[:half], 1 << (n - 1 - i), out=ky[half : 2 * half])
     return PointMultiset._from_scaled(v, ky, n)
 
 
@@ -426,6 +431,24 @@ def _hammersley_sigma(points: PointMultiset) -> Optional[SignPattern]:
             return None
     first = int(ky[0])
     return SignPattern(n, tuple(bool(first >> (n - 1 - i) & 1) for i in range(n)))
+
+
+def _hammersley_single_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> int:
+    """Sum over the union points of prod over axes of (R^2 - k^2), R = 2^n.
+
+    The union is hammersley_type(n, sigma) and its reflections on the
+    reflected axes (x, y), as in _hammersley_pair_sum. A base point's
+    factor sums its orbit: R^2 - k^2 on a plain axis and
+    (R^2 - k^2) + (R^2 - (R - k)^2) = R^2 + 2Rk - 2k^2 on a reflected one,
+    each a polynomial of degree 2 in k. So the sum is read off the moments
+    of hammersley_moments(sigma, 2, 2), in Python ints.
+    """
+    full = 1 << sigma.n
+    sq = full * full
+    # coefficients of 1, k, k^2 in each axis factor
+    fx, fy = ((sq, 2 * full, -2) if r else (sq, 0, -1) for r in reflected)
+    moments = hammersley_moments(sigma, 2, 2)
+    return sum(a * b * moments[s][t] for s, a in enumerate(fx) for t, b in enumerate(fy))
 
 
 def _hammersley_pair_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> int:

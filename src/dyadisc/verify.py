@@ -3,10 +3,13 @@
 Each suite rebuilds its point set from (n, sign pattern), computes every
 Haar coefficient in scope through the level-scan engine, and compares with
 the closed-form predictions at zero tolerance. Coefficients are covered
-sparsely but completely: the prediction is brought to the integer units of
-the level scan's sums once per level, the positions hit by points are
-checked together by one mask over those sums, and all remaining positions
-of a level share a single provable value, so one comparison covers them all.
+sparsely but completely: the prediction, an integer triple from haar, is
+brought to the integer units of the level scan's sums once per level, the
+positions hit by points are checked together by one mask over those sums,
+and all remaining positions of a level share a single provable value, so
+one comparison covers them all. A passing level reads no value view of its
+LevelSummary and builds no Fraction and no prediction object; a failing one
+builds them for its notes.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from .haar import (
     ABS_UPPER_BOUND,
     EXACT_ABS,
     EXACT_VALUE,
-    CoefficientPrediction,
-    HaarIndex,
+    _davenport_prediction,
+    _prediction,
+    _signed_counting_sums,
+    _symmetrized_prediction,
     _value_scale,
-    level_counting_sums,
     level_value_counts,
     low_level_sign,
-    predict_davenport,
-    predict_symmetrized,
 )
 from .pointsets import (
     SignPattern,
@@ -76,55 +78,57 @@ class CheckReport:
         return self.failures == 0
 
 
-def _sum_ranges(prediction: CoefficientPrediction, shift: int, empty: int,
+def _sum_ranges(kind: str, numerator: int, exponent: int, shift: int, empty: int,
                 top: int) -> List[Tuple[int, int]]:
     """The values a prediction admits, as inclusive ranges of a level's integer sums.
 
     A sum s stands for the value ((s << shift) + empty) / 2^top (see
-    haar._value_scale). The prediction admits the value t itself, +-t or
-    [-t, t]; with t 2^top = p / q each such [a, b] reads
-    (a - empty q) / (q 2^shift) <= s <= (b - empty q) / (q 2^shift), and its
-    ends are taken as exact integer ceiling and floor. A target off the
-    level's grid leaves an empty range, which is dropped.
+    haar._value_scale). The prediction t = numerator / 2^e, e = exponent,
+    admits the value t itself, +-t or [-t, t]; with p = numerator 2^top
+    each such [a, b] reads
+    (a - empty 2^e) / 2^(shift + e) <= s <= (b - empty 2^e) / 2^(shift + e),
+    and its ends are taken as exact integer ceiling and floor. A target off
+    the level's grid leaves an empty range, which is dropped.
     """
-    t = prediction.value
-    p, q = t.numerator << top, t.denominator
-    if prediction.kind == EXACT_VALUE:
+    p = numerator << top
+    if kind == EXACT_VALUE:
         bounds = {(p, p)}
-    elif prediction.kind == EXACT_ABS:
+    elif kind == EXACT_ABS:
         bounds = {(p, p), (-p, -p)}
     else:
         bounds = {(-p, p)}
-    d, base = q << shift, empty * q
+    d, base = 1 << (shift + exponent), empty << exponent
     ranges = [(-((base - a) // d), (b - base) // d) for a, b in bounds]
     return [(lo, hi) for lo, hi in ranges if lo <= hi]
 
 
-def _level_matches(report: CheckReport, summary, prediction, note: str):
-    """Compare every coefficient of a level against one prediction.
+def _level_matches(report: CheckReport, summary, prediction: Tuple[str, int, int], note: str):
+    """Compare every coefficient of a level against one (kind, numerator, exponent) prediction.
 
-    One mask over the scan's own sums, in their dtype, against the
-    prediction's ranges from _sum_ranges; the empty value is the sum 0 of
-    those ranges, checked on Python ints. On int64 sums a range is clipped
-    to int64 first, and one wholly past it dropped, so no Python int beyond
-    int64 meets an int64 array. A folded sum counts 2^(mirrored axes) boxes.
-    Only failing sums are grouped, by np.unique, for their notes: ascending
-    occupied values, then the empty value.
+    A level whose least and greatest sums lie in one of the prediction's
+    ranges from _sum_ranges passes whole. Any other level takes one mask
+    over the scan's own sums, in their dtype, against every range: on int64
+    sums a range is clipped to int64 first, and one wholly past it dropped,
+    so no Python int beyond int64 meets an int64 array. The empty value is
+    the sum 0 of those ranges, checked on Python ints. A folded sum counts
+    2^(mirrored axes) boxes. Only failing sums are grouped, by np.unique,
+    for their notes: ascending occupied values, then the empty value.
     """
     shift, empty, top = _value_scale(summary.j1, summary.j2, summary.scale)
-    ranges = _sum_ranges(prediction, shift, empty, top)
+    ranges = _sum_ranges(*prediction, shift, empty, top)
     sums = summary.sums
     if sums.size:
-        scan_ranges = ranges
-        if sums.dtype != object:
-            scan_ranges = [(max(lo, _INT64_MIN), min(hi, _INT64_MAX)) for lo, hi in ranges
-                           if lo <= _INT64_MAX and hi >= _INT64_MIN]
-        ok = np.zeros(sums.shape, bool)
-        for lo, hi in scan_ranges:
-            ok |= (sums == lo) if lo == hi else (sums >= lo) & (sums <= hi)
-        if ok.all():
+        least, greatest = int(sums.min()), int(sums.max())
+        if any(lo <= least and greatest <= hi for lo, hi in ranges):
             report.record(True, count=summary.occupied_boxes)
         else:
+            scan_ranges = ranges
+            if sums.dtype != object:
+                scan_ranges = [(max(lo, _INT64_MIN), min(hi, _INT64_MAX)) for lo, hi in ranges
+                               if lo <= _INT64_MAX and hi >= _INT64_MIN]
+            ok = np.zeros(sums.shape, bool)
+            for lo, hi in scan_ranges:
+                ok |= (sums == lo) if lo == hi else (sums >= lo) & (sums <= hi)
             mirror = sum(summary.mirrored)
             failing = sums[~ok]
             report.record(True, count=(len(sums) - len(failing)) << mirror)
@@ -133,13 +137,15 @@ def _level_matches(report: CheckReport, summary, prediction, note: str):
                 report.record(
                     False,
                     lambda: f"{note}: occupied value"
-                            f" {Fraction((acc << shift) + empty, 1 << top)} vs {prediction}",
+                            f" {Fraction((acc << shift) + empty, 1 << top)}"
+                            f" vs {_prediction(*prediction)}",
                     count << mirror,
                 )
     if summary.empty_boxes:
         report.record(
             any(lo <= 0 <= hi for lo, hi in ranges),
-            lambda: f"{note}: empty value {Fraction(empty, 1 << top)} vs {prediction}",
+            lambda: f"{note}: empty value {Fraction(empty, 1 << top)}"
+                    f" vs {_prediction(*prediction)}",
             summary.empty_boxes,
         )
 
@@ -157,11 +163,11 @@ def check_symmetrized_coefficients(n: int, sigma: SignPattern, label: str = "") 
     cap = len(points)
     for j1 in range(-1, n + _EXTRA_LEVELS + 1):
         for j2 in range(-1, n + _EXTRA_LEVELS + 1):
-            prediction = predict_symmetrized(n, HaarIndex(j1, j2, 0, 0), sigma)
+            prediction = _symmetrized_prediction(n, j1, j2, sigma)
             summary = level_value_counts(points, j1, j2)
             note = f"level ({j1},{j2})"
             _level_matches(report, summary, prediction, note)
-            if prediction.kind == ABS_UPPER_BOUND:
+            if prediction[0] == ABS_UPPER_BOUND:
                 # diagonal band: also cap the positions off the empty value, the occupied ones
                 report.record(
                     summary.occupied_boxes <= cap,
@@ -175,9 +181,8 @@ def check_davenport_rows(n: int, sigma: SignPattern, label: str = "") -> CheckRe
     report = CheckReport("davenport-rows", n, label or "custom")
     points = symmetrize_davenport(hammersley_type(n, sigma))
     for k in range(-1, n):
-        prediction = predict_davenport(n, sigma, HaarIndex(-1, k, 0, 0))
         summary = level_value_counts(points, -1, k)
-        _level_matches(report, summary, prediction, f"row (-1,{k})")
+        _level_matches(report, summary, _davenport_prediction(n, sigma, k), f"row (-1,{k})")
     return report
 
 
@@ -192,13 +197,13 @@ def check_counting_sums(n: int, sigma: SignPattern, label: str = "") -> CheckRep
     points = hammersley_type(n, sigma)
     for j1 in range(n):
         for j2 in range(n - j1):
-            (keys, sums_x), (_, sums_y), (_, sums_xy) = level_counting_sums(points, j1, j2)
+            keys, sums_x, sums_y, sums_xy = _signed_counting_sums(points, j1, j2)
             boxes = 1 << (j1 + j2)
             every_box = len(keys) == boxes  # the three sums share their keys
-            # integer targets at the scan's fixed scales
+            # integer targets at the scan's fixed scales, signed as its tents
             targets = [
-                (sums_x, 1 << (2 * n - 2 * j1 - j2 - 2), "x-sums differ from 2^(n-j1-j2-1)"),
-                (sums_y, 1 << (2 * n - j1 - 2 * j2 - 2), "y-sums differ from 2^(n-j1-j2-1)"),
+                (sums_x, -1 << (2 * n - 2 * j1 - j2 - 2), "x-sums differ from 2^(n-j1-j2-1)"),
+                (sums_y, -1 << (2 * n - j1 - 2 * j2 - 2), "y-sums differ from 2^(n-j1-j2-1)"),
             ]
             if j1 + j2 < n - 1:
                 eps = low_level_sign(sigma, j1, j2)

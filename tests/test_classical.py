@@ -25,8 +25,16 @@ from dyadisc import (
     symmetrize_full,
 )
 from dyadisc import classical
-from dyadisc.classical import _count_rows, _power_differences
-from dyadisc.pointsets import FAMILIES, _exact, _hammersley_sigma, _reflected_union, reflect
+from dyadisc.classical import _count_rows, _dominance_pair_sum, _power_differences, _single_sum
+from dyadisc.pointsets import (
+    FAMILIES,
+    _exact,
+    _hammersley_pair_sum,
+    _hammersley_sigma,
+    _hammersley_single_sum,
+    _reflected_union,
+    reflect,
+)
 
 from conftest import no_union_read, reversed_entries, union_of
 
@@ -259,11 +267,14 @@ REFLECTIONS = [(False, False), (False, True), (True, True), (True, False)]
 
 
 def assert_routes_agree(points, sigma_):
-    """The digit transfer's L2 equals the dominance sum's on the reversed base."""
+    """The digit routes' L2 equals the point sums' on the reversed base, and
+    each digit route's sum equals its point sum on the base itself."""
     backwards = reversed_entries(points)
     assert _hammersley_sigma(points) == sigma_
     assert _hammersley_sigma(backwards) is None
     assert l2_warnock(points) == l2_warnock(backwards)
+    assert _hammersley_single_sum(sigma_, points._reflected) == _single_sum(points)
+    assert _hammersley_pair_sum(sigma_, points._reflected) == _dominance_pair_sum(points)
 
 
 def test_digit_transfer_equals_dominance_sum_for_every_sigma():

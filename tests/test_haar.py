@@ -44,12 +44,16 @@ from dyadisc import (
 )
 from dyadisc import besov
 from dyadisc.haar import (
+    ABS_UPPER_BOUND,
     EXACT_ABS,
+    EXACT_VALUE,
     _antiderivative_numerator,
     _count_scale,
+    _davenport_prediction,
     _level_row,
     _oracle_axis_factor,
     _scan_level,
+    _symmetrized_prediction,
     _tent_numerator,
     _tents,
 )
@@ -956,6 +960,54 @@ def test_predictions_take_numpy_integer_orders(int_type):
         predict_davenport(4.0, sg, HaarIndex(-1, 0, 0, 0))
     with pytest.raises(TypeError):
         low_level_sign(sg, 0.0, 1)
+
+
+def closed_form_symmetrized(n, j1, j2, sg):
+    """The symmetrized set's coefficient classes in Fractions, as the paper states them."""
+    if j1 >= 0 and j2 >= 0:
+        if j1 >= n or j2 >= n:
+            return EXACT_ABS, Fraction(1, 4 ** (j1 + j2 + 2))
+        if j1 + j2 < n - 1:
+            if sg is None:
+                return EXACT_ABS, Fraction(1, 4 ** (n + 1))
+            return EXACT_VALUE, Fraction(low_level_sign(sg, j1, j2), 4 ** (n + 1))
+        return ABS_UPPER_BOUND, Fraction(1, 2 ** (n + j1 + j2))
+    k = j2 if j1 == -1 else j1
+    return (EXACT_VALUE, Fraction(0)) if k < n else (EXACT_ABS, Fraction(1, 2 ** (2 * k + 3)))
+
+
+def closed_form_davenport(n, sg, k):
+    if k == -1:
+        return EXACT_VALUE, Fraction(1, 2 ** (n + 2))
+    t_k = -1 if sg.flips[k] else 1
+    return EXACT_VALUE, Fraction(-1, 2 ** (n + 2 * k + 3)) + Fraction(t_k, 2 ** (2 * n + 2))
+
+
+def triple_value(triple):
+    kind, numerator, exponent = triple
+    assert all(type(v) is int for v in (numerator, exponent)) and exponent >= 0
+    return kind, Fraction(numerator, 1 << exponent)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_integer_predictions_equal_the_closed_forms(preset):
+    # the (kind, numerator, exponent) triples that verify reads, against the
+    # closed forms in Fractions and against the public predictions built on them
+    for n in range(1, 9):
+        sg = sigma(preset, n)
+        for j1 in range(-1, n + 3):
+            for j2 in range(-1, n + 3):
+                idx = HaarIndex(j1, j2, 0, 0)
+                for pattern in (None, sg):
+                    want = closed_form_symmetrized(n, j1, j2, pattern)
+                    assert triple_value(_symmetrized_prediction(n, j1, j2, pattern)) == want
+                    got = predict_symmetrized(n, idx, pattern)
+                    assert (got.kind, got.value) == want
+        for k in range(-1, n):
+            want = closed_form_davenport(n, sg, k)
+            assert triple_value(_davenport_prediction(n, sg, k)) == want
+            got = predict_davenport(n, sg, HaarIndex(-1, k, 0, 0))
+            assert (got.kind, got.value) == want
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -92,6 +92,24 @@ def test_base_set_matches_digit_sums(preset, n):
     assert as_fractions(hammersley_type(n, sg)) == brute_force_points(n, sg.flips)
 
 
+def per_digit_ky(n, sg):
+    """ky of hammersley_type from its digits, one full-size pass per digit (test oracle)."""
+    v = np.arange(1 << n, dtype=np.int64)
+    ky = np.zeros_like(v)
+    for i, flip in enumerate(sg.flips):
+        ky |= (((v >> i) & 1) ^ int(flip)) << (n - 1 - i)
+    return ky
+
+
+def test_digit_doubling_equals_the_per_digit_formula():
+    for n in range(1, 14):
+        for preset in PRESETS:
+            sg = sigma(preset, n)
+            kx, ky = hammersley_type(n, sg).scaled_coords()
+            assert np.array_equal(kx, np.arange(1 << n))
+            assert ky.dtype == np.int64 and np.array_equal(ky, per_digit_ky(n, sg))
+
+
 def test_sign_pattern_validation():
     with pytest.raises(ValueError):
         SignPattern(2, (True,))

@@ -79,19 +79,20 @@ def _violated_predictions(monkeypatch):
 
     (-1,-1) holds 0, not 1/2; (0,0) holds 1/64 in its one box, above a
     band bound of 0; the 16 boxes of (2,2) are all empty and hold -1/4096,
-    above a band bound of 1/2^20.
+    above a band bound of 1/2^20. Each is a (kind, numerator, exponent)
+    triple, as the suite reads them.
     """
-    honest = verify.predict_symmetrized
+    honest = verify._symmetrized_prediction
     wrong = {
-        (-1, -1): CoefficientPrediction(EXACT_VALUE, Fraction(1, 2)),
-        (0, 0): CoefficientPrediction(ABS_UPPER_BOUND, Fraction(0)),
-        (2, 2): CoefficientPrediction(ABS_UPPER_BOUND, Fraction(1, 1 << 20)),
+        (-1, -1): (EXACT_VALUE, 1, 1),
+        (0, 0): (ABS_UPPER_BOUND, 0, 0),
+        (2, 2): (ABS_UPPER_BOUND, 1, 20),
     }
 
-    def predict(n, idx, sigma=None):
-        return wrong.get(idx.levels) or honest(n, idx, sigma)
+    def predict(n, j1, j2, sigma=None):
+        return wrong.get((j1, j2)) or honest(n, j1, j2, sigma)
 
-    monkeypatch.setattr(verify, "predict_symmetrized", predict)
+    monkeypatch.setattr(verify, "_symmetrized_prediction", predict)
 
 
 def test_coefficient_suite_reports_violations(monkeypatch):
@@ -170,6 +171,16 @@ def reference_level_matches(report, summary, prediction, note):
         )
 
 
+def as_triple(prediction):
+    """A prediction with a dyadic value as the suites' (kind, numerator, exponent)."""
+    value = prediction.value
+    return prediction.kind, value.numerator, value.denominator.bit_length() - 1
+
+
+def fast_level_matches(report, summary, prediction, note):
+    verify._level_matches(report, summary, as_triple(prediction), note)
+
+
 def _report_fields(check, summary, prediction):
     report = CheckReport("level", 0, "test")
     check(report, summary, prediction, "level")
@@ -178,7 +189,7 @@ def _report_fields(check, summary, prediction):
 
 def assert_same_report(summary, prediction):
     """The vectorised check and the per-value reference give one CheckReport."""
-    fast = _report_fields(verify._level_matches, summary, prediction)
+    fast = _report_fields(fast_level_matches, summary, prediction)
     assert fast == _report_fields(reference_level_matches, summary, prediction), (
         summary.j1, summary.j2, prediction)
     return fast
@@ -272,9 +283,8 @@ def test_level_check_matches_reference_past_int64(res):
         dtypes.add(summary.sums.dtype)
         if summary.sums.dtype == np.int64:
             summary.sums = summary.sums.view(GuardedSums)
-            unit_bound = CoefficientPrediction(ABS_UPPER_BOUND, Fraction(1))
             scale = _value_scale(j1, j2, summary.scale)
-            [(lo, hi)] = verify._sum_ranges(unit_bound, *scale)
+            [(lo, hi)] = verify._sum_ranges(ABS_UPPER_BOUND, 1, 0, *scale)
             assert lo < INT64_MIN and hi > INT64_MAX, (j1, j2)
         targets = level_targets(summary) | {Fraction(1), Fraction(1 << 70)}
         for prediction in perturbed_predictions(summary, targets):
@@ -283,12 +293,17 @@ def test_level_check_matches_reference_past_int64(res):
 
 
 def test_passing_run_builds_no_per_value_objects(monkeypatch):
-    # a passing level reads the scan's sums only: no value view of the
-    # summary, and no Fraction built inside verify
-    def no_fraction(*args):
-        raise AssertionError(f"verify built Fraction{args}")
+    # a passing level reads the scan's sums and the integer predictions only:
+    # no value view of the summary, no HaarIndex or CoefficientPrediction,
+    # and no Fraction built inside verify
+    def refuse(name):
+        def build(*args, **kwargs):
+            raise AssertionError(f"verify built {name}{args}")
+        return build
 
-    monkeypatch.setattr(verify, "Fraction", no_fraction)
+    monkeypatch.setattr(verify, "Fraction", refuse("Fraction"))
+    for cls in (HaarIndex, CoefficientPrediction):
+        monkeypatch.setattr(cls, "__post_init__", refuse(cls.__name__))
     views = []
     view = LevelSummary.__getattr__
 
