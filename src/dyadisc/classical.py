@@ -73,19 +73,20 @@ _BLOCK_BYTES = 1 << 19
 
 
 def _count_rows(
-    points: PointMultiset,
+    points: PointMultiset, dtype=np.int64,
 ) -> Tuple[np.ndarray, np.ndarray, Iterator[Tuple[int, np.ndarray]]]:
     """Break grid spanned by the point coordinates (plus 0 and 1), swept in x.
 
     Returns the x and y breaks, scaled by 2^res in the store's dtype,
     _exact(res, 1), of `PointMultiset.scaled_coords`, and an iterator of
     (a0, block) pairs over the x cells a = 0 .. len(xs) - 2 in ascending
-    order. A block is a contiguous int64 array of cumulative count rows,
-    block[a - a0, b] = #{z : x_z <= xs[a], y_z <= ys[b]}; on the open cell
-    right of breaks (a, b) the counting part of the local discrepancy equals
-    that count / N. A block holds at most _BLOCK_BYTES (and at least one
-    row), and is a fresh array that the consumer owns and may overwrite: the
-    sweep carries a copy of its last row.
+    order. A block is a contiguous array of cumulative count rows,
+    block[a - a0, b] = #{z : x_z <= xs[a], y_z <= ys[b]}, in the integer
+    dtype the consumer asks for, which must hold N; on the open cell right
+    of breaks (a, b) the counting part of the local discrepancy equals that
+    count / N. A block holds at most _BLOCK_BYTES (and at least one row),
+    and is a fresh array that the consumer owns and may overwrite: the sweep
+    carries a copy of its last row.
 
     A block's rows step up only at the y columns of the points it holds, a
     few per x break. So each block is summed over a narrow table with one
@@ -104,20 +105,20 @@ def _count_rows(
     # the block of cells [a0, a1) counts the keys in [a0 * width, a1 * width)
     keys, hits = np.unique(np.searchsorted(xs, kx) * width + np.searchsorted(ys, ky),
                            return_counts=True)
-    height = min(cells, max(1, _BLOCK_BYTES // (8 * width)))
+    height = min(cells, max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize * width)))
 
     def blocks():
-        carry = np.zeros(width, dtype=np.int64)
+        carry = np.zeros(width, dtype=dtype)
         for a0 in range(0, cells, height):
             a1 = min(a0 + height, cells)
             lo, hi = np.searchsorted(keys, (a0 * width, a1 * width)).tolist()
             rows, cols = np.divmod(keys[lo:hi] - a0 * width, width)
             steps, col = np.unique(cols, return_inverse=True)
             # table column j + 1 takes y break steps[j]; column 0, the breaks before steps[0]
-            small = np.zeros((a1 - a0, len(steps) + 1), dtype=np.int64)
+            small = np.zeros((a1 - a0, len(steps) + 1), dtype=dtype)
             small[rows, col + 1] = hits[lo:hi]
-            np.cumsum(small, axis=1, out=small)
-            np.cumsum(small, axis=0, out=small)
+            np.cumsum(small, axis=1, dtype=dtype, out=small)
+            np.cumsum(small, axis=0, dtype=dtype, out=small)
             block = np.repeat(small, np.diff(steps, prepend=0, append=width), axis=1)
             block += carry
             carry = block[-1].copy()
@@ -267,11 +268,14 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     On each open cell D = c - t1 t2 with constant c, so D^p integrates as a
     binomial sum of monomial integrals; the per-exponent sums collapse to
     bilinear forms between count powers and difference vectors of break
-    powers. Each is exact in int64: the count powers and dy are split into
-    limbs (`_limb_split`), each block of count rows that `_count_rows` yields
-    meets the dy limbs in one int64 contraction (a matmul per count limb),
-    and the results are shifted together as Python ints once per block,
-    weighted by dx.
+    powers. The c^0 form is (sum dx)(sum dy) = 2^(2 res (p+1)), as the
+    breaks run from 0 to 2^res. Every other form is exact in int64: the
+    count powers and dy are split into limbs (`_limb_split`), each block of
+    count rows that `_count_rows` yields meets the dy limbs in one int64
+    contraction (a matmul per count limb) of the count-power limbs gathered
+    by its counts, or of the block itself for c^1 in one limb, and the
+    results are shifted together as Python ints once per block, weighted
+    by dx.
     """
     p = index(p)  # numpy integers pass as ints; a float raises TypeError
     if p <= 0:
@@ -285,19 +289,20 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     n = len(points)
     res = points.n_resolution
     xs, ys, blocks = _count_rows(points)
-    xs, ys = xs.tolist(), ys.tolist()
-    terms = [
-        (_power_differences(xs, k + 1),
-         *_limb_split([c ** (p - k) for c in range(n + 1)], _power_differences(ys, k + 1)))
-        for k in range(p + 1)
-    ]
+    terms = []
+    for k in range(p):
+        table, dy_limbs, shifts = _limb_split(n, p - k, _power_differences(ys, res, k + 1))
+        if p - k == 1 and len(table) == 1:
+            table = None  # the counts in one limb are their own c^1 table
+        terms.append((_power_differences(xs, res, k + 1).tolist(), table, dy_limbs, shifts))
 
     # s_k = sum over cells of count^(p-k) * dx[a] * dy[b], exact
-    sums = [0] * (p + 1)
+    sums = [0] * p + [1 << (2 * res * (p + 1))]
     for a0, counts in blocks:
         for k, (dx, table, dy_limbs, shifts) in enumerate(terms):
+            gathered = counts[None] if table is None else np.take(table, counts, axis=1)
             # per count limb, (dy limbs, cols) @ (cols, rows); int64 entries below 2^63
-            prods = np.einsum("irc,jc->ijr", np.take(table, counts, axis=1), dy_limbs)
+            prods = np.einsum("irc,jc->ijr", gathered, dy_limbs)
             weights = dx[a0 : a0 + len(counts)]
             for col, shift in zip(prods.reshape(len(shifts), -1).tolist(), shifts):
                 sums[k] += sum(map(mul, weights, col)) << shift
@@ -309,19 +314,15 @@ def lp_exact_even(points: PointMultiset, p: int) -> Fraction:
     return total
 
 
-def _limb_split(powers: List[int], dy: List[int]) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-    """int64 limbs of the count powers and of dy, and each limb pair's shift.
+def _limb_split(n: int, e: int, dy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """int64 limbs of the count powers c^e, c = 0..N, and of dy, and each limb pair's shift.
 
     dy in ld limbs of wd bits has limb column sums S <= min(sum(dy), len(dy)
     (2^wd - 1)), so count limbs of 63 - bitlen(S) bits keep every product sum
-    below 2^63. The split minimises lc (ld + 1): gathers plus contraction columns.
+    below 2^63. The split minimises lc (ld + 1): gathers plus contraction
+    columns. The powers are built in _exact(bitlen(N^e), 1).
     """
-    def limbs(values, width, count):
-        mask = (1 << width) - 1
-        return np.array([[(v >> width * i) & mask for v in values] for i in range(count)],
-                        dtype=np.int64)
-
-    total, top, bits = sum(dy), max(dy).bit_length(), max(powers).bit_length()
+    total, top, bits = int(dy.sum()), int(dy.max()).bit_length(), (n**e).bit_length()
     plans = []
     for ld in range(1, top + 1):
         wd = -(-top // ld)
@@ -331,13 +332,20 @@ def _limb_split(powers: List[int], dy: List[int]) -> Tuple[np.ndarray, np.ndarra
             plans.append((lc * (ld + 1), lc, wc, ld, wd))
     _, lc, wc, ld, wd = min(plans)
     shifts = [wc * i + wd * j for i in range(lc) for j in range(ld)]
+    powers = np.arange(n + 1, dtype=_exact(bits, 1)) ** e
     # a zero weight for each row's last entry keeps the gathered blocks contiguous
-    return limbs(powers, wc, lc), limbs(dy + [0], wd, ld), shifts
+    return _limbs(powers, wc, lc), _limbs(np.append(dy, 0), wd, ld), shifts
 
 
-def _power_differences(breaks: List[int], e: int) -> List[int]:
-    powers = [b**e for b in breaks]
-    return [powers[i + 1] - powers[i] for i in range(len(powers) - 1)]
+def _limbs(values: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The count limbs of width bits of nonnegative values, low limb first, in int64 rows."""
+    mask = (1 << width) - 1
+    return np.stack([(values >> width * i) & mask for i in range(count)]).astype(np.int64)
+
+
+def _power_differences(breaks: np.ndarray, res: int, e: int) -> np.ndarray:
+    """Steps between the e-th powers of ascending breaks in [0, 2^res], in _exact(res e, 1)."""
+    return np.diff(breaks.astype(_exact(res * e, 1)) ** e)
 
 
 # resolution + extra_depth above this would evaluate more than 2^32 midpoints
@@ -413,13 +421,16 @@ def star_discrepancy(points: PointMultiset) -> Fraction:
     """
     n = len(points)
     res = points.n_resolution
-    xs, ys, blocks = _count_rows(points)
     # |c/N - x y / 2^(2 res)| -> integer candidates |c 2^(2 res) - N x y|,
-    # bounded by N 2^(2 res): the breaks and the counts take that bound
-    dtype = _exact(2 * res, n)
-    nx = n * xs.astype(dtype, copy=False)
-    ys = ys.astype(dtype, copy=False)
+    # divided by g = gcd(2^(2 res), N) and so bounded by (N/g) 2^(2 res):
+    # int32 below 2^31, else _exact; the breaks and the counts take that bound
     scale = 1 << (2 * res)
+    g = math.gcd(scale, n)
+    scale, weight = scale // g, n // g
+    dtype = np.int32 if weight << 2 * res < 1 << 31 else _exact(2 * res, weight)
+    xs, ys, blocks = _count_rows(points, np.int32 if dtype is np.int32 else np.int64)
+    nx = weight * xs.astype(dtype, copy=False)
+    ys = ys.astype(dtype, copy=False)
     best = 0
     # one buffer for the candidates: the first block is the tallest
     buf = None
@@ -434,4 +445,4 @@ def star_discrepancy(points: PointMultiset) -> Fraction:
         best = max(best, int(np.subtract(counts, work, out=work).max()))
         np.multiply.outer(nx[a0 + 1 : a1 + 1], ys[1:], out=work)
         best = max(best, int(np.subtract(work, counts, out=work).max()))
-    return Fraction(best, n << 2 * res)
+    return Fraction(best * g, n << 2 * res)

@@ -409,6 +409,10 @@ def hammersley_moments(sigma: SignPattern, a: int, b: int) -> List[List[int]]:
     return moments
 
 
+# base entries per comparison of _hammersley_sigma: 512 KiB of int64 temporaries
+_SIGMA_CHUNK = 1 << 16
+
+
 def _hammersley_sigma(points: PointMultiset) -> Optional[SignPattern]:
     """The sign pattern sigma with base == hammersley_type(n, sigma) entry for entry, else None.
 
@@ -417,18 +421,21 @@ def _hammersley_sigma(points: PointMultiset) -> Optional[SignPattern]:
     == ky[w] ^ 2^(n-1-i): digit i of the counter adds 2^i to kx and toggles
     bit n-1-i of ky. Then ky[0] holds the flips, flip_i in bit n-1-i; it is
     below 2^n, as ky[1] = ky[0] ^ 2^(n-1) is at most 2^n. O(M) for M base
-    points, with temporaries of at most M/2 entries; reads the base only,
-    so any symmetrization of such a base qualifies too.
+    points, compared _SIGMA_CHUNK entries at a time, so that no temporary
+    grows with M; reads the base only, so any symmetrization of such a base
+    qualifies too.
     """
     n = points.n_resolution
     kx, ky = points._base
     if n < 1 or len(kx) != 1 << n or kx[0]:
         return None
     for i in range(n):
-        half = 1 << i
-        if not (np.array_equal(kx[half : 2 * half], kx[:half] + half)
-                and np.array_equal(ky[half : 2 * half], ky[:half] ^ (1 << (n - 1 - i)))):
-            return None
+        half, toggle = 1 << i, 1 << (n - 1 - i)
+        for lo in range(0, half, _SIGMA_CHUNK):
+            hi = min(lo + _SIGMA_CHUNK, half)
+            if not (np.array_equal(kx[half + lo : half + hi], kx[lo:hi] + half)
+                    and np.array_equal(ky[half + lo : half + hi], ky[lo:hi] ^ toggle)):
+                return None
     first = int(ky[0])
     return SignPattern(n, tuple(bool(first >> (n - 1 - i) & 1) for i in range(n)))
 

@@ -24,8 +24,8 @@ from dyadisc import (
     symmetrize_davenport,
     symmetrize_full,
 )
-from dyadisc import classical
-from dyadisc.classical import _count_rows, _dominance_pair_sum, _power_differences, _single_sum
+from dyadisc import classical, pointsets
+from dyadisc.classical import _count_rows, _dominance_pair_sum, _single_sum
 from dyadisc.pointsets import (
     FAMILIES,
     _exact,
@@ -326,6 +326,21 @@ def test_hammersley_base_check():
     assert _hammersley_sigma(PointMultiset([(0, 0)])) is None
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_hammersley_base_check_in_chunks(chunk, monkeypatch):
+    # a changed entry fails the check in whichever chunk of its digit holds it
+    monkeypatch.setattr(pointsets, "_SIGMA_CHUNK", chunk)
+    n = 6
+    for preset in PRESETS:
+        pattern = sigma(preset, n)
+        kx, ky = (k.tolist() for k in hammersley_type(n, pattern)._base)
+        assert _hammersley_sigma(PointMultiset._from_scaled(kx, ky, n)) == pattern
+        for i in range(1 << n):
+            for coords in ((kx[:i] + [kx[i] ^ 1] + kx[i + 1 :], ky),
+                           (kx, ky[:i] + [ky[i] ^ 1] + ky[i + 1 :])):
+                assert _hammersley_sigma(PointMultiset._from_scaled(*coords, n)) is None
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_l2_of_the_hammersley_set_has_its_closed_form(n):
     # Halton and Zaremba (1969): N^2 L2^2 of the identity Hammersley set, N = 2^n
@@ -390,11 +405,18 @@ def block_sweep(points):
     return xs, ys, (row for _, block in blocks for row in block)
 
 
+def power_differences(breaks, e):
+    """Steps between the e-th powers of a list of ascending breaks, in Python ints."""
+    powers = [b**e for b in breaks]
+    return [powers[i + 1] - powers[i] for i in range(len(powers) - 1)]
+
+
 def object_route_lp_even(points, p, sweep=block_sweep):
     """The per-term dtype route lp_exact_even used before its limb split (oracle).
 
     Term k runs in int64 while N^(p-k) sum(dy) < 2^62 and in object arrays
-    of Python ints past that, one count row of the sweep at a time.
+    of Python ints past that, one count row of the sweep at a time, every
+    term k = 0..p from its count powers.
     """
     n = len(points)
     res = points.n_resolution
@@ -402,9 +424,9 @@ def object_route_lp_even(points, p, sweep=block_sweep):
     xs, ys = xs.tolist(), ys.tolist()
     terms = []
     for k in range(p + 1):
-        dy = _power_differences(ys, k + 1)
+        dy = power_differences(ys, k + 1)
         dtype = np.int64 if n ** (p - k) * sum(dy) < (1 << 62) else object
-        terms.append((_power_differences(xs, k + 1), np.asarray(dy, dtype=dtype)))
+        terms.append((power_differences(xs, k + 1), np.asarray(dy, dtype=dtype)))
     sums = [0] * (p + 1)
     for a, row in zip(range(len(xs) - 1), rows):
         cells = row[:-1]
@@ -570,7 +592,8 @@ def brute_star(points):
 
 @pytest.mark.parametrize("res", range(29, 35))
 def test_star_against_brute_fine_resolution(res):
-    # N 2^(2 res) crosses 2^62 inside this range, for every N in {2, 4, 8}
+    # the candidates' bound (N/g) 2^(2 res), g = gcd(2^(2 res), N), is 2^(2 res)
+    # for every N in {2, 4, 8} and crosses 2^62 inside this range
     rng = random.Random(res)
     for _ in range(12):
         points = random_multiset(rng, rng.choice((2, 4, 8)), res)
@@ -600,16 +623,17 @@ def test_star_and_local_discrepancy_take_any_cardinality():
 @pytest.mark.parametrize("res", [29, 30, 31])
 @pytest.mark.parametrize("symmetrize", [symmetrize_full, symmetrize_davenport])
 def test_star_takes_its_own_bound(symmetrize, res):
-    # the candidates |c 2^(2 res) - N x y| of a union's star discrepancy
-    # are bounded by N 2^(2 res): _exact(2 res, N) is int64 at res 29 for
-    # the four or eight points of a symmetrized pair (58 + 4 <= 62) and
-    # Python ints from res 30, over the union's int64 coordinates; at res
-    # 31 a count of 2 or more times 2^62 would wrap in int64
+    # the candidates |c 2^(2 res) - N x y| / g of a union's star discrepancy,
+    # g = gcd(2^(2 res), N), are bounded by (N/g) 2^(2 res) = 2^(2 res) for
+    # the four or eight points of a symmetrized pair: _exact(2 res, N/g) is
+    # int64 at res 29 and 30 (60 + 1 <= 62) and Python ints from res 31,
+    # over the union's int64 coordinates
     rng = random.Random(res)
     for _ in range(4):
         points = symmetrize(random_multiset(rng, 2, res))
         assert points.scaled_coords()[0].dtype == np.int64
-        assert _exact(2 * res, len(points)) is (np.int64 if res == 29 else object)
+        assert math.gcd(1 << 2 * res, len(points)) == len(points)
+        assert _exact(2 * res, 1) is (np.int64 if res < 31 else object)
         assert star_discrepancy(points) == brute_star(points)
 
 
@@ -646,7 +670,11 @@ def test_cell_grid_structure():
 
 
 def reference_star(points):
-    """star_discrepancy one count row at a time, with both absolute values (oracle)."""
+    """star_discrepancy one count row at a time, with both absolute values (oracle).
+
+    The candidates are |c 2^(2 res) - N x y|, undivided, in _exact(2 res, N):
+    int64 up to N 2^(2 res) < 2^62, as the star ran before its 32-bit lane.
+    """
     n = len(points)
     res = points.n_resolution
     xs, ys, rows = row_sweep(points)
@@ -681,10 +709,117 @@ def reference_estimate(points, p, extra_depth):
     return total * step * step
 
 
-def block_budgets(points):
-    """_BLOCK_BYTES for blocks of 1 row, of 3 rows and of the whole grid."""
-    xs, ys, _ = _count_rows(points)
-    row_bytes = 8 * len(ys)
+def requested_dtypes(run, points, monkeypatch):
+    """run(points)'s value and the dtypes it asks _count_rows for, in order."""
+    dtypes = []
+    count_rows = classical._count_rows
+
+    def spy(points, dtype=np.int64):
+        dtypes.append(np.dtype(dtype))
+        return count_rows(points, dtype)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classical, "_count_rows", spy)
+        value = run(points)
+    return value, dtypes
+
+
+@pytest.mark.parametrize(
+    "res, size, lane",
+    [
+        (15, 4, np.int32),  # N/g = 1: the bound 2^30
+        (16, 4, np.int64),  # N/g = 1: the bound 2^32
+        (1, 8, np.int32),  # N = 2^(2 res + 1) keeps one factor 2: N/g = 2
+        (0, 2, np.int32),  # N/g = 2 at resolution 0, where g = 1
+        (10, 2047, np.int32),  # odd N: 2047 * 2^20 < 2^31
+        (10, 2049, np.int64),  # odd N: 2049 * 2^20 > 2^31
+    ],
+)
+def test_star_candidates_take_the_narrowest_exact_lane(res, size, lane, monkeypatch):
+    points = random_multiset(random.Random(res * size), size, res)
+    n = len(points)
+    weight = n // math.gcd(1 << 2 * res, n)
+    assert (weight << 2 * res < 1 << 31) == (lane is np.int32)
+    value, dtypes = requested_dtypes(star_discrepancy, points, monkeypatch)
+    assert dtypes == [np.dtype(lane)]
+    assert value == reference_star(points)
+    if size <= 8:
+        assert value == brute_star(points)
+
+
+def test_star_equals_the_undivided_route():
+    rng = random.Random(11)
+    cases = [points for res in (2, 3, 5, 15, 16, 29) for points in awkward_multisets(rng, res)]
+    cases += [build_family(family, n, sigma(preset, n))
+              for family in FAMILIES for n in range(1, 9) for preset in PRESETS]
+    for points in cases:
+        value = star_discrepancy(points)
+        assert value == reference_star(points)
+        if len(points) <= 16:
+            assert value == brute_star(points)
+
+
+def count_power_gathers(points, p, monkeypatch, split=None):
+    """lp_exact_even's value and the row count of each table np.take gathers from."""
+    gathers = []
+    take = np.take
+
+    def spy(a, *args, **kwargs):
+        gathers.append(len(a))
+        return take(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "take", spy)
+        if split is not None:
+            patch.setattr(classical, "_limb_split", split)
+        value = lp_exact_even(points, p)
+    return value, gathers
+
+
+def two_limb_counts(n, e, dy, limb_split=classical._limb_split):
+    """classical._limb_split, with the one-limb c^1 table split in two limbs.
+
+    Narrower count limbs only lower the product sums, so the value stays exact.
+    """
+    table, dy_limbs, shifts = limb_split(n, e, dy)
+    if e == 1 and len(table) == 1:
+        half = -(-n.bit_length() // 2)
+        table = np.stack([table[0] & ((1 << half) - 1), table[0] >> half])
+        shifts = shifts + [half + shift for shift in shifts]
+    return table, dy_limbs, shifts
+
+
+@pytest.mark.parametrize("split", [None, two_limb_counts], ids=["one-limb", "two-limb"])
+def test_lp_even_c1_contracts_its_block_in_one_limb(split, monkeypatch):
+    # c^0 is added in closed form and takes no pass; c^1 in one limb is the
+    # count block itself; every other count power, and c^1 in two limbs, is
+    # gathered from its table once per block
+    rng = random.Random(4)
+    cases = [symmetrize_full(hammersley_type(n, sigma("random", n))) for n in (1, 3, 5)]
+    for points in cases + awkward_multisets(rng, 3):
+        for p in (2, 4, 6):
+            expected = object_route_lp_even(points, p)
+            for budget in block_budgets(points).values():
+                monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
+                blocks = sum(1 for _ in _count_rows(points)[2])
+                value, gathers = count_power_gathers(points, p, monkeypatch, split)
+                assert value == expected
+                assert len(gathers) == blocks * (p if split else p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8, 64])
+def test_lp_even_matches_object_route(p):
+    rng = random.Random(p)
+    sizes = (1, 2) if p == 64 else (1, 3, 5)
+    cases = [build_family(family, n, sigma("random", n)) for family in FAMILIES for n in sizes]
+    for points in cases + awkward_multisets(rng, 2 if p == 64 else 3):
+        assert lp_exact_even(points, p) == object_route_lp_even(points, p)
+
+
+def block_budgets(points, dtype=np.int64):
+    """_BLOCK_BYTES for blocks of 1 row, of 3 rows and of the whole grid, in dtype."""
+    xs, ys, blocks = _count_rows(points, dtype)
+    row_bytes = next(blocks)[1].itemsize * len(ys)
     return {1: row_bytes, 3: 3 * row_bytes + row_bytes // 2, len(xs) - 1: len(xs) * row_bytes}
 
 
@@ -742,15 +877,16 @@ def test_awkward_multisets_have_their_features():
 
 def test_count_blocks_match_the_row_sweep(monkeypatch):
     fine = (points for res in range(29, 35) for points in awkward_multisets(random.Random(res), res))
-    for points in itertools.chain(sweep_cases(), fine):
+    cases = itertools.chain(sweep_cases(), fine)
+    for points, dtype in itertools.product(cases, (np.int32, np.int64)):
         xs, ys, rows = row_sweep(points)
         expected = np.array(list(rows))
-        for height, budget in block_budgets(points).items():
+        for height, budget in block_budgets(points, dtype).items():
             monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
-            xs, ys, blocks = _count_rows(points)
+            xs, ys, blocks = _count_rows(points, dtype)
             starts, copies = [], []
             for a0, block in blocks:
-                assert block.dtype == np.int64 and block.flags.c_contiguous
+                assert block.dtype == dtype and block.flags.c_contiguous
                 assert len(block) <= height
                 starts.append(a0)
                 copies.append(block.copy())
@@ -759,13 +895,21 @@ def test_count_blocks_match_the_row_sweep(monkeypatch):
             assert np.array_equal(np.concatenate(copies), expected)
 
 
+def star_budgets(points, monkeypatch):
+    """block_budgets in the dtype star_discrepancy asks _count_rows for."""
+    _, (dtype,) = requested_dtypes(star_discrepancy, points, monkeypatch)
+    return block_budgets(points, dtype)
+
+
 def test_block_edges_keep_star_and_even_lp(monkeypatch):
     for points in sweep_cases():
         star = reference_star(points)
+        for budget in star_budgets(points, monkeypatch).values():
+            monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
+            assert star_discrepancy(points) == star
         even = {p: object_route_lp_even(points, p, sweep=row_sweep) for p in (2, 4, 6)}
         for budget in block_budgets(points).values():
             monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
-            assert star_discrepancy(points) == star
             assert {p: lp_exact_even(points, p) for p in even} == even
 
 
@@ -799,7 +943,7 @@ def test_block_edges_keep_star_past_its_guard(res, monkeypatch):
     for points in cases + awkward_multisets(rng, res):
         star = reference_star(points)
         assert star == brute_star(points)
-        for budget in block_budgets(points).values():
+        for budget in star_budgets(points, monkeypatch).values():
             monkeypatch.setattr(classical, "_BLOCK_BYTES", budget)
             assert star_discrepancy(points) == star
 
