@@ -390,24 +390,13 @@ _COMMANDS = {
 }
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """The top-level parser with a single subcommand; it reports errors as the full one does."""
-
-    def error(self, message):
-        _build_parser().error(message)
-
-
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The dyadisc parser: every subcommand, or only the named one."""
-    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="dyadisc",
         description="Exact discrepancy analysis of symmetrized Hammersley-type point sets.",
     )
-    sub = parser.add_subparsers(
-        dest="subcommand", required=True, parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        if only not in (None, name):
-            continue
         cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for flag in flags + ("--format", "--out"):
             cmd.add_argument(flag, **_FLAGS.get((name, flag), _FLAGS.get(flag, {})))
@@ -430,15 +419,13 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _build_parser()
     args: List[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
         if args and args[-1] in _NUMERIC_FLAGS and arg[:1] == "-" and arg[:2] != "--":
             args[-1] += "=" + arg
         else:
             args.append(arg)
-    # a named subcommand needs only its own parser; any other first argument, and
-    # every error of the top-level parser, takes the full one
-    parser = _build_parser(args[0] if args and args[0] in _COMMANDS else None)
     given = vars(parser.parse_args(args))
     if "seed" in given and given.get("sigma", RunConfig.sigma) not in ("random", "all"):
         parser.error(f"--seed {given['seed']}: only --sigma random (or verify's all) reads it")

@@ -435,44 +435,6 @@ def test_subcommands_accept_only_the_flags_they_read():
 
 
 @pytest.mark.parametrize("sub", sorted(FLAGS_READ))
-def test_one_command_parser_holds_that_command_alone(sub):
-    def commands(parser):
-        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return {name: [(a.option_strings, a.dest, a.choices, a.type) for a in cmd._actions]
-                for name, cmd in action.choices.items()}
-
-    assert commands(_build_parser(sub)) == {sub: commands(_build_parser())[sub]}
-
-
-def streams(capsys, argv):
-    """main(argv)'s exit code, stdout and stderr; every argv here ends in SystemExit."""
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    captured = capsys.readouterr()
-    return excinfo.value.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classic", "--n", "3", "extra"],  # the top-level parser's error, with its usage
-        ["classic", "--bogus"],
-        ["classic", "--family", "nope"],  # the subcommand's own error
-        ["gen", "--n", "x"],
-        ["verify", "-h"],
-        ["gen", "--n", "1", "--seed", "3"],  # main's own parser.error
-        ["-h"],
-        ["bogus"],
-    ],
-)
-def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    got = streams(capsys, argv)
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
-    assert got == streams(capsys, argv)
-
-
-@pytest.mark.parametrize("sub", sorted(FLAGS_READ))
 def test_defaults_come_from_run_config(capsys, sub):
     code, out = capture(capsys, [sub, "--n", "2"])
     assert run(RunConfig(sub, n=2)) == code
