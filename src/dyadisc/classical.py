@@ -4,13 +4,12 @@ The counting part of the local discrepancy is constant on the open cells of
 the grid spanned by the point coordinates, which turns each norm into a
 finite exact computation: a pair-sum identity for the squared L2 norm, per
 cell binomial integration for even powers, and corner candidates with
-one-sided limits for the supremum. The L2 pair sum is a digit transfer
-(pointsets._hammersley_pair_sum), and its single sum a combination of the
-base's moments, when the base is a Hammersley-type set, as in every
-build_family set; both are sums over the base points otherwise. Every
-value is returned as a Fraction: L2 and L_p values are honest rationals
-(the volume term integrates to ninths); the supremum and pointwise values
-are dyadic.
+one-sided limits for the supremum. On a Hammersley-type base, as in
+every build_family set, both L2 sums are instances of the one digit
+transfer, pointsets._digit_transfer; on any other base they are sums
+over the base points. Every value is returned as a Fraction: L2 and L_p
+values are honest rationals (the volume term integrates to ninths); the
+supremum and pointwise values are dyadic.
 """
 
 from __future__ import annotations
@@ -140,9 +139,9 @@ def l2_warnock(points: PointMultiset) -> Fraction:
     Both sums take one of two routes, chosen from the base arrays alone. A
     base that is hammersley_type(n, sigma) entry for entry, as in every
     build_family set (pointsets._hammersley_sigma, an O(M) check), takes
-    pointsets._hammersley_single_sum, from the base's moments, and
-    pointsets._hammersley_pair_sum, a transfer over the n digits; both in
-    Python ints with no point read. Every other base takes `_single_sum`,
+    pointsets._hammersley_single_sum and pointsets._hammersley_pair_sum,
+    two instances of the digit-transfer kernel pointsets._digit_transfer,
+    in Python ints with no point read. Every other base takes `_single_sum`,
     an O(M) pass over the M base points, and `_dominance_pair_sum`, O(M log M)
     exact integer array passes; the two stay the digit routes' test oracles.
     """

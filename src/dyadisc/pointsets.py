@@ -23,9 +23,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import comb
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -282,8 +283,8 @@ def hammersley_type(n: int, sigma: SignPattern) -> PointMultiset:
     v / 2**n exactly; the second applies the sign pattern digit-wise.
     Raises MemoryError before allocating past numpy's largest array (n >= 60).
     l2_warnock recognises this layout in a base (_hammersley_sigma) and
-    takes its pair sum by the digit transfer _hammersley_pair_sum and its
-    single sum from hammersley_moments (_hammersley_single_sum).
+    takes both of its sums from the digit-transfer kernel _digit_transfer:
+    _hammersley_pair_sum and _hammersley_single_sum.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -389,24 +390,12 @@ def build_family(family: str, n: int, sigma: SignPattern) -> PointMultiset:
 def hammersley_moments(sigma: SignPattern, a: int, b: int) -> List[List[int]]:
     """M[s][t], the sum of kx^s ky^t over hammersley_type(n, sigma), for s <= a, t <= b.
 
-    kx and ky are the integer coordinates at scale 2^n. Both are linear in
-    the n digits of the counter v: digit i adds bit 2^i to kx and
-    (bit XOR flip_i) 2^(n-1-i) to ky. So the moments follow by a transfer
-    over the digits, from the empty prefix (M[0][0] = 1), without building
-    a point: each digit sums, over its two bits, the prefix's moments
-    shifted by the two steps, where a shift by d takes the power sums m[u]
-    of one coordinate to sum over u <= s of C(s, u) d^(s-u) m[u].
-    Python ints throughout, so every moment is exact at any n.
+    kx and ky are the integer coordinates at scale 2^n. The moments are
+    _digit_transfer with one point and one state, exact at any n.
     """
-    n = sigma.n
-    moments = [[int(s == t == 0) for t in range(b + 1)] for s in range(a + 1)]
-    for i, flip in enumerate(sigma.flips):
-        step = 1 << (n - 1 - i)
-        # bit 0 moves y only when the digit flips; bit 1 moves x, and y when it does not
-        low = _shift(moments, step if flip else 0, 1)
-        high = _shift(_shift(moments, 1 << i, 0), 0 if flip else step, 1)
-        moments = [[p + q for p, q in zip(u, w)] for u, w in zip(low, high)]
-    return moments
+    monomials = list(product(range(a + 1), range(b + 1)))
+    (moments,) = _digit_transfer(sigma, 1, monomials, lambda state, bits, ybits: state, ()).values()
+    return [moments[s * (b + 1) : (s + 1) * (b + 1)] for s in range(a + 1)]
 
 
 # base entries per comparison of _hammersley_sigma: 512 KiB of int64 temporaries
@@ -440,22 +429,83 @@ def _hammersley_sigma(points: PointMultiset) -> Optional[SignPattern]:
     return SignPattern(n, tuple(bool(first >> (n - 1 - i) & 1) for i in range(n)))
 
 
-def _hammersley_single_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> int:
-    """Sum over the union points of prod over axes of (R^2 - k^2), R = 2^n.
+@lru_cache
+def _shift_plans(arity: int, monomials: Tuple[Tuple[int, ...], ...]) -> dict:
+    """Per mask of the moving coordinates, the terms of _digit_transfer's shift.
+
+    Moving each coordinate v by d_v takes the sum of a monomial m to the sum
+    over its sub-monomials u of prod_v C(m_v, u_v) d_v^(m_v - u_v) times the
+    sum of u. A term is (index of m, index of u, coefficient, x-degree,
+    y-degree) for each u != m whose every v with m_v > u_v moves.
+    """
+    index = {m: j for j, m in enumerate(monomials)}
+    return {
+        mask: tuple((index[m], index[u], math.prod(map(comb, m, u)),
+                     sum(m[:arity]) - sum(u[:arity]), sum(m[arity:]) - sum(u[arity:]))
+                    for m in monomials for u in product(*(range(e + 1) for e in m))
+                    if u != m and all(moves or e == f for moves, e, f in zip(mask, m, u)))
+        for mask in product((0, 1), repeat=2 * arity)
+    }
+
+
+def _digit_transfer(sigma: SignPattern, arity: int, monomials, key: Callable, start) -> dict:
+    """Per state, the sums of monomials over tuples of arity points of hammersley_type(n, sigma).
+
+    Point j is (x_j, y_j) = (kx, ky) at scale 2^n; a monomial is its
+    exponents of (x_1 .. x_arity, y_1 .. y_arity), and the sequence is
+    downward closed. From the empty prefix in state start, digit i with
+    bits b_j adds b_j 2^i to x_j and (b_j XOR flip_i) 2^(n-1-i) to y_j, a
+    binomial shift of every sum (_shift_plans), and moves a tuple in state
+    c to key(c, bits, ybits). The shift is the same for every state under
+    one bit tuple, so the states that share a next state are added first
+    and shifted once. Returns {state: its sums}, exact Python ints.
+    """
+    n = sigma.n
+    plans = _shift_plans(arity, tuple(monomials))
+    states = {start: [int(not any(m)) for m in monomials]}
+    for i, flip in enumerate(sigma.flips):
+        moved = {}
+        for bits in product((0, 1), repeat=arity):
+            ybits = tuple(b ^ flip for b in bits)
+            groups = {}
+            for state, m in states.items():
+                nxt = key(state, bits, ybits)
+                groups[nxt] = list(map(operator.add, groups[nxt], m)) if nxt in groups else m
+            terms = [(t, u, c << (i * dx + (n - 1 - i) * dy))
+                     for t, u, c, dx, dy in plans[bits + ybits]]
+            for nxt, m in groups.items():
+                into = list(map(operator.add, moved[nxt], m)) if nxt in moved else list(m)
+                for t, u, c in terms:
+                    into[t] += c * m[u]
+                moved[nxt] = into
+        states = moved
+    return states
+
+
+def _hammersley_orbit_sum(sigma: SignPattern, reflected: Tuple[bool, bool], factors) -> int:
+    """Sum over the union points of fx(kx) fy(ky), for factors (fx, fy) by power of k.
 
     The union is hammersley_type(n, sigma) and its reflections on the
-    reflected axes (x, y), as in _hammersley_pair_sum. A base point's
-    factor sums its orbit: R^2 - k^2 on a plain axis and
-    (R^2 - k^2) + (R^2 - (R - k)^2) = R^2 + 2Rk - 2k^2 on a reflected one,
-    each a polynomial of degree 2 in k. So the sum is read off the moments
-    of hammersley_moments(sigma, 2, 2), in Python ints.
+    reflected axes (x, y), at scale R = 2^n. A base point's orbit on a
+    reflected axis sums f(k) + f(R - k), again a polynomial in k, so the
+    sum dots the two orbit polynomials with hammersley_moments.
     """
     full = 1 << sigma.n
-    sq = full * full
-    # coefficients of 1, k, k^2 in each axis factor
-    fx, fy = ((sq, 2 * full, -2) if r else (sq, 0, -1) for r in reflected)
-    moments = hammersley_moments(sigma, 2, 2)
-    return sum(a * b * moments[s][t] for s, a in enumerate(fx) for t, b in enumerate(fy))
+    # the k^u coefficient of f(R - k) is (-1)^u sum_s f_s C(s, u) R^(s-u)
+    px, py = ([c + (-1) ** u * sum(g * comb(s, u) * full ** (s - u) for s, g in enumerate(f[u:], u))
+               if r else c for u, c in enumerate(f)] for f, r in zip(factors, reflected))
+    moments = hammersley_moments(sigma, len(px) - 1, len(py) - 1)
+    return sum(a * b * m for (a, b), m in zip(product(px, py), chain.from_iterable(moments)))
+
+
+def _hammersley_single_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> int:
+    """The _hammersley_orbit_sum of prod over axes of (R^2 - k^2), R = 2^n."""
+    full = 1 << sigma.n
+    return _hammersley_orbit_sum(sigma, reflected, [(full * full, 0, -1)] * 2)
+
+
+# the bilinear monomials of a pair, (1, x, x') times (1, y, y'), as exponents of (x, x', y, y')
+_PAIR_MONOMIALS = tuple(ex + ey for ex in ((0, 0), (1, 0), (0, 1)) for ey in ((0, 0), (1, 0), (0, 1)))
 
 
 def _hammersley_pair_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> int:
@@ -470,46 +520,23 @@ def _hammersley_pair_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> in
     factor is linear in (k, k') once the comparisons c1 = cmp(k, k') and,
     on a reflected axis, c2 = cmp(k, comp k') are known.
 
-    A transfer over the n digits, as in hammersley_moments, carries per
-    joint state (c1 and c2 on each axis; 9, 27 or 81 states) the nine
-    moments 1, x, x', y, y', xy, xy', x'y, x'y' of its pairs. Digit i with
-    bits (t, t') adds t 2^i to x and s 2^(n-1-i) to y, s = t XOR flip_i.
-    x takes its digits in rising weight, so a digit that differs overwrites
-    its comparisons; y takes them in falling weight, so only the first one
-    that differs sets them. A digit differs for c1 when d != d' and for c2
-    when d == d', as comp flips every digit of k'. O(n) digit steps, Python
-    ints throughout, so the sum is exact at any n.
+    The sum is thus _digit_transfer over pairs, with c1 and c2 on each axis
+    as its state (9, 27 or 81 states) and the nine _PAIR_MONOMIALS: x takes
+    its digits in rising weight, so a digit that differs overwrites its
+    comparisons; y takes them in falling weight, so only the first one that
+    differs sets them. A digit differs for c1 when d != d' and for c2 when
+    d == d', as comp flips every digit of k'. Each state's two linear
+    factors then read its part of the sum off its moments.
     """
-    n = sigma.n
-    full = 1 << n
-    # (x c1, x c2, y c1, y c2) -> moments; a plain axis keeps its c2 at 0
-    states = {(0, 0, 0, 0): [1, 0, 0, 0, 0, 0, 0, 0, 0]}
-    for i, flip in enumerate(sigma.flips):
-        step = 1 << (n - 1 - i)
-        moved = {}
-        for t, tp in product((0, 1), repeat=2):
-            s, sp = t ^ flip, tp ^ flip
-            dx, dxp, dy, dyp = t << i, tp << i, s * step, sp * step
-            for (x1, x2, y1, y2), m in states.items():
-                # on bits, a - b is cmp(a, b) and a + b - 1 is cmp(a, 1 - b)
-                key = (
-                    t - tp or x1,
-                    (t + tp - 1 or x2) if reflected[0] else 0,
-                    y1 or s - sp,
-                    (y2 or s + sp - 1) if reflected[1] else 0,
-                )
-                c, x, xp, y, yp, xy, xyp, xpy, xpyp = m
-                shifted = [
-                    c, x + dx * c, xp + dxp * c, y + dy * c, yp + dyp * c,
-                    xy + dy * x + dx * y + dx * dy * c,
-                    xyp + dyp * x + dx * yp + dx * dyp * c,
-                    xpy + dy * xp + dxp * y + dxp * dy * c,
-                    xpyp + dyp * xp + dxp * yp + dxp * dyp * c,
-                ]
-                into = moved.setdefault(key, [0] * 9)
-                for j, value in enumerate(shifted):
-                    into[j] += value
-        states = moved
+    full = 1 << sigma.n
+    mirrored_x, mirrored_y = reflected
+
+    def key(state, bits, ybits):
+        x1, x2, y1, y2 = state
+        (t, tp), (s, sp) = bits, ybits
+        # on bits, a - b is cmp(a, b) and a + b - 1 is cmp(a, 1 - b); a plain axis keeps c2 at 0
+        return (t - tp or x1, (t + tp - 1 or x2) if mirrored_x else 0,
+                y1 or s - sp, (y2 or s + sp - 1) if mirrored_y else 0)
 
     def factor(c1: int, c2: int, mirrored: bool) -> Tuple[int, int, int]:
         """The axis factor as a + b k + c k', for (a, b, c)."""
@@ -518,21 +545,6 @@ def _hammersley_pair_sum(sigma: SignPattern, reflected: Tuple[bool, bool]) -> in
         a, b, c = (full, -1, 1) if c1 >= 0 else (full, 1, -1)
         return (a, b + 1, c + 1) if c2 <= 0 else (a + 2 * full, b - 1, c - 1)
 
-    total = 0
-    for (x1, x2, y1, y2), m in states.items():
-        ax, bx, cx = factor(x1, x2, reflected[0])
-        ay, by, cy = factor(y1, y2, reflected[1])
-        c, x, xp, y, yp, xy, xyp, xpy, xpyp = m
-        total += (ax * (ay * c + by * y + cy * yp) + bx * (ay * x + by * xy + cy * xyp)
-                  + cx * (ay * xp + by * xpy + cy * xpyp))
-    return total
-
-
-def _shift(moments: List[List[int]], d: int, axis: int) -> List[List[int]]:
-    """The moments of the set moved by d along axis 0 (x) or 1 (y); d = 0 returns them."""
-    if not d:
-        return moments
-    lines = moments if axis else list(zip(*moments))
-    table = [[comb(s, u) * d ** (s - u) for u in range(s + 1)] for s in range(len(lines[0]))]
-    shifted = [[sum(c * m for c, m in zip(coefs, line)) for coefs in table] for line in lines]
-    return shifted if axis else [list(line) for line in zip(*shifted)]
+    states = _digit_transfer(sigma, 2, _PAIR_MONOMIALS, key, (0, 0, 0, 0))
+    return sum(a * b * v for (x1, x2, y1, y2), m in states.items()
+               for (a, b), v in zip(product(factor(x1, x2, mirrored_x), factor(y1, y2, mirrored_y)), m))

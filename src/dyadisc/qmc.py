@@ -7,10 +7,10 @@ errors are exact: the sum runs over the integer coordinate arrays at scale
 2^resolution, in int64 while every term and the total fit and in Python
 integers past that, and over reflection orbits for the symmetrizations.
 On the three families the same sums need no points: family_integral
-reads the moments of pointsets.hammersley_moments, a transfer over the n
-digits, so error tables reach any n. The corner product with a = b = 1
-is the litmus test separating the full symmetrization (error exactly
-zero) from the single-axis one (error exactly 2^-(n+2)).
+reads them off the digit-transfer kernel, pointsets._digit_transfer, so
+error tables reach any n. The corner product with a = b = 1 is the
+litmus test separating the full symmetrization (error exactly zero) from
+the single-axis one (error exactly 2^-(n+2)).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .pointsets import (
     PointMultiset,
     SignPattern,
     _exact,
+    _hammersley_orbit_sum,
     build_family,
     family_reflections,
-    hammersley_moments,
 )
 
 __all__ = [
@@ -116,36 +116,23 @@ class ErrorRow:
     error: Union[Fraction, float]
 
 
-def _orbit_polynomial(f: Integrand, e: int, full: int, reflected: bool) -> List[int]:
-    """Integer coefficients, by power of k, of one axis's orbit sum of f's factor.
-
-    The factor is (full - k)^e for a corner and k^e for a monomial; a
-    reflected axis adds the other one, its value at full - k.
-    """
-    mirror = [math.comb(e, s) * full ** (e - s) * (-1) ** s for s in range(e + 1)]
-    plain = [0] * e + [1]
-    own, other = (mirror, plain) if f.kind == CORNER else (plain, mirror)
-    return [u + w for u, w in zip(own, other)] if reflected else own
-
-
 def family_integral(family: str, sigma: SignPattern, f: Integrand) -> Tuple[int, Fraction]:
     """(N, Q_N(f)) for a built-in f on build_family(family, sigma.n, sigma), without points.
 
     The family's N points are the 2^n Hammersley-type points and their
-    reflection orbits, so the numerator of Q_N(f) at scale 2^n is the
-    sum over s, t of px[s] py[t] M[s][t]: px and py are the orbit sums of
-    f's two factors as polynomials in the integer coordinate, and M holds
-    the base's moments from pointsets.hammersley_moments. Exact, equal to
-    qmc_integrate on the built points, in time polynomial in n, a and b.
+    reflection orbits, so the numerator of Q_N(f) at scale 2^n is
+    pointsets._hammersley_orbit_sum of f's two factors, (2^n - k)^e for a
+    corner and k^e for a monomial, as polynomials in the integer
+    coordinate k; it reads the moments of the digit transfer. Exact, equal
+    to qmc_integrate on the built points, in time polynomial in n, a and b.
     """
     if f.kind not in (CORNER, MONOMIAL):
         raise ValueError(f"integrand {f.name} is not a built-in polynomial")
-    n = sigma.n
     reflected = family_reflections(family)
-    full = 1 << n
-    px, py = (_orbit_polynomial(f, e, full, r) for e, r in zip((f.a, f.b), reflected))
-    moments = hammersley_moments(sigma, f.a, f.b)
-    total = sum(cx * sum(cy * m for cy, m in zip(py, row)) for cx, row in zip(px, moments))
+    full = 1 << sigma.n
+    factors = [[math.comb(e, s) * full ** (e - s) * (-1) ** s for s in range(e + 1)]
+               if f.kind == CORNER else [0] * e + [1] for e in (f.a, f.b)]
+    total = _hammersley_orbit_sum(sigma, reflected, factors)
     count = full << sum(reflected)
     return count, Fraction(total, count * full ** (f.a + f.b))
 

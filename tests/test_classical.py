@@ -759,6 +759,23 @@ def test_star_equals_the_undivided_route():
             assert value == brute_star(points)
 
 
+def de_clerck(n):
+    """N D* of the identity Hammersley set, N = 2^n >= 4 (De Clerck, Monatsh. Math. 101, 1986)."""
+    return Fraction(n, 3) + Fraction(13, 9) - Fraction((-1) ** n * 4, 9 << n)
+
+
+def test_star_of_the_hammersley_set_has_its_closed_form(monkeypatch):
+    # an oracle shared with no other star test; every n here runs on the int32 lane
+    for n in range(2, 13):
+        points = hammersley_type(n, SignPattern.identity(n))
+        value, dtypes = requested_dtypes(star_discrepancy, points, monkeypatch)
+        assert dtypes == [np.dtype(np.int32)]
+        assert (1 << n) * value == de_clerck(n), n
+    # the formula starts at n = 2: at n = 1 it reads 2, and the two points give 3/2
+    one = star_discrepancy(hammersley_type(1, SignPattern.identity(1)))
+    assert 2 * one == Fraction(3, 2) != de_clerck(1)
+
+
 def count_power_gathers(points, p, monkeypatch, split=None):
     """lp_exact_even's value and the row count of each table np.take gathers from."""
     gathers = []

@@ -37,7 +37,7 @@ from dyadisc import (
     symmetrize_davenport,
     symmetrize_full,
 )
-from dyadisc.pointsets import _exact
+from dyadisc.pointsets import _digit_transfer, _exact
 
 from conftest import no_union_read, reversed_entries, union_of
 
@@ -577,3 +577,31 @@ def test_transpose_invariance_of_hand_built_sets(res):
             broken = _grid_set(entries[:i] + [moved] + entries[i + 1:], res)
             assert not is_transpose_invariant(broken), (i, moved)
             assert not is_transpose_invariant(symmetrize_full(broken)), (i, moved)
+
+
+@pytest.mark.parametrize("preset", ["identity", "all-flip", "alternating", "random"])
+def test_digit_transfer_against_brute_force(preset):
+    # states the library's instances never use: the parity of a counter's
+    # digits, and cmp(x, x') of a pair, which the highest differing digit sets
+    for n in range(1, 6):
+        pattern = SignPattern.from_preset(preset, n, seed=5)
+        kx, ky = (k.tolist() for k in hammersley_type(n, pattern).scaled_coords())
+        monomials = [(s, t) for s in range(3) for t in range(2)]
+        parity = _digit_transfer(pattern, 1, monomials, lambda c, bits, ybits: c ^ bits[0], 0)
+        expected = {}
+        for v, (x, y) in enumerate(zip(kx, ky)):
+            sums = expected.setdefault(bin(v).count("1") % 2, [0] * len(monomials))
+            for j, (s, t) in enumerate(monomials):
+                sums[j] += x**s * y**t
+        assert parity == expected, (n, "parity")
+
+        monomials = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1)]
+        compare = _digit_transfer(pattern, 2, monomials,
+                                  lambda c, bits, ybits: bits[0] - bits[1] or c, 0)
+        expected = {}
+        for x, y in zip(kx, ky):
+            for xp, yp in zip(kx, ky):
+                sums = expected.setdefault((x > xp) - (x < xp), [0] * 4)
+                for j, term in enumerate((1, x, yp, x * yp)):
+                    sums[j] += term
+        assert compare == expected, (n, "compare")
